@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import InvariantViolation, ResourceCapError
@@ -49,10 +49,6 @@ class GradedBasis:
 
     def index(self, n: int) -> dict[Edge, int]:
         return {e: k for k, e in enumerate(self.labels[n])}
-
-
-def basis_from_levels(levels: Iterable[Iterable[Edge]], directed: bool) -> GradedBasis:
-    return GradedBasis(tuple(tuple(level) for level in levels), directed)
 
 
 def closure_basis(h: Hypergraph | Hyperdigraph) -> GradedBasis:
@@ -246,14 +242,10 @@ def _edge_indices(ambient: ChainComplex, h, n: int) -> list[int]:
 
 
 def _restricted_complex(
-    ambient: ChainComplex, columns: list[list[dict]]
+    ambient: ChainComplex, embeddings: tuple[SparseMatrix, ...]
 ) -> EmbeddedComplex:
-    """Package per-degree ambient-coordinate columns as an EmbeddedComplex."""
+    """Package per-degree embedding matrices as an EmbeddedComplex."""
     field = ambient.field
-    embeddings = [
-        SparseMatrix.from_columns(field, ambient.dim(n), cols)
-        for n, cols in enumerate(columns)
-    ]
     dims = tuple(e.ncols for e in embeddings)
     if not dims:
         return EmbeddedComplex(ambient, empty_complex(field), ())
@@ -268,7 +260,62 @@ def _restricted_complex(
         boundaries.append(restricted)
     sub = ChainComplex(field, dims, tuple(boundaries))
     sub.validate()
-    return EmbeddedComplex(ambient, sub, tuple(embeddings))
+    return EmbeddedComplex(ambient, sub, embeddings)
+
+
+def largest_inside(
+    c: ChainComplex, span: Sequence[Sequence[int]]
+) -> tuple[SparseMatrix, ...]:
+    """Largest subcomplex of c inside the span of the given basis vectors.
+
+    span[n] lists degree-n basis indices of c.  Degree n of the result is
+    the set of combinations of span[n] whose boundary has no component
+    outside span[n-1]: the kernel of that outside part of the boundary.
+    Returns one embedding matrix per degree, columns in c's coordinates.
+    """
+    embeddings = []
+    for n in range(c.top_degree + 1):
+        cols = span[n]
+        inside = set(span[n - 1]) if n else set()
+        col_map = {j: k for k, j in enumerate(cols)}
+        row_map: dict[int, int] = {}
+        entries = {}
+        for (i, j), v in c.boundaries[n].entries.items():
+            if j in col_map and i not in inside:
+                row = row_map.setdefault(i, len(row_map))
+                entries[(row, col_map[j])] = v
+        constraint = SparseMatrix(c.field, len(row_map), len(cols), entries)
+        kernel = [
+            {cols[k]: v for k, v in vec.items()} for vec in linalg.kernel_basis(constraint)
+        ]
+        embeddings.append(SparseMatrix.from_columns(c.field, c.dim(n), kernel))
+    return tuple(embeddings)
+
+
+def smallest_containing(
+    c: ChainComplex, span: Sequence[Sequence[int]]
+) -> tuple[SparseMatrix, ...]:
+    """Smallest subcomplex of c containing the span of the given basis vectors.
+
+    Degree n of the result is spanned by the basis vectors span[n] and the
+    boundaries of span[n+1]; of these columns, in that order, each one
+    outside the span of the earlier ones is kept.
+    """
+    one = c.field.one
+    embeddings = []
+    for n in range(c.top_degree + 1):
+        cols = [{i: one} for i in span[n]]
+        if n < c.top_degree:
+            boundary = c.boundaries[n + 1].columns()
+            cols += [boundary[j] for j in span[n + 1] if boundary[j]]
+        stacked = SparseMatrix.from_columns(c.field, c.dim(n), cols)
+        kept = [cols[j] for j in linalg.independent_columns(stacked)]
+        embeddings.append(SparseMatrix.from_columns(c.field, c.dim(n), kept))
+    return tuple(embeddings)
+
+
+def _edge_spans(ambient: ChainComplex, h) -> list[list[int]]:
+    return [_edge_indices(ambient, h, n) for n in range(ambient.top_degree + 1)]
 
 
 def inf_complex(
@@ -285,33 +332,7 @@ def inf_complex(
     """
     if ambient is None:
         ambient = ambient_complex(h, "closure", field=field)
-    top = ambient.top_degree
-    columns: list[list[dict]] = []
-    for n in range(top + 1):
-        cols_h = _edge_indices(ambient, h, n)
-        if not cols_h:
-            columns.append([])
-            continue
-        if n == 0:
-            keep = {row for row in cols_h}
-            columns.append([{row: field.one} for row in sorted(keep)])
-            continue
-        rows_in = set(_edge_indices(ambient, h, n - 1))
-        boundary = ambient.boundaries[n]
-        # constraint: boundary components outside span(h_{n-1}) must vanish
-        constraint_entries = {}
-        row_map: dict[int, int] = {}
-        col_map = {c: k for k, c in enumerate(cols_h)}
-        for (i, j), v in boundary.entries.items():
-            if j in col_map and i not in rows_in:
-                row = row_map.setdefault(i, len(row_map))
-                constraint_entries[(row, col_map[j])] = v
-        constraint = SparseMatrix(field, len(row_map), len(cols_h), constraint_entries)
-        kernel = linalg.kernel_basis(constraint)
-        columns.append(
-            [{cols_h[k]: v for k, v in vec.items()} for vec in kernel]
-        )
-    return _restricted_complex(ambient, columns)
+    return _restricted_complex(ambient, largest_inside(ambient, _edge_spans(ambient, h)))
 
 
 def sup_complex(
@@ -326,37 +347,9 @@ def sup_complex(
     """
     if ambient is None:
         ambient = ambient_complex(h, "closure", field=field)
-    top = ambient.top_degree
-    columns = []
-    for n in range(top + 1):
-        cols: list[dict] = [{row: field.one} for row in _edge_indices(ambient, h, n)]
-        if n + 1 <= top:
-            boundary = ambient.boundaries[n + 1]
-            for j in _edge_indices(ambient, h, n + 1):
-                col = boundary.column(j)
-                if col:
-                    cols.append(col)
-        stacked = SparseMatrix.from_columns(field, ambient.dim(n), cols)
-        keep = linalg.independent_columns(stacked)
-        columns.append([cols[j] for j in keep])
-    return _restricted_complex(ambient, columns)
-
-
-def span_complex(
-    h: Hypergraph | Hyperdigraph, field=QQ, ambient: ChainComplex | None = None
-) -> EmbeddedComplex:
-    """The chains of h itself inside the ambient (only valid if simplicial)."""
-    if ambient is None:
-        ambient = ambient_complex(h, "closure", field=field)
-    columns = [
-        [{row: field.one} for row in _edge_indices(ambient, h, n)]
-        for n in range(ambient.top_degree + 1)
-    ]
-    return _restricted_complex(ambient, columns)
-
-
-def unit_columns(field, indices: Iterable[int]) -> list[dict]:
-    return [{i: field.one} for i in indices]
+    return _restricted_complex(
+        ambient, smallest_containing(ambient, _edge_spans(ambient, h))
+    )
 
 
 def face_table(basis: GradedBasis) -> dict[Edge, tuple[Edge, ...]]:

@@ -387,7 +387,7 @@ def _run_selftest(args) -> Report:
     results = run_all(args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name}: {status} ({r.checks} checks)", file=sys.stderr)
+        print(f"{r.name}: {status} ({r.checks} checks, {r.seconds:.2f} s)", file=sys.stderr)
     report = Report(
         "selftest",
         {"seed": args.seed},

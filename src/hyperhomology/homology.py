@@ -2,11 +2,18 @@
 
 Everything here is exact: Betti numbers come from ranks over Q (or Z/p),
 induced maps are computed by expressing cycle bases in target coordinates,
-and quotient complexes carry explicit coset-representative bases.
+and quotient complexes carry explicit coset-representative bases.  Each
+degree of a quotient is eliminated once, into an echelon of the subspace
+keyed by largest index.  The representatives are the basis indices that
+are not keys: exactly the indices i whose unit vector lies outside the
+subspace plus the unit vectors below i.  A vector's quotient coordinates
+are its normal form in that echelon.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,11 +21,14 @@ from . import linalg
 from .chains import (
     ChainComplex,
     EmbeddedComplex,
+    _edge_indices,
     ambient_complex,
     chain_complex_from_basis,
     closure_basis,
     empty_complex,
     inf_complex,
+    largest_inside,
+    smallest_containing,
     sup_complex,
 )
 from .errors import InvariantViolation
@@ -143,30 +153,28 @@ def verify_quasi_iso_theta(h: Hypergraph | Hyperdigraph, field=QQ) -> QuasiIsoRe
 class QuotientComplex:
     """Quotient of an ambient complex by a subcomplex, with representatives.
 
-    representatives[n] lists the ambient basis indices whose cosets form
-    the quotient basis.
+    representatives[n] lists, in increasing order, the ambient basis indices
+    whose cosets form the quotient basis; echelons[n] is the echelon of the
+    degree-n subspace, keyed by largest index, and the representatives are
+    exactly the indices that are not its keys.
     """
 
     complex: ChainComplex
     representatives: tuple[tuple[int, ...], ...]
     sub_embeddings: tuple[SparseMatrix, ...]
     ambient: ChainComplex
+    echelons: tuple[linalg.Echelon, ...] = dataclasses.field(repr=False, compare=False)
 
     def project_vector(self, n: int, vector: dict) -> dict:
-        """Coordinates of an ambient degree-n vector in the quotient basis."""
-        field = self.ambient.field
+        """Coordinates of an ambient degree-n vector in the quotient basis.
+
+        The normal form of the vector is supported on the representatives
+        and lies in the same coset, so it is read off directly.
+        """
         reps = self.representatives[n]
-        basis = linalg.hstack(
-            self.sub_embeddings[n],
-            SparseMatrix.from_columns(
-                field, self.ambient.dim(n), [{i: field.one} for i in reps]
-            ),
-        )
-        coords = linalg.solve(basis, vector)
-        if coords is None:
-            raise InvariantViolation("vector outside ambient span")
-        offset = self.sub_embeddings[n].ncols
-        return {k - offset: v for k, v in coords.items() if k >= offset and v}
+        return {
+            bisect_left(reps, i): v for i, v in self.echelons[n].reduce(vector).items()
+        }
 
 
 def quotient_complex(
@@ -176,61 +184,48 @@ def quotient_complex(
 
     sub[n] holds degree-n spanning columns in ambient coordinates; columns
     are reduced here, and the family must satisfy B(sub_n) within
-    span(sub_{n-1}) (otherwise a ValueError is raised).
+    span(sub_{n-1}) (otherwise a ValueError is raised).  Each degree is
+    eliminated once, into one echelon keyed by largest index; the indices
+    that are not keys are the coset representatives.
     """
     field = ambient.field
     top = ambient.top_degree
     if len(sub) != top + 1:
         raise ValueError("one subspace per ambient degree expected")
     reduced: list[SparseMatrix] = []
+    echelons: list[linalg.Echelon] = []
     for n, matrix in enumerate(sub):
         if matrix.nrows != ambient.dim(n):
             raise ValueError(f"degree-{n} subspace has wrong ambient dimension")
-        keep = linalg.independent_columns(matrix)
-        cols = matrix.columns()
-        reduced.append(
-            SparseMatrix.from_columns(field, matrix.nrows, [cols[j] for j in keep])
-        )
+        echelon = linalg.Echelon(field)
+        kept = [col for col in matrix.columns() if echelon.add(col)]
+        reduced.append(SparseMatrix.from_columns(field, matrix.nrows, kept))
+        echelons.append(echelon)
     for n in range(1, top + 1):
         image = ambient.boundaries[n] @ reduced[n]
-        if linalg.solve_matrix(reduced[n - 1], image) is None:
+        if not all(echelons[n - 1].contains(col) for col in image.columns()):
             raise ValueError(f"subspace family is not boundary-closed at degree {n}")
 
-    representatives: list[tuple[int, ...]] = []
-    for n in range(top + 1):
-        reducer = linalg.Echelon(field)
-        for col in reduced[n].columns():
-            reducer.add(col)
-        reps = []
-        for i in range(ambient.dim(n)):
-            if reducer.add({i: field.one}):
-                reps.append(i)
-        representatives.append(tuple(reps))
-
-    def project_vec(n: int, vector: dict) -> dict:
-        basis = linalg.hstack(
-            reduced[n],
-            SparseMatrix.from_columns(
-                field, ambient.dim(n), [{i: field.one} for i in representatives[n]]
-            ),
-        )
-        coords = linalg.solve(basis, vector)
-        if coords is None:
-            raise InvariantViolation("vector outside ambient span")
-        offset = reduced[n].ncols
-        return {k - offset: v for k, v in coords.items() if k >= offset and v}
-
+    representatives = tuple(
+        tuple(i for i in range(ambient.dim(n)) if i not in echelons[n].rows)
+        for n in range(top + 1)
+    )
+    # project_vector reads only the representatives and the echelons, so the
+    # boundaries below are projected through it before the complex exists
+    quotient = QuotientComplex(
+        ChainComplex(field, (), (), labels=()),
+        representatives,
+        tuple(reduced),
+        ambient,
+        tuple(echelons),
+    )
     dims = tuple(len(reps) for reps in representatives)
     if not dims:
-        return QuotientComplex(
-            ChainComplex(field, (), (), labels=()), (), (), ambient
-        )
+        return quotient
     boundaries = [SparseMatrix.zeros(field, 0, dims[0])]
     for n in range(1, top + 1):
-        cols = []
-        for j in representatives[n]:
-            image = ambient.boundaries[n].column(j)
-            cols.append(project_vec(n - 1, image))
+        images = ambient.boundaries[n].columns()
+        cols = [quotient.project_vector(n - 1, images[j]) for j in representatives[n]]
         boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], cols))
     labels = None
     if ambient.labels is not None:
@@ -240,7 +235,7 @@ def quotient_complex(
         )
     result = ChainComplex(field, dims, tuple(boundaries), labels=labels)
     result.validate()
-    return QuotientComplex(result, tuple(representatives), tuple(reduced), ambient)
+    return dataclasses.replace(quotient, complex=result)
 
 
 def quotient_map_surjective(
@@ -344,7 +339,10 @@ def four_term_sequence(h: Hypergraph | Hyperdigraph, field=QQ) -> FourTermReport
 
     Working with functions on the closure (boundary transposed, so the
     differential raises degree), the complement of the edge span yields an
-    inward and an outward subcomplex; quotienting by them gives the two
+    inward and an outward subcomplex: in the reversed complex they are the
+    Inf and the Sup of the complement, built by ``largest_inside`` and
+    ``smallest_containing`` exactly as ``inf_complex`` and ``sup_complex``
+    build them for the edge span.  Quotienting by them gives the two
     middle stages, and functions on the largest deletion-closed part of h
     give the last.  All three successive maps are canonical surjections,
     and they are all identities exactly when h is already simplicial.
@@ -359,60 +357,22 @@ def four_term_sequence(h: Hypergraph | Hyperdigraph, field=QQ) -> FourTermReport
     top = ambient.top_degree
     one = field.one
 
-    h_indices = [set(_indices_of(ambient, h, n)) for n in range(top + 1)]
-    lower_indices = [set(_indices_of(ambient, lower, n)) for n in range(top + 1)]
-    complement = [
-        [i for i in range(ambient.dim(n)) if i not in h_indices[n]]
-        for n in range(top + 1)
-    ]
-    up = [ambient.boundary_or_zero(n + 1).transpose() for n in range(top + 1)]
-
-    # inward part: complement vectors whose raised differential stays in
-    # the complement one degree up
-    inward: list[list[dict]] = []
-    for n in range(top + 1):
-        cols = complement[n]
-        if not cols:
-            inward.append([])
-            continue
-        rows_in = set(complement[n + 1]) if n + 1 <= top else set()
-        entries = {}
-        row_map: dict[int, int] = {}
-        col_map = {c: k for k, c in enumerate(cols)}
-        for (i, j), v in up[n].entries.items():
-            if j in col_map and i not in rows_in:
-                row = row_map.setdefault(i, len(row_map))
-                entries[(row, col_map[j])] = v
-        constraint = SparseMatrix(field, len(row_map), len(cols), entries)
-        kernel = linalg.kernel_basis(constraint)
-        inward.append([{cols[k]: v for k, v in vec.items()} for vec in kernel])
-
-    # outward hull: complement vectors plus raised differentials from below
-    outward: list[list[dict]] = []
-    for n in range(top + 1):
-        cols = [{i: one} for i in complement[n]]
-        if n >= 1:
-            for i in complement[n - 1]:
-                col = up[n - 1].column(i)
-                if col:
-                    cols.append(col)
-        stacked = SparseMatrix.from_columns(field, ambient.dim(n), cols)
-        keep = linalg.independent_columns(stacked)
-        outward.append([cols[j] for j in keep])
-
     reversed_ambient = _reversed_complex(ambient)
-    inward_rev = tuple(
-        SparseMatrix.from_columns(field, ambient.dim(top - m), inward[top - m])
-        for m in range(top + 1)
-    )
-    outward_rev = tuple(
-        SparseMatrix.from_columns(field, ambient.dim(top - m), outward[top - m])
-        for m in range(top + 1)
-    )
-    stage2 = quotient_complex(reversed_ambient, inward_rev)
-    stage3 = quotient_complex(reversed_ambient, outward_rev)
 
-    lower_basis_dims = tuple(len(lower_indices[n]) for n in range(top + 1))
+    def reversed_indices(g) -> list[set[int]]:
+        # degree m of the reversed complex is degree top - m of the closure
+        return [set(_edge_indices(ambient, g, top - m)) for m in range(top + 1)]
+
+    in_h, in_lower = reversed_indices(h), reversed_indices(lower)
+    complement = [
+        [i for i in range(reversed_ambient.dim(m)) if i not in in_h[m]]
+        for m in range(top + 1)
+    ]
+    inward = largest_inside(reversed_ambient, complement)
+    outward = smallest_containing(reversed_ambient, complement)
+    stage2 = quotient_complex(reversed_ambient, inward)
+    stage3 = quotient_complex(reversed_ambient, outward)
+
     if lower.edges:
         stage4_complex = chain_complex_from_basis(closure_basis(lower), field)
         b4 = betti(stage4_complex).betti
@@ -434,29 +394,22 @@ def four_term_sequence(h: Hypergraph | Hyperdigraph, field=QQ) -> FourTermReport
     # the three maps are canonical quotient projections; surjectivity needs
     # the two containments below, which we verify explicitly
     inward_in_outward = all(
-        linalg.columns_in_span(
-            SparseMatrix.from_columns(field, ambient.dim(n), outward[n]),
-            SparseMatrix.from_columns(field, ambient.dim(n), inward[n]),
-        )
-        for n in range(top + 1)
+        linalg.columns_in_span(outward[m], inward[m]) for m in range(top + 1)
     )
-    not_lower = [
-        SparseMatrix.from_columns(
-            field,
-            ambient.dim(n),
-            [{i: one} for i in range(ambient.dim(n)) if i not in lower_indices[n]],
-        )
-        for n in range(top + 1)
-    ]
     outward_misses_lower = all(
         linalg.columns_in_span(
-            not_lower[n],
-            SparseMatrix.from_columns(field, ambient.dim(n), outward[n]),
+            SparseMatrix.from_columns(
+                field,
+                reversed_ambient.dim(m),
+                [{i: one} for i in range(reversed_ambient.dim(m)) if i not in in_lower[m]],
+            ),
+            outward[m],
         )
-        for n in range(top + 1)
+        for m in range(top + 1)
     )
     surjective = (True, inward_in_outward, outward_misses_lower)
 
+    lower_basis_dims = unreverse(tuple(len(indices) for indices in in_lower))
     all_identity = (
         dims1 == dims2 == dims3 == lower_basis_dims and all(surjective)
     )
@@ -471,11 +424,6 @@ def four_term_sequence(h: Hypergraph | Hyperdigraph, field=QQ) -> FourTermReport
         surjective,
         all_identity,
     )
-
-
-def _indices_of(ambient: ChainComplex, h, n: int) -> list[int]:
-    index = {e: k for k, e in enumerate(ambient.labels[n])}
-    return [index[e] for e in h.level(n + 1) if e in index]
 
 
 def hodge_laplacian(c: ChainComplex, n: int) -> tuple[SparseMatrix, int]:

@@ -8,6 +8,7 @@ as an independent oracle for these routines.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
 
 
@@ -224,7 +225,13 @@ def independent_columns(matrix: SparseMatrix) -> list[int]:
 
 
 class Echelon:
-    """Incremental echelon of sparse vectors keyed by leading index."""
+    """Incremental echelon of sparse vectors keyed by their largest index.
+
+    Each stored row has coefficient 1 at its key and support only on smaller
+    indices.  ``reduce`` returns the normal form of a vector: it differs from
+    the vector by an element of the span and is zero at every key, so it is
+    zero exactly for members of the span.
+    """
 
     def __init__(self, field):
         self.field = field
@@ -232,17 +239,22 @@ class Echelon:
 
     def reduce(self, vector: dict) -> dict:
         vec = dict(vector)
-        while vec:
-            lead = min(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            factor = vec[lead]
-            for c, v in row.items():
+        rows = self.rows
+        # keys eliminated largest first; a row only adds smaller indices
+        pending = [-i for i in vec if i in rows]
+        heapq.heapify(pending)
+        while pending:
+            key = -heapq.heappop(pending)
+            factor = vec.get(key)
+            if factor is None:
+                continue
+            for c, v in rows[key].items():
                 cur = vec.get(c)
                 s = -factor * v if cur is None else cur - factor * v
                 if s:
                     vec[c] = s
+                    if cur is None and c in rows:
+                        heapq.heappush(pending, -c)
                 elif cur is not None:
                     del vec[c]
         return vec
@@ -251,9 +263,9 @@ class Echelon:
         residual = self.reduce(vector)
         if not residual:
             return False
-        lead = min(residual)
-        inv = residual[lead]
-        self.rows[lead] = {c: v / inv for c, v in residual.items()}
+        key = max(residual)
+        inv = residual[key]
+        self.rows[key] = {c: v / inv for c, v in residual.items()}
         return True
 
     def contains(self, vector: dict) -> bool:
@@ -297,15 +309,6 @@ def solve(a: SparseMatrix, b: dict) -> dict | None:
     if x is None:
         return None
     return {i: v for (i, _), v in x.entries.items()}
-
-
-def hstack(left: SparseMatrix, right: SparseMatrix) -> SparseMatrix:
-    if left.nrows != right.nrows:
-        raise ValueError("row count mismatch in hstack")
-    entries = dict(left.entries)
-    for (i, j), v in right.entries.items():
-        entries[(i, j + left.ncols)] = v
-    return SparseMatrix(left.field, left.nrows, left.ncols + right.ncols, entries)
 
 
 def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:

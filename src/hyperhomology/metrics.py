@@ -65,7 +65,8 @@ class PiValue:
         if isinstance(other, PiValue):
             return self.coeff == other.coeff
         if isinstance(other, (int, float, Fraction)):
-            return float(self) == float(other)
+            # pi is irrational, so only zero is also a plain number
+            return not self.coeff and other == 0
         return NotImplemented
 
     def __lt__(self, other):
@@ -76,7 +77,7 @@ class PiValue:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("PiValue", self.coeff))
+        return hash(("PiValue", self.coeff)) if self.coeff else hash(0)
 
     def __repr__(self):
         return f"PiValue({self.coeff})"

@@ -137,3 +137,66 @@ def fixed_subspace_dimension(edge_list, generators):
     if not rows:
         return len(edge_list)
     return dense_kernel_dimension(rows, len(edge_list))
+
+
+def dense_solve(columns, target):
+    """One solution x of sum_k x_k columns[k] = target, free variables zero.
+
+    Plain Gauss-Jordan elimination on the augmented matrix; None when the
+    target is outside the column span.
+    """
+    n_cols = len(columns)
+    m = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(len(target))]
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        chosen = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if chosen is None:
+            continue
+        m[row], m[chosen] = m[chosen], m[row]
+        pivot = m[row][col]
+        m[row] = [x / pivot for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    if any(m[r][n_cols] != 0 for r in range(row, len(m))):
+        return None
+    x = [Fraction(0)] * n_cols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][n_cols]
+    return x
+
+
+def _unit(i, dim):
+    return [Fraction(int(k == i)) for k in range(dim)]
+
+
+def quotient_representatives(sub_columns, dim):
+    """Greedy coset representatives of a quotient by the span of sub_columns.
+
+    Unit vectors are tried in index order; e_i is kept when it raises the
+    rank of the subspace plus the units kept so far.
+    """
+    kept = []
+    current = dense_rank(list(map(list, zip(*sub_columns))))
+    for i in range(dim):
+        trial = list(sub_columns) + [_unit(j, dim) for j in kept + [i]]
+        r = dense_rank(list(map(list, zip(*trial))))
+        if r > current:
+            kept.append(i)
+            current = r
+    return tuple(kept)
+
+
+def quotient_coordinates(sub_columns, reps, vector):
+    """Coordinates of vector in the quotient basis e_reps modulo sub_columns.
+
+    Solves [S | e_reps] x = vector densely and keeps the e_reps part, which
+    is unique because S and e_reps together span the whole space directly.
+    """
+    dim = len(vector)
+    x = dense_solve(list(sub_columns) + [_unit(i, dim) for i in reps], vector)
+    return x[len(sub_columns):]

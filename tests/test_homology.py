@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
@@ -23,9 +24,15 @@ from hyperhomology.hypergraphs import (
     lift,
 )
 from hyperhomology.linalg import SparseMatrix
-from hyperhomology.suites import random_hypergraph
+from hyperhomology.suites import random_hyperdigraph, random_hypergraph
 
-from oracles import fixed_subspace_dimension, simplicial_betti
+from oracles import (
+    fixed_subspace_dimension,
+    quotient_coordinates,
+    quotient_representatives,
+    simplicial_betti,
+    sparse_to_dense,
+)
 
 HOLLOW = hypergraph([[0], [1], [2], [0, 1], [1, 2], [0, 2]])
 MIXED = hypergraph([[0, 1], [1, 2], [0, 1, 2]])
@@ -111,6 +118,43 @@ def test_quotient_dimension_example():
     q.complex.validate()
 
 
+@st.composite
+def full_simplex_instances(draw):
+    n_vertices = draw(st.integers(1, 6))
+    edge = st.sets(st.integers(0, n_vertices - 1), min_size=1, max_size=4)
+    edges = draw(st.lists(edge, max_size=8))
+    h = hypergraph(edges, vertices=range(n_vertices))
+    max_degree = draw(st.integers(max(h.max_cardinality() - 1, 0), 3))
+    return h, ambient_complex(h, "full_simplex", max_degree=max_degree)
+
+
+def dense_columns(matrix):
+    dense = sparse_to_dense(matrix)
+    return [[row[j] for row in dense] for j in range(matrix.ncols)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_simplex_instances())
+def test_quotient_matches_dense_oracle(instance):
+    h, ambient = instance
+    for side in (sup_complex, inf_complex):
+        embeddings = side(h, ambient=ambient).embeddings
+        q = quotient_complex(ambient, embeddings)
+        sub = [dense_columns(m) for m in embeddings]
+        reps = tuple(
+            quotient_representatives(sub[n], ambient.dim(n))
+            for n in range(ambient.top_degree + 1)
+        )
+        assert q.representatives == reps
+        for n in range(1, ambient.top_degree + 1):
+            images = dense_columns(ambient.boundaries[n])
+            expected = [
+                quotient_coordinates(sub[n - 1], reps[n - 1], images[j])
+                for j in reps[n]
+            ]
+            assert dense_columns(q.complex.boundaries[n]) == expected
+
+
 def test_quotient_rejects_non_subcomplex():
     c = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
     bad = [
@@ -163,8 +207,9 @@ def test_four_term_empty():
 
 def test_four_term_middle_stages_match_embedded_homology_randomized():
     rng = random.Random(99)
-    for _ in range(10):
-        h = random_hypergraph(rng, max_vertices=5, max_card=4)
+    instances = [random_hypergraph(rng, max_vertices=5, max_card=4) for _ in range(10)]
+    instances += [random_hyperdigraph(rng, max_vertices=4, max_card=4) for _ in range(10)]
+    for h in instances:
         report = four_term_sequence(h)
         b_sup = betti(sup_complex(h)).betti
         b_inf = betti(inf_complex(h)).betti

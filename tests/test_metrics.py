@@ -29,6 +29,15 @@ def test_pi_value_ordering_and_arithmetic():
         PiValue(-1)
 
 
+def test_pi_value_equals_plain_numbers_only_at_zero():
+    assert PiValue(0) == 0 and PiValue(0) == 0.0 and PiValue(0) == Fraction(0)
+    assert hash(PiValue(0)) == hash(0)
+    assert len({0, PiValue(0)}) == 1
+    assert PiValue(1) != math.pi
+    assert PiValue(Fraction(1, 2)) != math.pi / 2
+    assert len({math.pi, PiValue(1)}) == 2
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None
