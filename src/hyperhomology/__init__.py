@@ -100,6 +100,7 @@ from .jsonio import (
 from .metrics import (
     MetricPointSample,
     PiValue,
+    SqrtValue,
     circle_sample,
     critical_radii,
     distance_matrix_sample,

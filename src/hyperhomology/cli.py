@@ -384,21 +384,25 @@ def _run_embed(args) -> Report:
 
 
 def _run_selftest(args) -> Report:
-    results = run_all(args.seed)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name}: {status} ({r.checks} checks, {r.seconds:.2f} s)", file=sys.stderr)
-    report = Report(
-        "selftest",
-        {"seed": args.seed},
-        [r.as_dict() for r in results],
-    )
-    if any(not r.passed for r in results):
-        emit_report(report, None)
-        raise TheoremCheckError(
-            "selftest failures", [r.name for r in results if not r.passed]
-        )
+    def work():
+        results = run_all(args.seed)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{r.name}: {status} ({r.checks} checks, {r.seconds:.2f} s)", file=sys.stderr)
+        return [r.as_dict() for r in results]
+
+    report = timed_report("selftest", {"seed": args.seed}, work)
+    failed = [r["name"] for r in report.results if not r["passed"]]
+    if failed:
+        _write_report(report, args.out)
+        raise TheoremCheckError("selftest failures", failed)
     return report
+
+
+def _write_report(report: Report, out: str) -> None:
+    text = emit_report(report, None if out == "-" else out)
+    if out == "-":
+        sys.stdout.write(text)
 
 
 _HANDLERS = {
@@ -446,9 +450,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         return 0
 
-    text = emit_report(report, None if args.out == "-" else args.out)
-    if args.out == "-":
-        sys.stdout.write(text)
+    _write_report(report, args.out)
     return 0
 
 

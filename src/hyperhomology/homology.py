@@ -161,7 +161,6 @@ class QuotientComplex:
 
     complex: ChainComplex
     representatives: tuple[tuple[int, ...], ...]
-    sub_embeddings: tuple[SparseMatrix, ...]
     ambient: ChainComplex
     echelons: tuple[linalg.Echelon, ...] = dataclasses.field(repr=False, compare=False)
 
@@ -198,7 +197,7 @@ def quotient_complex(
         if matrix.nrows != ambient.dim(n):
             raise ValueError(f"degree-{n} subspace has wrong ambient dimension")
         echelon = linalg.Echelon(field)
-        kept = [col for col in matrix.columns() if echelon.add(col)]
+        kept = [col for col in matrix.columns() if echelon.add(col) is not None]
         reduced.append(SparseMatrix.from_columns(field, matrix.nrows, kept))
         echelons.append(echelon)
     for n in range(1, top + 1):
@@ -215,7 +214,6 @@ def quotient_complex(
     quotient = QuotientComplex(
         ChainComplex(field, (), (), labels=()),
         representatives,
-        tuple(reduced),
         ambient,
         tuple(echelons),
     )

@@ -219,7 +219,7 @@ def independent_columns(matrix: SparseMatrix) -> list[int]:
     reducer = Echelon(matrix.field)
     keep = []
     for j, col in enumerate(matrix.columns()):
-        if reducer.add(col):
+        if reducer.add(col) is not None:
             keep.append(j)
     return keep
 
@@ -230,14 +230,18 @@ class Echelon:
     Each stored row has coefficient 1 at its key and support only on smaller
     indices.  ``reduce`` returns the normal form of a vector: it differs from
     the vector by an element of the span and is zero at every key, so it is
-    zero exactly for members of the span.
+    zero exactly for members of the span.  The rows are a basis of the span,
+    and ``reduce`` can report a vector's coordinates in it.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows: dict[int, dict] = {}
 
-    def reduce(self, vector: dict) -> dict:
+    def reduce(self, vector: dict, coefficients: dict | None = None) -> dict:
+        """Normal form of vector.  A dict passed as coefficients receives,
+        per key, the multiple of that row that was subtracted, so the vector
+        is its normal form plus those multiples of the rows."""
         vec = dict(vector)
         rows = self.rows
         # keys eliminated largest first; a row only adds smaller indices
@@ -248,6 +252,8 @@ class Echelon:
             factor = vec.get(key)
             if factor is None:
                 continue
+            if coefficients is not None:
+                coefficients[key] = factor
             for c, v in rows[key].items():
                 cur = vec.get(c)
                 s = -factor * v if cur is None else cur - factor * v
@@ -259,14 +265,16 @@ class Echelon:
                     del vec[c]
         return vec
 
-    def add(self, vector: dict) -> bool:
+    def add(self, vector: dict) -> int | None:
+        """Add the vector's normal form as a row; returns its key, or None
+        when the vector is already in the span."""
         residual = self.reduce(vector)
         if not residual:
-            return False
+            return None
         key = max(residual)
         inv = residual[key]
         self.rows[key] = {c: v / inv for c, v in residual.items()}
-        return True
+        return key
 
     def contains(self, vector: dict) -> bool:
         return not self.reduce(vector)

@@ -9,8 +9,9 @@ Three metric kinds are supported:
 * arc length on the unit circle, either with angles that are exact
   rational multiples of pi (fully exact comparisons) or float radians.
 
-Radii may be ints, Fractions, floats (exact dyadic rationals) or
-:class:`PiValue` for exact rational multiples of pi.
+Radii may be ints, Fractions, floats (exact dyadic rationals),
+:class:`PiValue` for exact rational multiples of pi, or :class:`SqrtValue`
+for the irrational half distances of Euclidean samples.
 """
 
 from __future__ import annotations
@@ -83,21 +84,6 @@ class PiValue:
         return f"PiValue({self.coeff})"
 
 
-def _double(radius):
-    if isinstance(radius, PiValue):
-        return PiValue(2 * radius.coeff)
-    return 2 * radius
-
-
-def midpoint(a, b):
-    """Midpoint of two radii, staying exact when both live in one domain."""
-    if isinstance(a, PiValue) and isinstance(b, PiValue):
-        return PiValue((a.coeff + b.coeff) / 2)
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return (Fraction(a) + Fraction(b)) / 2
-    return (float(a) + float(b)) / 2.0
-
-
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None."""
     if value < 0:
@@ -107,6 +93,106 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+def exact_sqrt(square) -> "Fraction | SqrtValue":
+    """Square root of a non-negative rational: a Fraction when it is rational,
+    a :class:`SqrtValue` otherwise."""
+    square = Fraction(square)
+    root = rational_sqrt(square)
+    return root if root is not None else SqrtValue(square)
+
+
+@total_ordering
+class SqrtValue:
+    """The exact square root of a non-negative rational that is not a square.
+
+    Being irrational, it equals no plain number; it orders exactly against
+    rationals and other square roots by comparing squares.  Build it with
+    :func:`exact_sqrt`, which returns a Fraction for rational roots.
+    """
+
+    __slots__ = ("square",)
+
+    def __init__(self, square):
+        self.square = Fraction(square)
+        if self.square < 0 or rational_sqrt(self.square) is not None:
+            raise ValueError(f"{square} is negative or a rational square")
+
+    def __float__(self):
+        return math.sqrt(self.square)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other >= 0:
+            return exact_sqrt(self.square * other * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other > 0:
+            return exact_sqrt(self.square / (Fraction(other) * other))
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, SqrtValue):
+            return self.square == other.square
+        if isinstance(other, (int, float, Fraction)):
+            return False
+        return NotImplemented
+
+    def __lt__(self, other):
+        if isinstance(other, SqrtValue):
+            return self.square < other.square
+        if isinstance(other, float) and not math.isfinite(other):
+            return float(self) < other
+        if isinstance(other, (int, float, Fraction)):
+            return other > 0 and self.square < Fraction(other) ** 2
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(("SqrtValue", self.square))
+
+    def __repr__(self):
+        return f"SqrtValue({self.square})"
+
+
+def _square(radius) -> Fraction:
+    """Exact square of a non-negative radius that is not a multiple of pi."""
+    if isinstance(radius, SqrtValue):
+        return radius.square
+    r = as_fraction(radius)
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    return r * r
+
+
+def midpoint(a, b):
+    """A radius strictly between a < b, exact unless a float is involved.
+
+    Two rationals or two multiples of pi give their exact midpoint, and any
+    float gives the float midpoint.  Where a square root is involved the
+    midpoint has no exact form here, so the dyadic rational of least
+    denominator above a is returned, which lies strictly below b.
+    """
+    if isinstance(a, PiValue) and isinstance(b, PiValue):
+        return PiValue((a.coeff + b.coeff) / 2)
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return (Fraction(a) + Fraction(b)) / 2
+    exact = (int, Fraction, SqrtValue)
+    if not (isinstance(a, exact) and isinstance(b, exact)):
+        return (float(a) + float(b)) / 2.0
+    low, high = _square(a), _square(b)
+    if not low < high:
+        raise ValueError("midpoint needs a < b")
+    scale = 1
+    while True:
+        # (isqrt(floor(low * scale^2)) + 1) / scale is the least multiple of
+        # 1/scale whose square exceeds low
+        above = Fraction(math.isqrt(math.floor(low * scale * scale)) + 1, scale)
+        if above * above < high:
+            return above
+        scale *= 2
 
 
 class EuclideanMetric:
@@ -135,16 +221,10 @@ class EuclideanMetric:
         """Exact test d(i, j) > 2 * radius."""
         if isinstance(radius, PiValue):
             return math.sqrt(float(self.distance_sq(i, j))) > 2.0 * float(radius)
-        r = as_fraction(radius)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        return self.distance_sq(i, j) > 4 * r * r
+        return self.distance_sq(i, j) > 4 * _square(radius)
 
     def half_distance(self, i: int, j: int):
-        root = rational_sqrt(self.distance_sq(i, j))
-        if root is not None:
-            return root / 2
-        return math.sqrt(float(self.distance_sq(i, j))) / 2.0
+        return exact_sqrt(self.distance_sq(i, j) / 4)
 
     def pair_keys(self, ids):
         return {(i, j): self.distance_sq(i, j) for i, j in combinations(ids, 2)}
@@ -185,10 +265,8 @@ class DistanceMatrixMetric:
     def separation_exceeds(self, i: int, j: int, radius) -> bool:
         if isinstance(radius, PiValue):
             return float(self.distance(i, j)) > 2.0 * float(radius)
-        r = as_fraction(radius)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        return self.distance(i, j) > 2 * r
+        # both sides are non-negative, so compare squares
+        return self.distance(i, j) ** 2 > 4 * _square(radius)
 
     def half_distance(self, i: int, j: int) -> Fraction:
         return self.distance(i, j) / 2
@@ -239,10 +317,8 @@ class CircleMetric:
             return d.coeff > 2 * radius.coeff
         if isinstance(radius, PiValue):
             return float(d) > 2.0 * float(radius)
-        r = as_fraction(radius)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        return float(d) > 2.0 * float(r)
+        _square(radius)  # rejects negative radii
+        return float(d) > 2.0 * float(radius)
 
     def half_distance(self, i: int, j: int):
         d = self.distance(i, j)
@@ -336,8 +412,8 @@ def hard_sphere(sample: MetricPointSample, radius, n_max: int) -> Hypergraph:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if not isinstance(radius, PiValue) and as_fraction(radius) < 0:
-        raise ValueError("radius must be non-negative")
+    if not isinstance(radius, PiValue):
+        _square(radius)  # rejects negative radii
     ids = sorted(sample.ids)
     far = {i: set() for i in ids}
     for i, j in combinations(ids, 2):
@@ -359,8 +435,21 @@ def hard_sphere(sample: MetricPointSample, radius, n_max: int) -> Hypergraph:
     return Hypergraph(frozenset(sample.ids), frozenset(edges))
 
 
+def half_distances_by_key(sample: MetricPointSample, keys: dict) -> dict:
+    """Half distance of each distinct value of the exact pair keys.
+
+    keys is ``sample.metric.pair_keys(...)``; keys order like distances in
+    every metric, so sorting by key sorts the half distances.
+    """
+    out = {}
+    for pair, key in keys.items():
+        if key not in out:
+            out[key] = sample.metric.half_distance(*pair)
+    return out
+
+
 def critical_radii(sample: MetricPointSample, n_max: int) -> list:
-    """Sorted distinct half pairwise distances.
+    """Sorted distinct half pairwise distances, as exact values.
 
     The hard-sphere hypergraph (every level up to n_max) is constant on each
     open interval between consecutive values.
@@ -369,9 +458,5 @@ def critical_radii(sample: MetricPointSample, n_max: int) -> list:
         raise ValueError("n_max must be at least 1")
     if len(sample) < 2:
         raise ValueError("need at least two points")
-    keys = sample.metric.pair_keys(sorted(sample.ids))
-    seen = {}
-    for pair, key in sorted(keys.items(), key=lambda kv: kv[1]):
-        if key not in seen:
-            seen[key] = sample.metric.half_distance(*pair)
-    return sorted(seen.values(), key=float)
+    radii = half_distances_by_key(sample, sample.metric.pair_keys(sorted(sample.ids)))
+    return [radii[key] for key in sorted(radii)]

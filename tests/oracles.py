@@ -3,11 +3,18 @@
 Everything here is deliberately textbook and self-contained: dense
 list-of-list matrices over fractions.Fraction, first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
-package's linear algebra.
+package's linear algebra, except ``pairwise_persistence``: it computes
+persistence the slow way, through the package's per-step embedded
+complexes and one induced-rank problem per pair of steps.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
+from hyperhomology.errors import InvariantViolation
+from hyperhomology.fields import QQ
+from hyperhomology.homology import betti, induced_homology_rank
 
 
 def dense_rank(rows):
@@ -200,3 +207,56 @@ def quotient_coordinates(sub_columns, reps, vector):
     dim = len(vector)
     x = dense_solve(list(sub_columns) + [_unit(i, dim) for i in reps], vector)
     return x[len(sub_columns):]
+
+
+def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=QQ):
+    """Persistence of nested steps, one rank problem per pair of steps.
+
+    Builds the Inf (or Sup) complex of every step in the ambient of the
+    last one, and solves H_n(step i) -> H_n(step j) for each pair.  Returns
+    (betti_by_step, entries, bars): entries as in ``persistent_betti`` for
+    the consecutive (or all) pairs, bars as (degree, born, dies) for the
+    given degrees, derived from the all-pairs ranks by inclusion-exclusion.
+    """
+    steps = list(steps)
+    build = inf_complex if kind == "inf" else sup_complex
+    ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field)
+    embedded = [build(s.hypergraph, field=field, ambient=ambient) for s in steps]
+    betti_by_step = tuple(betti(e).betti for e in embedded)
+    count = len(steps)
+
+    def beta(i, d):
+        return betti_by_step[i][d] if d < len(betti_by_step[i]) else 0
+
+    ranks = {}
+    for d in degrees:
+        for i in range(count):
+            ranks[(d, i, i)] = beta(i, d)
+            for j in range(i + 1, count):
+                r = induced_homology_rank(embedded[i], embedded[j], d)
+                if r > min(beta(i, d), beta(j, d)):
+                    raise InvariantViolation(f"rank {r} exceeds min Betti at {d}, {i}->{j}")
+                ranks[(d, i, j)] = r
+    pairs = (
+        [(i, j) for i in range(count) for j in range(i + 1, count)]
+        if all_pairs
+        else [(i, i + 1) for i in range(count - 1)]
+    )
+    entries = tuple((d, i, j, ranks[(d, i, j)]) for d in degrees for i, j in pairs)
+
+    def r(d, i, j):
+        return ranks[(d, i, j)] if i >= 0 else 0
+
+    bars = []
+    for d in degrees:
+        for born in range(count):
+            for dies in range(born, count):
+                alive_to_dies = r(d, born, dies) - r(d, born - 1, dies)
+                if dies + 1 < count:
+                    alive_past = r(d, born, dies + 1) - r(d, born - 1, dies + 1)
+                else:
+                    alive_past = 0
+                bars += [(d, born, dies + 1 if dies + 1 < count else None)] * (
+                    alive_to_dies - alive_past
+                )
+    return betti_by_step, entries, bars

@@ -1,21 +1,32 @@
 import math
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.filtration import (
+    FiltrationStep,
     build_filtration,
     emptiness_threshold,
     persistent_betti,
 )
-from hyperhomology.hypergraphs import is_sigma_invariant, lift, project
+from hyperhomology.hypergraphs import Hypergraph, is_sigma_invariant, is_simplicial, lift, project
 from hyperhomology.metrics import (
     PiValue,
     circle_sample,
     distance_matrix_sample,
     euclidean_sample,
     evenly_spaced_circle_sample,
+    hard_sphere,
 )
+
+from oracles import pairwise_persistence
+
+DEMO = Path(__file__).resolve().parent.parent / "scripts" / "hard_sphere_persistence_demo.py"
 
 
 def equilateral(side=2):
@@ -129,3 +140,118 @@ def test_emptiness_threshold_float_mode():
 def test_threshold_more_points_than_sample():
     sample = circle_sample([0, Fraction(1, 2)])
     assert emptiness_threshold(sample, 3) == PiValue(0)
+
+
+def test_near_coincident_radii_get_their_own_steps():
+    # two pairs at sqrt(2) and just above it, two at 5 and just above it
+    sample = euclidean_sample([(0, 0), (1, 1), (5, 0), (6, 1 + Fraction(1, 10**20))])
+    steps = build_filtration(sample, 2)
+    assert len(steps) == 7
+    assert all(s.lower != s.upper for s in steps)
+    assert all(a.hypergraph != b.hypergraph for a, b in zip(steps, steps[1:]))
+
+
+@st.composite
+def exact_samples(draw, max_points=7):
+    """Small Euclidean, distance-matrix or exact-circle samples."""
+    n = draw(st.integers(1, max_points))
+    kind = draw(st.sampled_from(["euclidean", "matrix", "circle"]))
+    if kind == "euclidean":
+        coords = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        points = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n, unique=True))
+        return euclidean_sample(points)
+    if kind == "matrix":
+        values = draw(st.lists(st.integers(1, 6), min_size=n * n, max_size=n * n))
+        matrix = [
+            [0 if a == b else values[min(a, b) * n + max(a, b)] for b in range(n)]
+            for a in range(n)
+        ]
+        return distance_matrix_sample(matrix)
+    angles = draw(st.lists(st.integers(0, 23), min_size=n, max_size=n, unique=True))
+    return circle_sample([Fraction(a, 12) for a in angles])
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_samples(), st.integers(1, 3))
+def test_each_step_is_the_hard_sphere_hypergraph_of_its_representative(sample, n_max):
+    steps = build_filtration(sample, n_max)
+    for step in steps:
+        assert hard_sphere(sample, step.representative, n_max) == step.hypergraph
+        if len(steps) > 1:
+            assert step.lower < step.representative < step.upper
+    if n_max >= 2:  # each step adds the pairs at one distance
+        assert all(a.hypergraph != b.hypergraph for a, b in zip(steps, steps[1:]))
+
+
+def test_negative_degree_is_rejected():
+    steps = build_filtration(equilateral(), 2)
+    with pytest.raises(ValueError):
+        persistent_betti(steps, [-1, 0], "inf")
+
+
+@st.composite
+def nested_hypergraph_steps(draw):
+    """A random hypergraph on at most five vertices, grown by random edges;
+    the steps are usually not simplicial."""
+    vertices = list(range(draw(st.integers(1, 5))))
+    edge = st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True).map(
+        lambda vs: tuple(sorted(vs))
+    )
+    edges = set(draw(st.lists(edge, min_size=1, max_size=6)))
+    steps = []
+    for k in range(draw(st.integers(1, 5))):
+        steps.append(FiltrationStep(k, k + 1, k, Hypergraph(frozenset(vertices), frozenset(edges))))
+        edges |= set(draw(st.lists(edge, min_size=1, max_size=3)))
+    return steps
+
+
+@st.composite
+def filtrations(draw):
+    if draw(st.booleans()):
+        return build_filtration(draw(exact_samples()), draw(st.integers(1, 3)))
+    return draw(nested_hypergraph_steps())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    filtrations(),
+    st.sampled_from(["inf", "sup"]),
+    st.booleans(),
+    st.sampled_from([QQ, PrimeField(7)]),
+)
+def test_persistence_matches_pairwise_oracle(steps, kind, all_pairs, field):
+    degrees = [0, 1, 2]
+    table = persistent_betti(steps, degrees, kind, all_pairs=all_pairs, field=field)
+    betti_by_step, entries, bars = pairwise_persistence(
+        steps, degrees, kind, all_pairs=all_pairs, field=field
+    )
+    assert table.betti_by_step == betti_by_step
+    assert table.entries == entries
+    assert [(b["degree"], b["born_step"], b["dies_step"]) for b in table.barcode()] == bars
+
+
+def test_non_simplicial_steps_use_the_embedded_complexes():
+    # step 0 holds a triangle without its sides: its Inf drops the triangle,
+    # its Sup adds the triangle's boundary, and both have three components
+    vertices = frozenset({0, 1, 2})
+    first = Hypergraph(vertices, frozenset({(0, 1, 2), (0,), (1,), (2,)}))
+    second = Hypergraph(vertices, first.edges | {(0, 1), (1, 2), (0, 2)})
+    assert not is_simplicial(first)
+    steps = [FiltrationStep(1, 2, 1, first), FiltrationStep(0, 1, 0, second)]
+    for kind in ("inf", "sup"):
+        table = persistent_betti(steps, [0, 1], kind, all_pairs=True)
+        assert table.betti_by_step == ((3, 0, 0), (1, 0, 0))
+        assert table.rank(0, 0, 1) == 1
+        assert table.barcode() == [
+            {"degree": 0, "born_step": 0, "dies_step": 1},
+            {"degree": 0, "born_step": 0, "dies_step": 1},
+            {"degree": 0, "born_step": 0, "dies_step": None},
+        ]
+
+
+def test_demo_script_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(DEMO)])
+    runpy.run_path(str(DEMO), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "== equilateral triangle: 2 steps" in out
+    assert "bar {" in out

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from hyperhomology import cli
 from hyperhomology.cli import main
 from hyperhomology.errors import ParseError
 from hyperhomology.hypergraphs import hyperdigraph, hypergraph
@@ -12,6 +14,7 @@ from hyperhomology.jsonio import (
     parse_hypergraph,
     parse_point_sample,
 )
+from hyperhomology.suites import SuiteResult
 
 
 def test_parse_hypergraph_canonicalizes():
@@ -184,6 +187,30 @@ def test_cli_persist_json_barcode(tmp_path, capsys):
     )
     payload = json.loads(capsys.readouterr().out)
     assert "barcode" in payload["results"]
+
+
+def test_cli_persist_rejects_negative_degrees(tmp_path, capsys):
+    pts = tmp_path / "line.csv"
+    pts.write_text("id,x\n0,0\n1,1\n2,3\n")
+    assert main(["persist", str(pts), "--n-max", "2", "--degrees=-1,0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _fake_suites(passed):
+    def run_all(seed):
+        time.sleep(0.01)
+        return [SuiteResult("fake", checks=1, failures=[] if passed else [{"case": 0}])]
+
+    return run_all
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 4)])
+def test_cli_selftest_reports_its_timing(monkeypatch, capsys, passed, code):
+    monkeypatch.setattr(cli, "run_all", _fake_suites(passed))
+    assert main(["selftest", "--seed", "1"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["timing_seconds"] > 0
+    assert payload["results"][0]["passed"] is passed
 
 
 def test_cli_bundle_and_embed(capsys):

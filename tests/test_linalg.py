@@ -70,6 +70,21 @@ def test_echelon_membership():
     assert not reducer.contains({0: one})
 
 
+def test_echelon_keys_and_coordinates():
+    reducer = linalg.Echelon(QQ)
+    one = QQ.one
+    assert reducer.add({0: one}) == 0
+    assert reducer.add({0: one, 2: one + one}) == 2
+    vector = {0: one * 5, 2: one * 4}
+    coefficients = {}
+    assert reducer.reduce(vector, coefficients) == {}
+    rebuilt = {}
+    for key, c in coefficients.items():
+        for i, v in reducer.rows[key].items():
+            rebuilt[i] = rebuilt.get(i, 0) + c * v
+    assert {i: v for i, v in rebuilt.items() if v} == vector
+
+
 def test_mod_p_rank_matches_rational_rank_generically():
     rng = random.Random(3)
     gf = PrimeField(10007)

@@ -5,6 +5,7 @@ import pytest
 
 from hyperhomology.metrics import (
     PiValue,
+    SqrtValue,
     circle_sample,
     critical_radii,
     distance_matrix_sample,
@@ -105,6 +106,23 @@ def test_critical_radii_examples():
     assert critical_radii(line, 2) == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     with pytest.raises(ValueError):
         critical_radii(euclidean_sample([(0,)]), 2)
+
+
+def test_critical_radii_are_exact_square_roots():
+    sample = euclidean_sample([(0, 0), (1, 1), (3, 0)])
+    # squared distances 2, 9 and 5
+    radii = critical_radii(sample, 2)
+    assert radii == [SqrtValue(Fraction(1, 2)), SqrtValue(Fraction(5, 4)), Fraction(3, 2)]
+    assert radii[0] < radii[1] < radii[2] < math.inf
+    assert radii[1] * 2 == SqrtValue(5) and radii[1] / 2 == SqrtValue(Fraction(5, 16))
+    assert SqrtValue(2) != math.sqrt(2) and hash(SqrtValue(2)) == hash(SqrtValue(2))
+    between = midpoint(radii[0], radii[1])
+    assert isinstance(between, Fraction) and radii[0] < between < radii[1]
+    assert radii[1] < midpoint(radii[1], radii[2]) < radii[2]
+    # at the boundary radius the pair is excluded, just inside it is kept
+    assert hard_sphere(sample, radii[0], 2).level(2) == ((0, 2), (1, 2))
+    with pytest.raises(ValueError):
+        SqrtValue(Fraction(9, 4))
 
 
 def test_distance_matrix_validation():
