@@ -75,7 +75,6 @@ from .homology import (
     verify_quasi_iso_theta,
 )
 from .hypergraphs import (
-    Hyperdigraph,
     Hypergraph,
     associated_independence,
     delta_closure,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import InvariantViolation, ResourceCapError
 from .fields import QQ
-from .hypergraphs import Edge, Hypergraph, Hyperdigraph, delta_closure
+from .hypergraphs import Edge, Hypergraph, delta_closure
 from .linalg import SparseMatrix
 
 DEFAULT_SIMPLEX_CAP = 16
@@ -51,7 +51,7 @@ class GradedBasis:
         return {e: k for k, e in enumerate(self.labels[n])}
 
 
-def closure_basis(h: Hypergraph | Hyperdigraph) -> GradedBasis:
+def closure_basis(h: Hypergraph) -> GradedBasis:
     """Basis of the deletion closure of h, degrees 0..top, sorted labels."""
     closed = delta_closure(h)
     top = closed.max_cardinality()
@@ -59,7 +59,7 @@ def closure_basis(h: Hypergraph | Hyperdigraph) -> GradedBasis:
     return GradedBasis(tuple(levels), h.directed)
 
 
-def hypergraph_basis(h: Hypergraph | Hyperdigraph) -> GradedBasis:
+def hypergraph_basis(h: Hypergraph) -> GradedBasis:
     """Basis spanned by the edges of h itself (degrees may be ragged)."""
     top = h.max_cardinality()
     levels = [h.level(n + 1) for n in range(top)]
@@ -153,8 +153,16 @@ class ChainComplex:
             return self.boundaries[n]
         return SparseMatrix.zeros(self.field, self.dim(n - 1), self.dim(n))
 
+    # set on the instance once validate() passes; a failure is never kept
+    _validated = False
+
     def validate(self) -> None:
-        """Raise InvariantViolation unless every composite boundary is zero."""
+        """Raise InvariantViolation unless every composite boundary is zero.
+
+        The complex is immutable, so a check that passed is not repeated.
+        """
+        if self._validated:
+            return
         for n in range(1, self.top_degree):
             product = self.boundaries[n] @ self.boundaries[n + 1]
             if not product.is_zero():
@@ -164,6 +172,7 @@ class ChainComplex:
                     f"boundary squared is nonzero in degree {n + 1}",
                     certificate={"degree": n + 1, "chain": str(label), "row": i},
                 )
+        object.__setattr__(self, "_validated", True)
 
 
 def chain_complex_from_basis(basis: GradedBasis, field=QQ) -> ChainComplex:
@@ -183,7 +192,7 @@ def empty_complex(field=QQ) -> ChainComplex:
 
 
 def ambient_complex(
-    h: Hypergraph | Hyperdigraph,
+    h: Hypergraph,
     mode: str = "closure",
     *,
     vertices: Iterable[int] | None = None,
@@ -319,7 +328,7 @@ def _edge_spans(ambient: ChainComplex, h) -> list[list[int]]:
 
 
 def inf_complex(
-    h: Hypergraph | Hyperdigraph,
+    h: Hypergraph,
     field=QQ,
     ambient: ChainComplex | None = None,
 ) -> EmbeddedComplex:
@@ -336,7 +345,7 @@ def inf_complex(
 
 
 def sup_complex(
-    h: Hypergraph | Hyperdigraph,
+    h: Hypergraph,
     field=QQ,
     ambient: ChainComplex | None = None,
 ) -> EmbeddedComplex:

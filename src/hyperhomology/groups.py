@@ -17,7 +17,6 @@ from .errors import ResourceCapError
 from .hypergraphs import (
     Edge,
     Hypergraph,
-    Hyperdigraph,
     delta_closure,
     associated_independence,
     lower_associated,
@@ -330,7 +329,7 @@ def aut_group(h, cap: int = DEFAULT_VERTEX_CAP) -> EdgeActionGroup:
     )
 
 
-def pi_surjection_check(h: Hyperdigraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
+def pi_surjection_check(h: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
     """Does every projected automorphism lift to the hyperdigraph?
 
     Requires a sigma-invariant input.  Checked exhaustively: each edge
@@ -468,7 +467,7 @@ class IsometricAutReport:
 
 
 def aut_isom(
-    h: Hypergraph | Hyperdigraph,
+    h: Hypergraph,
     sample: MetricPointSample,
     cap: int = DEFAULT_VERTEX_CAP,
     tolerance=0,

@@ -35,7 +35,6 @@ from .errors import InvariantViolation
 from .fields import QQ, RationalField
 from .hypergraphs import (
     Edge,
-    Hyperdigraph,
     Hypergraph,
     delta_closure,
     is_sigma_invariant,
@@ -130,7 +129,7 @@ class QuasiIsoReport:
         }
 
 
-def verify_quasi_iso_theta(h: Hypergraph | Hyperdigraph, field=QQ) -> QuasiIsoReport:
+def verify_quasi_iso_theta(h: Hypergraph, field=QQ) -> QuasiIsoReport:
     """Check that inclusion of the Inf into the Sup complex is a quasi-iso.
 
     Per degree: equal Betti numbers on both sides and an inclusion-induced
@@ -332,7 +331,7 @@ class FourTermReport:
         }
 
 
-def four_term_sequence(h: Hypergraph | Hyperdigraph, field=QQ) -> FourTermReport:
+def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     """The four-stage surjective sequence over the closure of h.
 
     Working with functions on the closure (boundary transposed, so the
@@ -461,7 +460,7 @@ def sigma_action(chain: Edge | dict, s: Sequence[int]):
     return tuple(result)
 
 
-def invariant_dimension(h: Hyperdigraph, n: int) -> int:
+def invariant_dimension(h: Hypergraph, n: int) -> int:
     """Dimension of the coordinate-permutation-invariant chains in level n.
 
     For a sigma-invariant hyperdigraph this is the number of orbits, i.e.

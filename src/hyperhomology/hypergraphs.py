@@ -1,4 +1,4 @@
-"""Hypergraphs and hyperdigraphs over an integer-ordered vertex set.
+"""Hypergraphs, undirected or directed, over an integer-ordered vertex set.
 
 Vertices are non-negative integers and the total order on them is the
 integer order.  An (undirected) hyperedge is a strictly increasing tuple;
@@ -48,12 +48,15 @@ def edge_sort_key(edge: Edge) -> tuple[int, Edge]:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A finite set of unordered hyperedges over an explicit vertex set."""
+    """A finite set of hyperedges over an explicit vertex set.
+
+    Edges are unordered (sorted tuples) unless ``directed`` is set, in which
+    case each edge keeps its coordinate order.
+    """
 
     vertices: frozenset[int]
     edges: frozenset[Edge]
-
-    directed = False
+    directed: bool = False
 
     def __post_init__(self):
         support = {v for e in self.edges for v in e}
@@ -84,27 +87,10 @@ class Hypergraph:
         return tuple(edge) in self.edges
 
 
-@dataclass(frozen=True)
-class Hyperdigraph:
-    """A finite set of directed hyperedges over an explicit vertex set."""
-
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
-
-    directed = True
-
-    def __post_init__(self):
-        support = {v for e in self.edges for v in e}
-        if not support <= self.vertices:
-            missing = sorted(support - self.vertices)
-            raise ValueError(f"edges use vertices outside the vertex set: {missing}")
-
-    level = Hypergraph.level
-    levels = Hypergraph.levels
-    max_cardinality = Hypergraph.max_cardinality
-    sorted_edges = Hypergraph.sorted_edges
-    __len__ = Hypergraph.__len__
-    __contains__ = Hypergraph.__contains__
+def _build(edges: frozenset[Edge], vertices: Iterable[int], directed: bool) -> Hypergraph:
+    support = {v for e in edges for v in e}
+    support.update(_check_vertex(v) for v in vertices)
+    return Hypergraph(frozenset(support), edges, directed)
 
 
 def hypergraph(edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> Hypergraph:
@@ -113,23 +99,12 @@ def hypergraph(edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> 
     The vertex set is the union of the edge supports and any explicitly
     supplied extra vertices.
     """
-    edge_set = frozenset(undirected_edge(e) for e in edges)
-    support = {v for e in edge_set for v in e}
-    support.update(_check_vertex(v) for v in vertices)
-    return Hypergraph(frozenset(support), edge_set)
+    return _build(frozenset(undirected_edge(e) for e in edges), vertices, False)
 
 
-def hyperdigraph(edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> Hyperdigraph:
-    """Build a hyperdigraph; directed edges keep their coordinate order."""
-    edge_set = frozenset(directed_edge(e) for e in edges)
-    support = {v for e in edge_set for v in e}
-    support.update(_check_vertex(v) for v in vertices)
-    return Hyperdigraph(frozenset(support), edge_set)
-
-
-def _same_kind(h, edges: Iterable[Edge], vertices: Iterable[int]):
-    cls = Hyperdigraph if h.directed else Hypergraph
-    return cls(frozenset(vertices), frozenset(edges))
+def hyperdigraph(edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> Hypergraph:
+    """Build a directed hypergraph; edges keep their coordinate order."""
+    return _build(frozenset(directed_edge(e) for e in edges), vertices, True)
 
 
 def subedges(edge: Edge, directed: bool) -> list[Edge]:
@@ -164,7 +139,7 @@ def delta_closure(h):
     closed: set[Edge] = set()
     for e in h.edges:
         closed.update(subedges(e, h.directed))
-    return _same_kind(h, closed, h.vertices)
+    return Hypergraph(h.vertices, frozenset(closed), h.directed)
 
 
 def lower_associated(h):
@@ -175,7 +150,7 @@ def lower_associated(h):
     kept = {
         e for e in h.edges if all(s in h.edges for s in subedges(e, h.directed))
     }
-    return _same_kind(h, kept, h.vertices)
+    return Hypergraph(h.vertices, frozenset(kept), h.directed)
 
 
 def _require_ambient(h: Hypergraph, ambient: Iterable[int]) -> tuple[int, ...]:
@@ -237,31 +212,29 @@ def max_min_edges(h) -> tuple[frozenset[Edge], frozenset[Edge]]:
     return maximal, minimal
 
 
-def project(h: Hyperdigraph) -> Hypergraph:
+def project(h: Hypergraph) -> Hypergraph:
     """Forget coordinate order; directed edges become sorted vertex sets."""
     if not h.directed:
         raise ValueError("project expects a hyperdigraph")
-    return Hypergraph(
-        h.vertices, frozenset(tuple(sorted(e)) for e in h.edges)
-    )
+    return Hypergraph(h.vertices, frozenset(tuple(sorted(e)) for e in h.edges))
 
 
-def lift(h: Hypergraph) -> Hyperdigraph:
+def lift(h: Hypergraph) -> Hypergraph:
     """All orderings of every edge; the full preimage under projection."""
     if h.directed:
         raise ValueError("lift expects an unordered hypergraph")
     edges = {p for e in h.edges for p in permutations(e)}
-    return Hyperdigraph(h.vertices, frozenset(edges))
+    return Hypergraph(h.vertices, frozenset(edges), directed=True)
 
 
-def is_sigma_invariant(h: Hyperdigraph) -> bool:
+def is_sigma_invariant(h: Hypergraph) -> bool:
     """True iff the edge set is closed under coordinate permutations."""
     if not h.directed:
         raise ValueError("sigma invariance concerns hyperdigraphs")
     return all(p in h.edges for e in h.edges for p in permutations(e))
 
 
-def sheet_counts_ok(h: Hyperdigraph) -> bool:
+def sheet_counts_ok(h: Hypergraph) -> bool:
     """Check |level n| = n! * |projected level n| for every n."""
     if not is_sigma_invariant(h):
         raise ValueError("sheet count requires a sigma-invariant hyperdigraph")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ParseError
-from .hypergraphs import Hypergraph, Hyperdigraph, hypergraph, hyperdigraph
+from .hypergraphs import Hypergraph, hypergraph, hyperdigraph
 from .metrics import (
     MetricPointSample,
     circle_sample,
@@ -46,7 +46,7 @@ def _load_json(source) -> Any:
         ) from exc
 
 
-def parse_hypergraph(source) -> Hypergraph | Hyperdigraph:
+def parse_hypergraph(source) -> Hypergraph:
     """Read a hypergraph or hyperdigraph from JSON (path, text or file).
 
     Edges are canonicalized (sorted for the unordered kind) and duplicates
@@ -88,7 +88,7 @@ def parse_hypergraph(source) -> Hypergraph | Hyperdigraph:
     return result
 
 
-def hypergraph_to_json(h: Hypergraph | Hyperdigraph) -> dict:
+def hypergraph_to_json(h: Hypergraph) -> dict:
     key = "directed_edges" if h.directed else "edges"
     return {
         "vertices": sorted(h.vertices),
@@ -96,7 +96,7 @@ def hypergraph_to_json(h: Hypergraph | Hyperdigraph) -> dict:
     }
 
 
-def emit_hypergraph(h: Hypergraph | Hyperdigraph, path=None) -> str:
+def emit_hypergraph(h: Hypergraph, path=None) -> str:
     text = json.dumps(hypergraph_to_json(h), indent=2, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)

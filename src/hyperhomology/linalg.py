@@ -1,9 +1,13 @@
 """Exact sparse linear algebra over the rationals or Z/p.
 
-Matrices are stored in coordinate form (dict keyed by (row, col)); all
-reductions run exact Gaussian elimination with the pivot row chosen by
-sparsity.  A deliberately naive dense elimination lives in the test suite
-as an independent oracle for these routines.
+Matrices are stored in coordinate form (dict keyed by (row, col)).  Every
+rank, kernel, solve and span question is answered by one exact
+elimination: ``Echelon``, an incremental echelon of sparse vectors keyed by
+their largest index, fed the columns left to right.  Kernels and solves tag
+column j with a unit at index j - ncols, below every row index, so a row
+keyed by a tag records a column dependency and a right-hand side reduced to
+tags alone records its solution.  A deliberately naive dense elimination
+lives in the test suite as an independent oracle for these routines.
 """
 
 from __future__ import annotations
@@ -150,80 +154,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _reduce_rows(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form of sparse rows.
-
-    Pivot columns are processed left to right; among candidate rows the
-    sparsest is picked.  Pivots are normalized to 1 and eliminated both
-    below and above, so the result is the canonical RREF.
-    Returns the nonzero echelon rows and their pivot columns.
-    """
-    work = [dict(r) for r in rows if r]
-    echelon: list[dict] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        candidates = [r for r in work if col in r]
-        if not candidates:
-            continue
-        pivot = min(candidates, key=len)
-        work.remove(pivot)
-        inv = pivot[col]
-        pivot = {c: v / inv for c, v in pivot.items()}
-        for target in (work, echelon):
-            for r in target:
-                factor = r.get(col)
-                if factor is None:
-                    continue
-                for c, v in pivot.items():
-                    cur = r.get(c)
-                    s = -factor * v if cur is None else cur - factor * v
-                    if s:
-                        r[c] = s
-                    elif cur is not None:
-                        del r[c]
-        work = [r for r in work if r]
-        echelon.append(pivot)
-        pivot_cols.append(col)
-    return echelon, pivot_cols
-
-
-def rank(matrix: SparseMatrix) -> int:
-    _, pivots = _reduce_rows(matrix.rows(), matrix.ncols)
-    return len(pivots)
-
-
-def kernel_basis(matrix: SparseMatrix) -> list[dict]:
-    """Basis of the right kernel, one vector per free column.
-
-    The basis is canonical: vector k has a 1 at the k-th free column and
-    support otherwise only on pivot columns.
-    """
-    echelon, pivot_cols = _reduce_rows(matrix.rows(), matrix.ncols)
-    pivot_set = set(pivot_cols)
-    one = matrix.field.one
-    basis = []
-    for free in range(matrix.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: one}
-        for row, pcol in zip(echelon, pivot_cols):
-            v = row.get(free)
-            if v:
-                vec[pcol] = -v
-        basis.append(vec)
-    return basis
-
-
-def independent_columns(matrix: SparseMatrix) -> list[int]:
-    """Greedy left-to-right selection of a column basis of the column space."""
-    reducer = Echelon(matrix.field)
-    keep = []
-    for j, col in enumerate(matrix.columns()):
-        if reducer.add(col) is not None:
-            keep.append(j)
-    return keep
-
-
 class Echelon:
     """Incremental echelon of sparse vectors keyed by their largest index.
 
@@ -284,29 +214,74 @@ class Echelon:
         return len(self.rows)
 
 
+def _added(reducer: Echelon, vectors: Iterable[dict]) -> list[int]:
+    """Positions of the vectors that add a row to the echelon, in order."""
+    return [k for k, vec in enumerate(vectors) if reducer.add(vec) is not None]
+
+
+def _echelon_of(field, vectors: Iterable[dict]) -> Echelon:
+    reducer = Echelon(field)
+    _added(reducer, vectors)
+    return reducer
+
+
+def _tagged_echelon(matrix: SparseMatrix) -> Echelon:
+    """Echelon of the columns of matrix, column j tagged at index j - ncols.
+
+    Every row's tag part t satisfies (row part) = matrix @ t.  A column that
+    adds a row keyed by a tag depends on the earlier columns: that row is the
+    kernel vector with 1 at the column and support on the earlier columns
+    that added rows keyed by real indices (the greedy pivot columns).
+    """
+    one = matrix.field.one
+    shift = matrix.ncols
+    columns = matrix.columns()
+    for j, col in enumerate(columns):
+        col[j - shift] = one
+    return _echelon_of(matrix.field, columns)
+
+
+def rank(matrix: SparseMatrix) -> int:
+    return len(_added(Echelon(matrix.field), matrix.columns()))
+
+
+def kernel_basis(matrix: SparseMatrix) -> list[dict]:
+    """Basis of the right kernel, one vector per free column.
+
+    The basis is canonical: vector k has a 1 at the k-th free column and
+    support otherwise only on pivot columns.
+    """
+    shift = matrix.ncols
+    rows = _tagged_echelon(matrix).rows
+    return [
+        {c + shift: v for c, v in rows[key].items()}
+        for key in sorted(k for k in rows if k < 0)
+    ]
+
+
+def independent_columns(matrix: SparseMatrix) -> list[int]:
+    """Greedy left-to-right selection of a column basis of the column space."""
+    return _added(Echelon(matrix.field), matrix.columns())
+
+
 def solve_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
     """Solve A X = B exactly; returns None when any column is unsolvable.
 
-    Free variables are set to zero, so the solution is canonical.
+    Free variables are set to zero, so the solution is canonical: each
+    column of B reduces to tags alone, and the negated tags are its
+    coordinates on the pivot columns of A.
     """
     if a.nrows != b.nrows:
         raise ValueError("A and B must have matching row counts")
-    ncols = a.ncols + b.ncols
-    rows = []
-    b_rows = b.rows()
-    for i, row in enumerate(a.rows()):
-        merged = dict(row)
-        for j, v in b_rows[i].items():
-            merged[a.ncols + j] = v
-        rows.append(merged)
-    echelon, pivot_cols = _reduce_rows(rows, ncols)
-    if any(p >= a.ncols for p in pivot_cols):
-        return None
+    reducer = _tagged_echelon(a)
+    shift = a.ncols
     entries = {}
-    for row, pcol in zip(echelon, pivot_cols):
-        for c, v in row.items():
-            if c >= a.ncols and v:
-                entries[(pcol, c - a.ncols)] = v
+    for k, col in enumerate(b.columns()):
+        residual = reducer.reduce(col)
+        if any(i >= 0 for i in residual):
+            return None
+        for c, v in residual.items():
+            entries[(c + shift, k)] = -v
     return SparseMatrix(a.field, a.ncols, b.ncols, entries)
 
 
@@ -321,16 +296,14 @@ def solve(a: SparseMatrix, b: dict) -> dict | None:
 
 def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:
     """True iff every column of probe lies in the column span of basis."""
-    reducer = Echelon(basis.field)
-    for col in basis.columns():
-        reducer.add(col)
+    reducer = _echelon_of(basis.field, basis.columns())
     return all(reducer.contains(col) for col in probe.columns())
 
 
 def image_rank_modulo(
     vectors: Iterable[dict], modulo: SparseMatrix, field, nrows: int
 ) -> int:
-    """Rank of a family of vectors in the quotient by the span of ``modulo``."""
-    cols = list(modulo.columns()) + list(vectors)
-    stacked = SparseMatrix.from_columns(field, nrows, cols)
-    return rank(stacked) - rank(modulo)
+    """Rank of a family of vectors in the quotient by the span of ``modulo``:
+    how many of them still add a row to the echelon of its columns.
+    ``nrows``, the ambient dimension, is not used."""
+    return len(_added(_echelon_of(field, modulo.columns()), vectors))

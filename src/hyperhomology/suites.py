@@ -38,7 +38,6 @@ from .homology import (
 )
 from .hypergraphs import (
     Hypergraph,
-    Hyperdigraph,
     delta_closure,
     hypergraph,
     hyperdigraph,
@@ -116,7 +115,7 @@ def random_hyperdigraph(
     min_vertices: int = 3,
     max_vertices: int = 8,
     max_card: int = 5,
-) -> Hyperdigraph:
+) -> Hypergraph:
     n_vertices = rng.randint(min_vertices, max_vertices)
     vertices = list(range(n_vertices))
     edges = _random_edges(rng, vertices, max_card, ordered=True)

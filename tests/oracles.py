@@ -146,30 +146,61 @@ def fixed_subspace_dimension(edge_list, generators):
     return dense_kernel_dimension(rows, len(edge_list))
 
 
+def dense_rref(rows, n_cols):
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Pivots are chosen first-nonzero, left to right, among the first n_cols
+    columns only, so augmented columns to their right ride along.  Every
+    pivot is 1 with zeros above and below it.  Returns the reduced rows and
+    the pivot columns.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n_cols):
+        top = len(pivots)
+        chosen = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if chosen is None:
+            continue
+        m[top], m[chosen] = m[chosen], m[top]
+        pivot = m[top][col]
+        m[top] = [x / pivot for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
+def dense_kernel(rows, n_cols):
+    """Canonical right kernel basis, one vector per free column in order.
+
+    The vector of free column f is 1 at f, zero at every other free column,
+    and minus column f of the reduced rows at the pivot columns.
+    """
+    m, pivots = dense_rref(rows, n_cols)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * n_cols
+        x[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            x[col] = -m[r][free]
+        basis.append(x)
+    return basis
+
+
 def dense_solve(columns, target):
     """One solution x of sum_k x_k columns[k] = target, free variables zero.
 
-    Plain Gauss-Jordan elimination on the augmented matrix; None when the
-    target is outside the column span.
+    Gauss-Jordan elimination on the augmented matrix; None when the target
+    is outside the column span.
     """
     n_cols = len(columns)
-    m = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(len(target))]
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        chosen = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if chosen is None:
-            continue
-        m[row], m[chosen] = m[chosen], m[row]
-        pivot = m[row][col]
-        m[row] = [x / pivot for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    if any(m[r][n_cols] != 0 for r in range(row, len(m))):
+    augmented = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    m, pivots = dense_rref(augmented, n_cols)
+    if any(m[r][n_cols] != 0 for r in range(len(pivots), len(m))):
         return None
     x = [Fraction(0)] * n_cols
     for r, col in enumerate(pivots):

@@ -75,6 +75,23 @@ def test_betti_rejects_broken_complex():
         betti(broken)
 
 
+def test_failed_validation_is_never_remembered():
+    from hyperhomology.chains import ChainComplex
+
+    good = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
+    tampered = good.boundaries[2] + SparseMatrix(
+        QQ, good.dims[1], good.dims[2], {(0, 0): QQ.one}
+    )
+    broken = ChainComplex(QQ, good.dims, (good.boundaries[0], good.boundaries[1], tampered))
+    for _ in range(3):
+        with pytest.raises(InvariantViolation):
+            broken.validate()
+        with pytest.raises(InvariantViolation):
+            betti(broken)
+    good.validate()  # a passed check is remembered without changing equality
+    assert good == ChainComplex(QQ, good.dims, good.boundaries, good.labels)
+
+
 def test_betti_representatives_are_cycles():
     summary = betti(inf_complex(HOLLOW), representatives=True)
     reps = summary.cycle_representatives[1]

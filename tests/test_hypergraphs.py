@@ -113,6 +113,15 @@ def test_directed_max_min_uses_subsequences():
     assert minimal == frozenset({(1, 0), (0, 2, 1)})
 
 
+def test_directed_and_undirected_kinds_stay_distinct():
+    h = hypergraph([(0, 1)])
+    d = hyperdigraph([(0, 1)])
+    assert h.edges == d.edges and d.directed and not h.directed
+    assert h != d and len({h, d}) == 2
+    assert delta_closure(d).directed and lower_associated(d).directed
+    assert project(d) == h and lift(h).directed
+
+
 def test_project_and_lift():
     assert project(hyperdigraph([(1, 0)])).edges == frozenset({(0, 1)})
     allsix = hyperdigraph(list(permutations((0, 1, 2))))

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology import linalg
 from hyperhomology.linalg import SparseMatrix
 
-from oracles import dense_rank, sparse_to_dense
+from oracles import dense_kernel, dense_rank, dense_solve, sparse_to_dense
 
 
 def random_matrix(rng, nrows, ncols, field=QQ, density=0.4):
@@ -125,3 +125,86 @@ def test_coordinate_text_round_trip():
         i, j, v = line.split()
         parsed[(int(i), int(j))] = QQ.from_fraction(v)
     assert parsed == m.entries
+
+
+ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+def dense_ints(nrows, ncols):
+    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def int_matrices(draw):
+    ncols = draw(st.integers(0, 6))
+    return draw(dense_ints(draw(st.integers(0, 6)), ncols)), ncols
+
+
+def to_sparse(field, dense, ncols):
+    entries = {
+        (i, j): field.from_int(v)
+        for i, row in enumerate(dense)
+        for j, v in enumerate(row)
+        if field.from_int(v)
+    }
+    return SparseMatrix(field, len(dense), ncols, entries)
+
+
+def matmul_dense(a, x, ncols):
+    return [[sum(row[k] * x[k][j] for k in range(len(row))) for j in range(ncols)] for row in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+@example(([], 3))  # 0 x 3: every column is free
+@example(([[], []], 0))  # 2 x 0: empty kernel
+@example(([[0, 1, 0], [0, 2, 0]], 3))  # zero columns
+def test_kernel_basis_is_the_canonical_kernel(case):
+    dense, ncols = case
+    expected = [{j: v for j, v in enumerate(x) if v} for x in dense_kernel(dense, ncols)]
+    assert linalg.kernel_basis(to_sparse(QQ, dense, ncols)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.integers(0, 3), st.booleans(), st.data())
+@example(([[], []], 0), 1, False, None)  # a.ncols == 0, nonzero or zero B
+@example(([], 2), 2, True, None)  # 0 x 2
+@example(([[1, 0], [1, 0]], 2), 3, False, None)
+def test_solve_matrix_is_the_pivot_supported_solution(case, bcols, consistent, data):
+    dense, ncols = case
+    if data is None:  # explicit examples: B = [1, 2, ...] or zero columns
+        b_dense = [[(i + 1) * (j % 2) for j in range(bcols)] for i in range(len(dense))]
+    elif consistent:
+        b_dense = matmul_dense(dense, data.draw(dense_ints(ncols, bcols)), bcols)
+    else:
+        b_dense = data.draw(dense_ints(len(dense), bcols))
+    columns = [[row[k] for row in dense] for k in range(ncols)]
+    solutions = [dense_solve(columns, [row[j] for row in b_dense]) for j in range(bcols)]
+    x = linalg.solve_matrix(to_sparse(QQ, dense, ncols), to_sparse(QQ, b_dense, bcols))
+    if any(s is None for s in solutions):
+        assert x is None
+    else:
+        assert x.shape == (ncols, bcols)
+        assert x.entries == {
+            (k, j): v for j, s in enumerate(solutions) for k, v in enumerate(s) if v
+        }
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.integers(0, 3), st.data())
+def test_kernel_and_solve_over_z7(case, bcols, data):
+    gf = PrimeField(7)
+    dense, ncols = case
+    a = to_sparse(gf, dense, ncols)
+    pivots = linalg.independent_columns(a)
+    free = [j for j in range(ncols) if j not in pivots]
+    kernel = linalg.kernel_basis(a)
+    assert len(kernel) == len(free)
+    for f, vec in zip(free, kernel):
+        assert vec[f] == gf.one
+        assert not set(vec) & (set(free) - {f})
+        assert (a @ SparseMatrix.from_columns(gf, ncols, [vec])).is_zero()
+    b = a @ to_sparse(gf, data.draw(dense_ints(ncols, bcols)), bcols)
+    x = linalg.solve_matrix(a, b)
+    assert x is not None and a @ x == b
