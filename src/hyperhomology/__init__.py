@@ -3,8 +3,9 @@
 The package computes, over exact coefficient fields, the infimum and
 supremum chain complexes of a hypergraph's edge span, their homology and
 Hodge Laplacians, quotient complexes, hard-sphere filtrations over finite
-metric samples with persistent Betti numbers, brute-force symmetry groups,
-and the integer divisor bounds for the orders of the associated bundles.
+metric samples with persistent Betti numbers, symmetry groups by pruned
+backtracking, and the integer divisor bounds for the orders of the
+associated bundles.
 """
 
 from .bundles import (

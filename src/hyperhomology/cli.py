@@ -23,14 +23,7 @@ from .errors import (
 )
 from .fields import field_by_name
 from .filtration import build_filtration, persistent_betti
-from .groups import (
-    DEFAULT_VERTEX_CAP,
-    aut_group,
-    aut_isom,
-    homeo_group,
-    isom_group,
-    stab_group,
-)
+from .groups import DEFAULT_VERTEX_CAP, aut_group, aut_isom, isom_group
 from .homology import betti, four_term_sequence, quotient_pair_check, verify_quasi_iso_theta
 from .hypergraphs import (
     associated_independence,
@@ -334,12 +327,10 @@ def _run_aut(args) -> Report:
 
     def work():
         cap = _vertex_cap()
-        homeo = homeo_group(h, cap)
-        stab = stab_group(h, cap)
         action = aut_group(h, cap)
         return {
-            "homeo_order": homeo.order,
-            "stab_order": stab.order,
+            "homeo_order": action.homeo.order,
+            "stab_order": action.stab.order,
             "aut_order": action.order,
             "aut_generators": action.generator_cycles(),
         }

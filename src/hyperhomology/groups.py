@@ -1,16 +1,20 @@
-"""Symmetry groups of hypergraphs over finite vertex sets.
+"""Symmetry groups of hypergraphs and metric samples over finite vertex sets.
 
-Everything is brute force over vertex permutations with profile pruning,
-capped by default at 10 vertices: correctness over cleverness.  The edge
-action of the automorphism group is faithful, so automorphisms are stored
-as permutations of the (sorted) edge list together with one vertex-level
-representative each.
+Every group is found by one backtracking search over vertex maps, capped by
+default at 10 vertices.  It prunes candidate images by vertex profiles and
+checks each edge as soon as its last vertex is assigned; the isometry group
+runs the same search on the complete graph, so each pairwise distance is
+compared when its later point is assigned.  Groups are listed element by
+element, but closure and normality are checked on greedy generators, not
+on all pairs of elements.  The edge action of the automorphism group is
+faithful, so automorphisms are stored as permutations of the (sorted) edge
+list together with one vertex-level representative each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceCapError
@@ -21,7 +25,6 @@ from .hypergraphs import (
     associated_independence,
     lower_associated,
     lower_associated_independence,
-    edge_sort_key,
     is_sigma_invariant,
     max_min_edges,
     project,
@@ -50,6 +53,11 @@ class Permutation:
     def _lookup(self) -> dict[int, int]:
         return dict(zip(self.domain, self.images))
 
+    def _index_images(self) -> tuple[int, ...]:
+        """The images as positions in the domain."""
+        position = {v: k for k, v in enumerate(self.domain)}
+        return tuple(position[v] for v in self.images)
+
     def __call__(self, vertex: int) -> int:
         return self.images[self.domain.index(vertex)]
 
@@ -70,22 +78,23 @@ class Permutation:
         return Permutation(self.domain, tuple(v for _, v in pairs))
 
     def cycles(self) -> list[tuple[int, ...]]:
-        look = self._lookup()
-        seen: set[int] = set()
-        out = []
-        for start in self.domain:
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            v = look[start]
-            while v != start:
-                cycle.append(v)
-                seen.add(v)
-                v = look[v]
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
+        return [tuple(self.domain[k] for k in c) for c in _cycles(self._index_images())]
+
+
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of length > 1 of an index permutation, least index first."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(images)):
+        cycle = []
+        k = start
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = images[k]
+        if len(cycle) > 1:
+            out.append(tuple(cycle))
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,52 +115,72 @@ class PermutationGroup:
         return frozenset(p.images for p in self.elements)
 
     def verify(self) -> None:
-        elems = set(self.elements)
-        if Permutation.identity(self.domain) not in elems:
+        """Raise ValueError unless the elements form a group.
+
+        Each element is a greedy generator or generated by them, so the
+        elements are a group exactly when they equal the closure.
+        """
+        if Permutation.identity(self.domain) not in set(self.elements):
             raise ValueError("identity missing")
-        for a in self.elements:
-            if a.inverse() not in elems:
-                raise ValueError(f"inverse of {a.images} missing")
-            for b in self.elements:
-                if a.compose(b) not in elems:
-                    raise ValueError("not closed under composition")
+        members = {p._index_images() for p in self.elements}
+        if _greedy_generators(members)[1] != members:
+            raise ValueError("not closed under composition")
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return self.element_set() <= other.element_set()
 
     def is_normal_in(self, other: "PermutationGroup") -> bool:
+        """Whether this group is normal in other (both groups).
+
+        Conjugation is an automorphism, so conjugating generators by
+        generators is enough.
+        """
         if not self.is_subgroup_of(other):
             return False
         mine = self.element_set()
+        gens = self.generators()
         return all(
             g.compose(h).compose(g.inverse()).images in mine
-            for g in other.elements
-            for h in self.elements
+            for g in other.generators()
+            for h in gens
         )
 
     def generators(self) -> tuple[Permutation, ...]:
         """A small (greedy) generating set."""
-        identity = Permutation.identity(self.domain)
-        gens: list[Permutation] = []
-        generated = {identity.images}
-        for candidate in sorted(self.elements, key=lambda p: p.images):
-            if candidate.images in generated:
-                continue
-            gens.append(candidate)
-            generated = {identity.images}
-            frontier = [identity]
-            while frontier:
-                step = []
-                for a in frontier:
-                    for g in gens:
-                        b = a.compose(g)
-                        if b.images not in generated:
-                            generated.add(b.images)
-                            step.append(b)
-                frontier = step
-            if len(generated) == self.order:
-                break
-        return tuple(gens)
+        gens, _ = _greedy_generators([p._index_images() for p in self.elements])
+        return tuple(
+            Permutation(self.domain, tuple(self.domain[k] for k in g)) for g in gens
+        )
+
+
+def _greedy_generators(elements) -> tuple[list, set]:
+    """Greedy generators of a set of index permutations, and their closure.
+
+    Candidates are taken in sorted order, and each one not yet generated
+    becomes a generator.  The closure grows by composing on the right with
+    the generators, and stops growing once it is larger than the set, which
+    is then no group.
+    """
+    members = sorted(set(elements))
+    gens: list[tuple[int, ...]] = []
+    generated = {tuple(range(len(m))) for m in members[:1]}  # the identity
+    for candidate in members:
+        if len(generated) >= len(members):
+            break
+        if candidate in generated:
+            continue
+        gens.append(candidate)
+        frontier = list(generated)
+        while frontier and len(generated) <= len(members):
+            step = []
+            for a in frontier:
+                for g in gens:
+                    b = tuple(a[k] for k in g)
+                    if b not in generated:
+                        generated.add(b)
+                        step.append(b)
+            frontier = step
+    return gens, generated
 
 
 def _vertex_profiles(h) -> dict[int, tuple]:
@@ -245,57 +274,26 @@ class EdgeActionGroup:
     """A group acting faithfully on the sorted edge list.
 
     Each element is a permutation of edge indices; vertex_reps holds one
-    inducing vertex permutation per element.
+    inducing vertex permutation per element.  homeo and stab are the vertex
+    groups it is the quotient of.
     """
 
     edges: tuple[Edge, ...]
     elements: tuple[tuple[int, ...], ...]
     vertex_reps: tuple[Permutation, ...]
+    homeo: PermutationGroup
+    stab: PermutationGroup
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def edge_cycles(self, element: tuple[int, ...]) -> list[tuple[Edge, ...]]:
-        seen: set[int] = set()
-        out = []
-        for start in range(len(self.edges)):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            k = element[start]
-            while k != start:
-                cycle.append(k)
-                seen.add(k)
-                k = element[k]
-            if len(cycle) > 1:
-                out.append(tuple(self.edges[k] for k in cycle))
-        return out
+        return [tuple(self.edges[k] for k in c) for c in _cycles(element)]
 
     def generator_cycles(self) -> list[list[list[list[int]]]]:
         """Cycle notation (lists of edges) for a greedy generating set."""
-        gens = []
-        generated = {tuple(range(len(self.edges)))}
-        for element in sorted(self.elements):
-            if element in generated:
-                continue
-            gens.append(element)
-            changed = True
-            while changed:
-                changed = False
-                for a in list(generated):
-                    for g in gens:
-                        comp = tuple(a[k] for k in g)
-                        if comp not in generated:
-                            generated.add(comp)
-                            changed = True
-                        comp2 = tuple(g[k] for k in a)
-                        if comp2 not in generated:
-                            generated.add(comp2)
-                            changed = True
-            if len(generated) == self.order:
-                break
+        gens, _ = _greedy_generators(self.elements)
         return [
             [[list(e) for e in cycle] for cycle in self.edge_cycles(g)] for g in gens
         ]
@@ -326,6 +324,8 @@ def aut_group(h, cap: int = DEFAULT_VERTEX_CAP) -> EdgeActionGroup:
         edges,
         tuple(a for a, _ in items),
         tuple(p for _, p in items),
+        homeo,
+        stab,
     )
 
 
@@ -394,10 +394,14 @@ def subgroup_identities(
         "independence": associated_independence(base, amb),
         "lower_independence": lower_associated_independence(base, amb),
     }
-    groups = {name: homeo_group(g, cap) for name, g in derived.items()}
+    with_aut = ("h", "max", "min", "closure", "independence")
+    auts = {name: aut_group(derived[name], cap) for name in with_aut}
+    groups = {
+        name: auts[name].homeo if name in auts else homeo_group(g, cap)
+        for name, g in derived.items()
+    }
     orders = {name: grp.order for name, grp in groups.items()}
-    for name in ("h", "max", "min", "closure", "independence"):
-        orders[f"aut_{name}"] = aut_group(derived[name], cap).order
+    orders.update((f"aut_{name}", action.order) for name, action in auts.items())
     contained = all(
         groups["h"].is_subgroup_of(groups[name])
         for name in ("closure", "independence", "lower", "lower_independence")
@@ -415,33 +419,25 @@ def isom_group(
 ) -> PermutationGroup:
     """Distance-preserving bijections of a finite metric sample.
 
-    Comparison is exact for rational metrics; for float-valued metrics a
-    non-zero tolerance can be supplied.
+    The vertex-map search runs on the complete graph over the sample: each
+    pair's distance is compared with its image's once, when the pair's later
+    point is assigned.  Comparison is exact for rational metrics; for
+    float-valued metrics a non-zero tolerance can be supplied.
     """
     ids = tuple(sorted(sample.ids))
     if len(ids) > cap:
         raise ResourceCapError(f"sample of size {len(ids)} exceeds the cap of {cap}")
     key = sample.metric.distance_key
 
-    def preserves(images: dict[int, int]) -> bool:
-        assigned = list(images)
-        for a_idx in range(len(assigned)):
-            for b_idx in range(a_idx + 1, len(assigned)):
-                a, b = assigned[a_idx], assigned[b_idx]
-                d1, d2 = key(a, b), key(images[a], images[b])
-                if tolerance:
-                    if abs(float(d1) - float(d2)) > tolerance:
-                        return False
-                elif d1 != d2:
-                    return False
-        return True
+    def preserves(pair, assignment):
+        a, b = pair
+        d1, d2 = key(a, b), key(assignment[a], assignment[b])
+        if tolerance:
+            return abs(float(d1) - float(d2)) <= tolerance
+        return d1 == d2
 
-    found = []
-    for images in permutations(ids):
-        mapping = dict(zip(ids, images))
-        if preserves(mapping):
-            found.append(Permutation(ids, images))
-    group = PermutationGroup(ids, tuple(sorted(found, key=lambda p: p.images)))
+    complete = Hypergraph(frozenset(ids), frozenset(combinations(ids, 2)))
+    group = PermutationGroup(ids, tuple(_search_vertex_maps(complete, preserves, cap)))
     group.verify()
     return group
 

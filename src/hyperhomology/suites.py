@@ -42,7 +42,6 @@ from .hypergraphs import (
     hypergraph,
     hyperdigraph,
     is_sigma_invariant,
-    is_simplicial,
     lift,
     project,
     sheet_counts_ok,

@@ -5,11 +5,13 @@ list-of-list matrices over fractions.Fraction, first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
 package's linear algebra, except ``pairwise_persistence``: it computes
 persistence the slow way, through the package's per-step embedded
-complexes and one induced-rank problem per pair of steps.
+complexes and one induced-rank problem per pair of steps.  The group
+oracles work on permutations of range(n) as plain image tuples, check
+every pair of elements, and walk all n! maps for isometries.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
@@ -291,3 +293,67 @@ def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=Q
                     alive_to_dies - alive_past
                 )
     return betti_by_step, entries, bars
+
+
+# ------------------------------------------------------------------ groups
+# A permutation of range(n) is its image tuple; compose(a, b) is a after b.
+
+
+def _compose(a, b):
+    return tuple(a[k] for k in b)
+
+
+def _inverse(a):
+    out = [0] * len(a)
+    for k, v in enumerate(a):
+        out[v] = k
+    return tuple(out)
+
+
+def generated_by_pairs(gens, n):
+    """The group generated by gens: multiply all pairs until nothing is new."""
+    elements = {tuple(range(n))} | set(gens)
+    while True:
+        new = {_compose(a, b) for a in elements for b in elements} - elements
+        if not new:
+            return elements
+        elements |= new
+
+
+def is_group_by_pairs(elements, n):
+    """Identity, every inverse and every product of two elements present."""
+    elements = set(elements)
+    return tuple(range(n)) in elements and all(
+        _inverse(a) in elements and all(_compose(a, b) in elements for b in elements)
+        for a in elements
+    )
+
+
+def is_normal_by_pairs(sub, group):
+    """sub inside group, and g h g^-1 in sub for every g in group and h in sub."""
+    sub, group = set(sub), set(group)
+    return sub <= group and all(
+        _compose(_compose(g, h), _inverse(g)) in sub for g in group for h in sub
+    )
+
+
+def brute_isometries(sample, tolerance=0):
+    """Sorted image tuples of every distance-preserving bijection of a sample.
+
+    Walks all n! vertex maps and compares every pair of points with its
+    image; a non-zero tolerance bounds the difference of the float keys.
+    """
+    ids = tuple(sorted(sample.ids))
+    key = sample.metric.distance_key
+
+    def preserves(images):
+        for a, b in combinations(ids, 2):
+            d1, d2 = key(a, b), key(images[a], images[b])
+            if tolerance:
+                if abs(float(d1) - float(d2)) > tolerance:
+                    return False
+            elif d1 != d2:
+                return False
+        return True
+
+    return sorted(images for images in permutations(ids) if preserves(dict(zip(ids, images))))

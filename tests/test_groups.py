@@ -1,11 +1,16 @@
+import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hyperhomology import groups
+from hyperhomology.cli import main
 from hyperhomology.errors import ResourceCapError
 from hyperhomology.groups import (
     Permutation,
+    PermutationGroup,
     aut_group,
     aut_isom,
     edge_action,
@@ -20,6 +25,12 @@ from hyperhomology.metrics import (
     circle_sample,
     distance_matrix_sample,
     euclidean_sample,
+)
+from oracles import (
+    brute_isometries,
+    generated_by_pairs,
+    is_group_by_pairs,
+    is_normal_by_pairs,
 )
 
 TRIANGLE_PLUS_ISOLATED = hypergraph(
@@ -199,3 +210,137 @@ def test_group_generators_generate():
         frontier = nxt
     assert len(seen) == homeo.order
     assert len(gens) <= 3
+
+
+def test_five_cycle_generators_pinned():
+    c5 = hypergraph([(i, (i + 1) % 5) for i in range(5)])
+    gens = homeo_group(c5).generators()
+    assert [g.images for g in gens] == [(0, 4, 3, 2, 1), (1, 0, 4, 3, 2)]
+    assert aut_group(c5).generator_cycles() == [
+        [[[0, 4], [1, 2]], [[2, 3], [3, 4]]],
+        [[[0, 1], [0, 4]], [[1, 2], [3, 4]]],
+    ]
+
+
+def test_aut_command_searches_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    for name in ("homeo_group", "stab_group"):
+        original = getattr(groups, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(groups, name, counted)
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps({"edges": [[i, (i + 1) % 5] for i in range(5)]}))
+    assert main(["aut", str(path)]) == 0
+    assert sorted(calls) == ["homeo_group", "stab_group"]
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert (report["homeo_order"], report["stab_order"], report["aut_order"]) == (10, 1, 10)
+
+
+# ---------------------------------------------- against the pairwise oracles
+
+S4 = sorted(permutations(range(4)))
+
+
+def _s4_group(elements) -> PermutationGroup:
+    domain = tuple(range(4))
+    return PermutationGroup(domain, tuple(Permutation(domain, e) for e in sorted(elements)))
+
+
+@st.composite
+def s4_subsets(draw):
+    """Subgroups of S_4, and sets one element off a subgroup, and raw subsets."""
+    elements = generated_by_pairs(draw(st.lists(st.sampled_from(S4), max_size=3)), 4)
+    mode = draw(st.sampled_from(["group", "drop", "add", "raw"]))
+    if mode == "drop":
+        elements = elements - {draw(st.sampled_from(sorted(elements)))}
+    elif mode == "add":
+        elements = elements | {draw(st.sampled_from(S4))}
+    elif mode == "raw":
+        elements = set(draw(st.lists(st.sampled_from(S4), max_size=8)))
+    return elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(s4_subsets())
+@example({(0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3)})  # {id, (0 1), (1 2)}
+@example({(1, 0, 2, 3)})  # no identity
+@example(set())
+def test_verify_agrees_with_pairwise_oracle(elements):
+    group = _s4_group(elements)
+    if is_group_by_pairs(elements, 4):
+        group.verify()
+        gens = [g.images for g in group.generators()]
+        assert generated_by_pairs(gens, 4) == elements
+    else:
+        with pytest.raises(ValueError):
+            group.verify()
+
+
+s4_generators = st.lists(st.sampled_from(S4), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s4_generators, s4_generators, st.booleans())
+@example([(1, 0, 3, 2), (2, 3, 0, 1)], [(1, 0, 2, 3), (1, 2, 3, 0)], True)  # V_4 in S_4
+@example([(1, 0, 2, 3)], [(1, 0, 2, 3), (1, 2, 3, 0)], True)  # <(0 1)> in S_4
+def test_is_normal_in_agrees_with_pairwise_oracle(sub_gens, gens, nested):
+    sub = generated_by_pairs(sub_gens, 4)
+    group = generated_by_pairs(gens + sub_gens if nested else gens, 4)
+    expected = is_normal_by_pairs(sub, group)
+    assert _s4_group(sub).is_normal_in(_s4_group(group)) == expected
+
+
+def _isom_matches_oracle(sample, tolerance):
+    expected = brute_isometries(sample, tolerance)
+    if is_group_by_pairs(expected, len(sample.ids)):
+        found = isom_group(sample, tolerance=tolerance)
+        assert [p.images for p in found.elements] == expected
+    else:  # tolerance-close maps need not compose
+        with pytest.raises(ValueError):
+            isom_group(sample, tolerance=tolerance)
+
+
+tolerances = st.sampled_from([0, 1e-3, 0.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.sampled_from([0, 1, 2, 1.0000001, 2.3])] * 2),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    tolerances,
+)
+def test_isom_group_matches_brute_force_euclidean(points, tolerance):
+    _isom_matches_oracle(euclidean_sample(points), tolerance)
+
+
+@st.composite
+def distance_matrices(draw):
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([1, 2, 3, Fraction(1001, 1000), Fraction(2001, 1000)])
+    matrix = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        matrix[i][j] = matrix[j][i] = draw(values)
+    return matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(distance_matrices(), tolerances)
+@example([[0, 1, Fraction(10006, 10000)], [1, 0, Fraction(10012, 10000)],
+          [Fraction(10006, 10000), Fraction(10012, 10000), 0]], 1e-3)
+def test_isom_group_matches_brute_force_distance_matrix(matrix, tolerance):
+    _isom_matches_oracle(distance_matrix_sample(matrix), tolerance)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.integers(0, 11), min_size=1, max_size=6), tolerances)
+def test_isom_group_matches_brute_force_circle(sixths, tolerance):
+    sample = circle_sample([Fraction(k, 6) for k in sorted(sixths)])
+    _isom_matches_oracle(sample, tolerance)
