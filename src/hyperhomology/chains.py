@@ -4,7 +4,9 @@ A hyperedge with k vertices sits in degree k - 1.  The i-th face of an
 edge drops the vertex at position i (sorted position for unordered edges,
 coordinate position for directed ones) and carries sign (-1)^i, so the
 boundary of a degree-n basis edge is the usual alternating sum over its
-n + 1 faces.
+n + 1 faces.  The boundaries of a closure or full-simplex ambient are built
+once over the integers and checked there (d d = 0 over Z holds over every
+field) before their entries are mapped into the coefficient field.
 """
 
 from __future__ import annotations
@@ -83,6 +85,47 @@ def full_simplex_basis(
     return GradedBasis(tuple(levels), directed=False)
 
 
+def _integer_boundary(
+    basis: GradedBasis, n: int, missing: str
+) -> tuple[list[dict[int, int]], tuple[Edge, ...]]:
+    """Integer columns of the boundary from degree n to degree n - 1, and
+    the codomain labels (see ``boundary_matrix``)."""
+    if n < 1 or n > basis.top_degree:
+        raise ValueError(f"no boundary at degree {n}")
+    codomain = list(basis.labels[n - 1])
+    index = {e: k for k, e in enumerate(codomain)}
+    columns = []
+    for e in basis.labels[n]:
+        col: dict[int, int] = {}
+        sign = 1
+        for i in range(len(e)):
+            f = face(e, i)
+            row = index.get(f)
+            if row is None:
+                if missing == "error":
+                    raise ValueError(f"face {f} of {e} is not in the degree-{n-1} basis")
+                index[f] = row = len(codomain)
+                codomain.append(f)
+            col[row] = col.get(row, 0) + sign
+            sign = -sign
+        if len(col) < len(e):  # coinciding faces may cancel
+            col = {i: v for i, v in col.items() if v}
+        columns.append(col)
+    return columns, tuple(codomain)
+
+
+def _in_field(field, nrows: int, columns: list[dict[int, int]]) -> SparseMatrix:
+    """The matrix with the given integer columns, entries mapped into the field."""
+    scalars = {v: field.from_int(v) for col in columns for v in col.values()}
+    entries = {
+        (i, j): scalars[v]
+        for j, col in enumerate(columns)
+        for i, v in col.items()
+        if scalars[v]
+    }
+    return SparseMatrix(field, nrows, len(columns), entries)
+
+
 def boundary_matrix(
     basis: GradedBasis, n: int, field=QQ, *, missing: str = "error"
 ) -> tuple[SparseMatrix, tuple[Edge, ...]]:
@@ -92,32 +135,19 @@ def boundary_matrix(
     (missing="error") or appended to an extended codomain
     (missing="extend"); the codomain labels actually used are returned.
     """
-    if n < 1 or n > basis.top_degree:
-        raise ValueError(f"no boundary at degree {n}")
-    domain = basis.labels[n]
-    codomain = list(basis.labels[n - 1])
-    index = {e: k for k, e in enumerate(codomain)}
-    one = field.one
-    entries: dict[tuple[int, int], object] = {}
-    for j, e in enumerate(domain):
-        for i in range(len(e)):
-            f = face(e, i)
-            row = index.get(f)
-            if row is None:
-                if missing == "error":
-                    raise ValueError(f"face {f} of {e} is not in the degree-{n-1} basis")
-                index[f] = row = len(codomain)
-                codomain.append(f)
-            sign = one if i % 2 == 0 else -one
-            key = (row, j)
-            cur = entries.get(key)
-            val = sign if cur is None else cur + sign
-            if val:
-                entries[key] = val
-            elif cur is not None:
-                del entries[key]
-    matrix = SparseMatrix(field, len(codomain), len(domain), entries)
-    return matrix, tuple(codomain)
+    columns, codomain = _integer_boundary(basis, n, missing)
+    return _in_field(field, len(codomain), columns), codomain
+
+
+def _not_a_complex(n: int, nonzero, labels) -> InvariantViolation:
+    """The failure for a nonzero composite boundary d_n d_{n+1}, certified by
+    the smallest (row, column) position among its nonzero entries."""
+    i, j = min(nonzero)
+    label = labels[n + 1][j] if labels else f"basis column {j}"
+    return InvariantViolation(
+        f"boundary squared is nonzero in degree {n + 1}",
+        certificate={"degree": n + 1, "chain": str(label), "row": i},
+    )
 
 
 @dataclass(frozen=True)
@@ -153,7 +183,8 @@ class ChainComplex:
             return self.boundaries[n]
         return SparseMatrix.zeros(self.field, self.dim(n - 1), self.dim(n))
 
-    # set on the instance once validate() passes; a failure is never kept
+    # set on the instance once validate() passes, or by chain_complex_from_basis
+    # after its integer check; a failure is never kept
     _validated = False
 
     def validate(self) -> None:
@@ -166,24 +197,42 @@ class ChainComplex:
         for n in range(1, self.top_degree):
             product = self.boundaries[n] @ self.boundaries[n + 1]
             if not product.is_zero():
-                (i, j), _ = next(iter(sorted(product.entries.items())))
-                label = self.labels[n + 1][j] if self.labels else f"basis column {j}"
-                raise InvariantViolation(
-                    f"boundary squared is nonzero in degree {n + 1}",
-                    certificate={"degree": n + 1, "chain": str(label), "row": i},
-                )
+                raise _not_a_complex(n, product.entries, self.labels)
         object.__setattr__(self, "_validated", True)
 
 
+def _check_square_zero(columns: list[list[dict[int, int]]], labels) -> None:
+    """Raise InvariantViolation unless d_n d_{n+1} = 0 over Z for the integer
+    boundaries columns[n - 1] = d_n, the same check and certificate as
+    ``ChainComplex.validate``.  Over Z it implies d d = 0 over every field."""
+    for n in range(1, len(columns)):
+        lower, nonzero = columns[n - 1], []
+        for j, col in enumerate(columns[n]):
+            acc: dict[int, int] = {}
+            for k, t in col.items():
+                for i, s in lower[k].items():
+                    acc[i] = acc.get(i, 0) + t * s
+            if any(acc.values()):
+                nonzero += [(i, j) for i, v in acc.items() if v]
+        if nonzero:
+            raise _not_a_complex(n, nonzero, labels)
+
+
 def chain_complex_from_basis(basis: GradedBasis, field=QQ) -> ChainComplex:
-    """Chain complex on a face-closed basis (raises if a face is missing)."""
+    """Chain complex on a face-closed basis (raises if a face is missing).
+
+    The boundaries are built and checked (d d = 0) once, over the integers,
+    and only then mapped into the field; the complex is returned validated.
+    """
     dims = basis.dims()
+    columns = [_integer_boundary(basis, n, "error")[0] for n in range(1, len(dims))]
+    _check_square_zero(columns, basis.labels)
     boundaries = [SparseMatrix.zeros(field, 0, dims[0] if dims else 0)]
     for n in range(1, len(dims)):
-        matrix, _ = boundary_matrix(basis, n, field, missing="error")
-        boundaries.append(matrix)
+        boundaries.append(_in_field(field, dims[n - 1], columns[n - 1]))
+        columns[n - 1] = None  # the integer copy is not kept beside the field one
     complex_ = ChainComplex(field, dims, tuple(boundaries), labels=basis.labels)
-    complex_.validate()
+    object.__setattr__(complex_, "_validated", True)
     return complex_
 
 

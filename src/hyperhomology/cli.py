@@ -127,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-pairs", action="store_true")
     p.add_argument("--barcode", action="store_true", help="emit interval barcode JSON")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
+    _add_field(p)
     _add_out(p)
 
     p = sub.add_parser("aut", help="automorphism group report")
@@ -293,11 +294,12 @@ def _run_persist(args) -> Report:
         degrees = [int(d) for d in args.degrees.split(",") if d.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"bad degree list {args.degrees!r}") from exc
+    field = field_by_name(args.field)
 
     def work():
         steps = build_filtration(sample, args.n_max)
         table = persistent_betti(
-            steps, degrees, args.kind, all_pairs=args.all_pairs or args.barcode
+            steps, degrees, args.kind, all_pairs=args.all_pairs or args.barcode, field=field
         )
         payload = {
             "kind": table.kind,
@@ -317,6 +319,7 @@ def _run_persist(args) -> Report:
             "n_max": args.n_max,
             "degrees": degrees,
             "kind": args.kind,
+            "field": args.field,
         },
         work,
     )

@@ -3,7 +3,9 @@
 Two fields are supported: the rationals (default) and Z/p for a prime p.
 Rank computations never touch floating point.  When gmpy2 is installed its
 ``mpq`` type is used for rational scalars; otherwise ``fractions.Fraction``
-is the (slower, pure stdlib) fallback.
+is the (slower, pure stdlib) fallback.  A Z/p scalar is a plain ``int`` in
+[0, p): the elimination code in ``linalg`` reduces mod ``characteristic``
+whenever it is nonzero, so no wrapper object is ever built.
 """
 
 from __future__ import annotations
@@ -41,47 +43,6 @@ class RationalField:
         return "QQ"
 
 
-class ModP:
-    """Residue class modulo a prime; supports field arithmetic."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def __add__(self, other):
-        return ModP(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        return ModP(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        return ModP(self.value * other.value, self.p)
-
-    def __truediv__(self, other):
-        if not other.value:
-            raise ZeroDivisionError("division by zero in Z/p")
-        return ModP(self.value * pow(other.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return ModP(-self.value, self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModP) and self.p == other.p and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -98,7 +59,10 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The finite field Z/p for a prime p."""
+    """The finite field Z/p for a prime p; its scalars are ints in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -107,20 +71,14 @@ class PrimeField:
         self.name = f"Z{p}"
         self.characteristic = p
 
-    def from_int(self, value: int):
-        return ModP(value, self.p)
+    def from_int(self, value: int) -> int:
+        return value % self.p
 
-    def from_fraction(self, value):
+    def from_fraction(self, value) -> int:
         fr = Fraction(value)
-        return ModP(fr.numerator, self.p) / ModP(fr.denominator, self.p)
-
-    @property
-    def zero(self):
-        return ModP(0, self.p)
-
-    @property
-    def one(self):
-        return ModP(1, self.p)
+        if not fr.denominator % self.p:
+            raise ZeroDivisionError("division by zero in Z/p")
+        return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -108,9 +108,7 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
             f"degree-{n} cycles do not lie in the target subcomplex"
         )
     boundaries = target.complex.boundary_or_zero(n + 1)
-    return linalg.image_rank_modulo(
-        in_target.columns(), boundaries, target.complex.field, target.complex.dim(n)
-    )
+    return linalg.image_rank_modulo(in_target.columns(), boundaries, target.complex.field)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Exact sparse linear algebra over the rationals or Z/p.
 
-Matrices are stored in coordinate form (dict keyed by (row, col)).  Every
-rank, kernel, solve and span question is answered by one exact
-elimination: ``Echelon``, an incremental echelon of sparse vectors keyed by
-their largest index, fed the columns left to right.  Kernels and solves tag
-column j with a unit at index j - ncols, below every row index, so a row
-keyed by a tag records a column dependency and a right-hand side reduced to
-tags alone records its solution.  A deliberately naive dense elimination
-lives in the test suite as an independent oracle for these routines.
+Matrices are stored in coordinate form (dict keyed by (row, col)); a Z/p
+scalar is a plain int in [0, p).  Every rank, kernel, solve and span
+question is answered by one exact elimination: ``Echelon``, an incremental
+echelon of sparse vectors keyed by their largest index, fed the columns
+left to right.  Kernels and solves tag column j with -1 at index j - ncols,
+below every row index, so a row keyed by a tag records a column dependency
+and a right-hand side reduced to tags alone records its solution.  Each
+routine reads ``field.characteristic`` once: when it is a prime p, an int
+loop reduces mod p and inverts with ``pow(x, -1, p)``.  A deliberately
+naive dense elimination in the test suite is the independent oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ class SparseMatrix:
                 raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
             if not v:
                 raise ValueError("explicit zero entry stored")
+        p, values = field.characteristic, self.entries.values()
+        if p and values and (min(values) < 0 or max(values) >= p):
+            raise ValueError(f"entry outside [0, {p}) stored over Z/{p}")
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "SparseMatrix":
@@ -90,32 +95,29 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        by_row = self.rows()
         other_rows = other.rows()
         entries = {}
-        for i, row in enumerate(by_row):
+        for i, row in enumerate(self.rows()):
             acc: dict = {}
             for k, a in row.items():
                 for j, b in other_rows[k].items():
                     cur = acc.get(j)
                     acc[j] = a * b if cur is None else cur + a * b
             for j, v in acc.items():
-                if v:
-                    entries[(i, j)] = v
-        return SparseMatrix(self.field, self.nrows, other.ncols, entries)
+                entries[(i, j)] = v
+        return SparseMatrix(
+            self.field, self.nrows, other.ncols, _nonzero(entries, self.field.characteristic)
+        )
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
         entries = dict(self.entries)
         for key, v in other.entries.items():
-            cur = entries.get(key)
-            s = v if cur is None else cur + v
-            if s:
-                entries[key] = s
-            elif cur is not None:
-                del entries[key]
-        return SparseMatrix(self.field, self.nrows, self.ncols, entries)
+            entries[key] = entries.get(key, 0) + v
+        return SparseMatrix(
+            self.field, self.nrows, self.ncols, _nonzero(entries, self.field.characteristic)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,17 +139,14 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def to_dense(self) -> list[list]:
-        dense = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
-
     def to_coordinate_text(self) -> str:
-        """Coordinate exchange format: one "row col value" line per nonzero."""
+        """Coordinate exchange format: one "row col value" line per nonzero,
+        a Z/p value written "v (mod p)"."""
+        p = self.field.characteristic
+        suffix = f" (mod {p})" if p else ""
         lines = [f"{self.nrows} {self.ncols}"]
         for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}")
+            lines.append(f"{i} {j} {self.entries[(i, j)]}{suffix}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -173,26 +172,14 @@ class Echelon:
         per key, the multiple of that row that was subtracted, so the vector
         is its normal form plus those multiples of the rows."""
         vec = dict(vector)
-        rows = self.rows
         # keys eliminated largest first; a row only adds smaller indices
-        pending = [-i for i in vec if i in rows]
+        pending = [-i for i in vec if i in self.rows]
         heapq.heapify(pending)
-        while pending:
-            key = -heapq.heappop(pending)
-            factor = vec.get(key)
-            if factor is None:
-                continue
-            if coefficients is not None:
-                coefficients[key] = factor
-            for c, v in rows[key].items():
-                cur = vec.get(c)
-                s = -factor * v if cur is None else cur - factor * v
-                if s:
-                    vec[c] = s
-                    if cur is None and c in rows:
-                        heapq.heappush(pending, -c)
-                elif cur is not None:
-                    del vec[c]
+        p = self.field.characteristic
+        if p:
+            _reduce_mod_p(vec, self.rows, pending, coefficients, p)
+        else:
+            _reduce_exact(vec, self.rows, pending, coefficients)
         return vec
 
     def add(self, vector: dict) -> int | None:
@@ -202,8 +189,13 @@ class Echelon:
         if not residual:
             return None
         key = max(residual)
-        inv = residual[key]
-        self.rows[key] = {c: v / inv for c, v in residual.items()}
+        p = self.field.characteristic
+        if p:
+            inv = pow(residual[key], -1, p)
+            self.rows[key] = {c: v * inv % p for c, v in residual.items()}
+        else:
+            inv = residual[key]
+            self.rows[key] = {c: v / inv for c, v in residual.items()}
         return key
 
     def contains(self, vector: dict) -> bool:
@@ -212,6 +204,56 @@ class Echelon:
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+
+def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients) -> None:
+    """Echelon.reduce over Q, in place on vec."""
+    while pending:
+        key = -heapq.heappop(pending)
+        factor = vec.get(key)
+        if factor is None:
+            continue
+        if coefficients is not None:
+            coefficients[key] = factor
+        for c, v in rows[key].items():
+            cur = vec.get(c)
+            if cur is None:
+                vec[c] = -factor * v
+                if c in rows:
+                    heapq.heappush(pending, -c)
+            elif s := cur - factor * v:
+                vec[c] = s
+            else:
+                del vec[c]
+
+
+def _reduce_mod_p(vec: dict, rows: dict, pending: list, coefficients, p: int) -> None:
+    """Echelon.reduce over Z/p, in place on vec, every value kept in [0, p)."""
+    while pending:
+        key = -heapq.heappop(pending)
+        factor = vec.get(key)
+        if factor is None:
+            continue
+        if coefficients is not None:
+            coefficients[key] = factor
+        negated = p - factor
+        for c, v in rows[key].items():
+            cur = vec.get(c)
+            if cur is None:
+                vec[c] = negated * v % p
+                if c in rows:
+                    heapq.heappush(pending, -c)
+            elif s := (cur + negated * v) % p:
+                vec[c] = s
+            else:
+                del vec[c]
+
+
+def _nonzero(entries: dict, p: int) -> dict:
+    """The nonzero entries, reduced into [0, p) when p is nonzero."""
+    if p:
+        return {key: r for key, v in entries.items() if (r := v % p)}
+    return {key: v for key, v in entries.items() if v}
 
 
 def _added(reducer: Echelon, vectors: Iterable[dict]) -> list[int]:
@@ -226,18 +268,19 @@ def _echelon_of(field, vectors: Iterable[dict]) -> Echelon:
 
 
 def _tagged_echelon(matrix: SparseMatrix) -> Echelon:
-    """Echelon of the columns of matrix, column j tagged at index j - ncols.
+    """Echelon of the columns of matrix, column j tagged with -1 at index
+    j - ncols.
 
-    Every row's tag part t satisfies (row part) = matrix @ t.  A column that
-    adds a row keyed by a tag depends on the earlier columns: that row is the
-    kernel vector with 1 at the column and support on the earlier columns
-    that added rows keyed by real indices (the greedy pivot columns).
+    Every row's tag part t satisfies (row part) = -(matrix @ t).  A column
+    that adds a row keyed by a tag depends on the earlier columns: that row
+    is the kernel vector with 1 at the column and support on the earlier
+    columns that added rows keyed by real indices (the greedy pivot columns).
     """
-    one = matrix.field.one
+    minus_one = matrix.field.from_int(-1)
     shift = matrix.ncols
     columns = matrix.columns()
     for j, col in enumerate(columns):
-        col[j - shift] = one
+        col[j - shift] = minus_one
     return _echelon_of(matrix.field, columns)
 
 
@@ -268,8 +311,8 @@ def solve_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
     """Solve A X = B exactly; returns None when any column is unsolvable.
 
     Free variables are set to zero, so the solution is canonical: each
-    column of B reduces to tags alone, and the negated tags are its
-    coordinates on the pivot columns of A.
+    column of B reduces to tags alone, and those are its coordinates on the
+    pivot columns of A.
     """
     if a.nrows != b.nrows:
         raise ValueError("A and B must have matching row counts")
@@ -281,7 +324,7 @@ def solve_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
         if any(i >= 0 for i in residual):
             return None
         for c, v in residual.items():
-            entries[(c + shift, k)] = -v
+            entries[(c + shift, k)] = v
     return SparseMatrix(a.field, a.ncols, b.ncols, entries)
 
 
@@ -300,10 +343,7 @@ def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:
     return all(reducer.contains(col) for col in probe.columns())
 
 
-def image_rank_modulo(
-    vectors: Iterable[dict], modulo: SparseMatrix, field, nrows: int
-) -> int:
+def image_rank_modulo(vectors: Iterable[dict], modulo: SparseMatrix, field) -> int:
     """Rank of a family of vectors in the quotient by the span of ``modulo``:
-    how many of them still add a row to the echelon of its columns.
-    ``nrows``, the ambient dimension, is not used."""
+    how many of them still add a row to the echelon of its columns."""
     return len(_added(_echelon_of(field, modulo.columns()), vectors))

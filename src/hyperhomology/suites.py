@@ -24,7 +24,6 @@ from .chains import (
     inf_complex,
     sup_complex,
 )
-from .errors import TheoremCheckError
 from .linalg import SparseMatrix
 from .filtration import build_filtration, emptiness_threshold, persistent_betti
 from .groups import aut_group, homeo_group, pi_surjection_check, stab_group
@@ -484,11 +483,3 @@ def run_all(seed: int = 2024) -> list[SuiteResult]:
         results.append(result)
     return results
 
-
-def require_all_passed(results: list[SuiteResult]) -> None:
-    failed = [r for r in results if not r.passed]
-    if failed:
-        raise TheoremCheckError(
-            f"{len(failed)} suite(s) failed: {[r.name for r in failed]}",
-            counterexample=[r.as_dict() for r in failed],
-        )

@@ -1,7 +1,8 @@
 """Independent dense oracles used to cross-check the package.
 
 Everything here is deliberately textbook and self-contained: dense
-list-of-list matrices over fractions.Fraction, first-nonzero pivoting, and
+list-of-list matrices over fractions.Fraction (or over Z/p, as ints reduced
+with ``%`` and inverted with ``pow(x, -1, p)``), first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
 package's linear algebra, except ``pairwise_persistence``: it computes
 persistence the slow way, through the package's per-step embedded
@@ -19,9 +20,23 @@ from hyperhomology.fields import QQ
 from hyperhomology.homology import betti, induced_homology_rank
 
 
-def dense_rank(rows):
-    """Rank by plain Gaussian elimination with first-nonzero pivoting."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _scalars(rows, p):
+    """Dense Fractions, or ints reduced into [0, p) for a prime p."""
+    return [[x % p if p else Fraction(x) for x in row] for row in rows]
+
+
+def _ratio(a, b, p):
+    return a * pow(b, -1, p) % p if p else a / b
+
+
+def _minus(a, b, p):
+    return (a - b) % p if p else a - b
+
+
+def dense_rank(rows, p=None):
+    """Rank by plain Gaussian elimination with first-nonzero pivoting, over
+    Q, or over Z/p when a prime p is given."""
+    m = _scalars(rows, p)
     if not m:
         return 0
     n_rows, n_cols = len(m), len(m[0])
@@ -39,9 +54,9 @@ def dense_rank(rows):
         pivot = m[pivot_row][col]
         for r in range(pivot_row + 1, n_rows):
             if m[r][col] != 0:
-                factor = m[r][col] / pivot
+                factor = _ratio(m[r][col], pivot, p)
                 for c in range(col, n_cols):
-                    m[r][c] -= factor * m[pivot_row][c]
+                    m[r][c] = _minus(m[r][c], factor * m[pivot_row][c], p)
         pivot_row += 1
         rank += 1
         if pivot_row == n_rows:
@@ -148,15 +163,16 @@ def fixed_subspace_dimension(edge_list, generators):
     return dense_kernel_dimension(rows, len(edge_list))
 
 
-def dense_rref(rows, n_cols):
-    """Reduced row echelon form by Gauss-Jordan elimination.
+def dense_rref(rows, n_cols, p=None):
+    """Reduced row echelon form by Gauss-Jordan elimination, over Q, or
+    over Z/p when a prime p is given.
 
     Pivots are chosen first-nonzero, left to right, among the first n_cols
     columns only, so augmented columns to their right ride along.  Every
     pivot is 1 with zeros above and below it.  Returns the reduced rows and
     the pivot columns.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = _scalars(rows, p)
     pivots = []
     for col in range(n_cols):
         top = len(pivots)
@@ -165,46 +181,47 @@ def dense_rref(rows, n_cols):
             continue
         m[top], m[chosen] = m[chosen], m[top]
         pivot = m[top][col]
-        m[top] = [x / pivot for x in m[top]]
+        m[top] = [_ratio(x, pivot, p) for x in m[top]]
         for r in range(len(m)):
             if r != top and m[r][col] != 0:
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[top])]
+                m[r] = [_minus(a, factor * b, p) for a, b in zip(m[r], m[top])]
         pivots.append(col)
     return m, pivots
 
 
-def dense_kernel(rows, n_cols):
+def dense_kernel(rows, n_cols, p=None):
     """Canonical right kernel basis, one vector per free column in order.
 
     The vector of free column f is 1 at f, zero at every other free column,
     and minus column f of the reduced rows at the pivot columns.
     """
-    m, pivots = dense_rref(rows, n_cols)
+    m, pivots = dense_rref(rows, n_cols, p)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        x = [Fraction(0)] * n_cols
-        x[free] = Fraction(1)
+        x = [0] * n_cols
+        x[free] = 1
         for r, col in enumerate(pivots):
-            x[col] = -m[r][free]
+            x[col] = _minus(0, m[r][free], p)
         basis.append(x)
     return basis
 
 
-def dense_solve(columns, target):
-    """One solution x of sum_k x_k columns[k] = target, free variables zero.
+def dense_solve(columns, target, p=None):
+    """One solution x of sum_k x_k columns[k] = target, free variables zero,
+    over Q, or over Z/p when a prime p is given.
 
     Gauss-Jordan elimination on the augmented matrix; None when the target
     is outside the column span.
     """
     n_cols = len(columns)
     augmented = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
-    m, pivots = dense_rref(augmented, n_cols)
+    m, pivots = dense_rref(augmented, n_cols, p)
     if any(m[r][n_cols] != 0 for r in range(len(pivots), len(m))):
         return None
-    x = [Fraction(0)] * n_cols
+    x = [0] * n_cols
     for r, col in enumerate(pivots):
         x[col] = m[r][n_cols]
     return x

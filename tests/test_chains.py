@@ -1,5 +1,6 @@
 import pytest
 
+from hyperhomology import chains
 from hyperhomology.chains import (
     ambient_complex,
     boundary_matrix,
@@ -12,7 +13,7 @@ from hyperhomology.chains import (
     inf_complex,
     sup_complex,
 )
-from hyperhomology.errors import ResourceCapError
+from hyperhomology.errors import InvariantViolation, ResourceCapError
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.hypergraphs import delta_closure, hyperdigraph, hypergraph
 
@@ -42,6 +43,29 @@ def test_boundary_squared_zero():
     c.validate()
     product = c.boundaries[1] @ c.boundaries[2]
     assert product.is_zero()
+
+
+def _faces_0_and_1_swapped(edge, i):
+    i = {0: 1, 1: 0}.get(i, i)
+    return edge[:i] + edge[i + 1 :]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(2)])
+@pytest.mark.parametrize("mode", ["closure", "full_simplex"])
+def test_broken_face_signs_fail_the_integer_check(monkeypatch, field, mode):
+    # with faces 0 and 1 swapped, d d sends the triangle (0, 1, 2) to
+    # 2(0) - 2(1): nonzero over Z, so over Z/2 too
+    monkeypatch.setattr(chains, "face", _faces_0_and_1_swapped)
+    with pytest.raises(InvariantViolation) as failure:
+        ambient_complex(hypergraph([[0, 1, 2, 3]]), mode, field=field)
+    assert failure.value.certificate == {"degree": 2, "chain": "(0, 1, 2)", "row": 0}
+
+
+def test_prime_field_boundaries_hold_residues():
+    c = ambient_complex(hypergraph([[0, 1, 2]]), "closure", field=PrimeField(7))
+    assert c._validated  # checked over Z while it was built
+    assert set(c.boundaries[1].entries.values()) == {1, 6}
+    assert (c.boundaries[1] @ c.boundaries[2]).is_zero()
 
 
 def test_boundary_missing_face_modes():

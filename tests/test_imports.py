@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+function or class it defines is used somewhere.
 
-An AST scan in place of a linter: a module's imported names must appear as
+AST scans in place of a linter: a module's imported names must appear as
 a name somewhere in its body, or be listed in its ``__all__`` (a
-re-export).  ``__init__.py`` re-exports by design and is skipped.
+re-export).  ``__init__.py`` re-exports by design and is skipped.  A
+module-level definition must be referenced from the package, the tests,
+the scripts or the benchmark, or be listed in ``__all__``.
 """
 
 import ast
@@ -26,14 +29,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _used(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported(tree: ast.Module) -> set[str]:
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
-    return used
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | _exported(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -43,3 +51,47 @@ def test_no_unused_imports(path):
         name: line for name, line in _imported(tree).items() if name not in _used(tree)
     }
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+ROOT = PACKAGE.parent.parent
+SEARCHED = ("src", "tests", "scripts", "bench")
+
+
+def _python_files():
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if not any(part.startswith(".") for part in path.relative_to(ROOT).parts):
+                yield path
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module uses: identifiers, attributes, imported names, and the
+    parts of dotted strings (the benchmark's tracer names its targets so)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(p for p in node.value.split(".") if p.isidentifier())
+    return names
+
+
+def test_no_dead_definitions():
+    """Every module-level function or class of the package is referenced
+    somewhere in src/, tests/, scripts/ or bench/, or listed in __all__."""
+    referenced = set()
+    for path in _python_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        referenced |= _references(tree) | _exported(tree)
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in referenced
+    ]
+    assert not dead, f"defined but never referenced: {dead}"

@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from hyperhomology import cli
 from hyperhomology.cli import main
 from hyperhomology.errors import ParseError
+from hyperhomology.fields import PrimeField
 from hyperhomology.hypergraphs import hyperdigraph, hypergraph
 from hyperhomology.jsonio import (
     emit_hypergraph,
@@ -113,6 +115,46 @@ def test_cli_homology_kinds(tmp_path, capsys):
     assert payload["results"]["field"] == "Z7"
 
 
+GOLDEN_DUMPS = Path(__file__).resolve().parent / "golden" / "homology_dump"
+
+
+@pytest.mark.parametrize("field", ["Q", "7"])
+def test_cli_dump_matrices_match_the_recorded_files(tmp_path, capsys, field):
+    # recorded when Z/p scalars were still wrapper objects: a residue v
+    # prints as "v (mod p)", and -1 over Z/7 as 6
+    path = write_fixture(
+        tmp_path,
+        "h.json",
+        {
+            "vertices": [0, 1, 2, 3],
+            "edges": [[0], [1], [2], [0, 1], [1, 2], [0, 2], [2, 3], [0, 1, 2], [1, 2, 3]],
+        },
+    )
+    out = tmp_path / "dump"
+    for kind in ("inf", "sup", "ambient"):
+        argv = ["homology", path, "--kind", kind, "--field", field, "--dump-matrices", str(out)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    expected = {f.name: f.read_text() for f in (GOLDEN_DUMPS / field).iterdir()}
+    assert {f.name: f.read_text() for f in out.iterdir()} == expected
+
+
+RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+       [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
+
+
+@pytest.mark.parametrize(
+    "field, betti",
+    [("2", {"0": 1, "1": 1, "2": 1}), ("Q", {"0": 1, "1": 0, "2": 0}), ("3", {"0": 1, "1": 0, "2": 0})],
+)
+def test_cli_rp2_torsion_shows_over_z2_only(tmp_path, capsys, field, betti):
+    # the 6-vertex RP^2 has H_1 = Z/2 and H_2 = 0 over Z; over Z/2, where
+    # -1 = 1, its ten triangles sum to a cycle
+    path = write_fixture(tmp_path, "rp2.json", {"vertices": list(range(6)), "edges": RP2})
+    assert main(["homology", "--kind", "ambient", "--field", field, path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["betti"] == betti
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nonsense")
@@ -194,6 +236,29 @@ def test_cli_persist_rejects_negative_degrees(tmp_path, capsys):
     pts.write_text("id,x\n0,0\n1,1\n2,3\n")
     assert main(["persist", str(pts), "--n-max", "2", "--degrees=-1,0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_cli_persist_field(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "line.csv"
+    pts.write_text("id,x\n0,0\n1,1\n2,3\n")
+    argv = ["persist", str(pts), "--n-max", "2", "--format", "json"]
+    assert main(argv) == 0
+    over_q = json.loads(capsys.readouterr().out)
+    fields, original = [], cli.persistent_betti
+
+    def persistent_betti(*args, field, **kwargs):
+        fields.append(field)
+        return original(*args, field=field, **kwargs)
+
+    monkeypatch.setattr(cli, "persistent_betti", persistent_betti)
+    assert main(argv + ["--field", "7"]) == 0
+    over_z7 = json.loads(capsys.readouterr().out)
+    assert fields == [PrimeField(7)]
+    assert over_z7["config"]["field"] == "7" and over_q["config"]["field"] == "Q"
+    assert over_z7["results"] == over_q["results"]  # field only in config
+    for bad in ("4", "R"):
+        assert main(argv + ["--field", bad]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def _fake_suites(passed):

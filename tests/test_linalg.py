@@ -112,7 +112,7 @@ def test_matmul_shape_mismatch():
 def test_image_rank_modulo():
     boundary = SparseMatrix.from_rows(QQ, [[1], [-1]])
     vectors = [{0: QQ.one, 1: QQ.from_int(-1)}, {0: QQ.one, 1: QQ.one}]
-    assert linalg.image_rank_modulo(vectors, boundary, QQ, 2) == 1
+    assert linalg.image_rank_modulo(vectors, boundary, QQ) == 1
 
 
 def test_coordinate_text_round_trip():
@@ -208,3 +208,54 @@ def test_kernel_and_solve_over_z7(case, bcols, data):
     b = a @ to_sparse(gf, data.draw(dense_ints(ncols, bcols)), bcols)
     x = linalg.solve_matrix(a, b)
     assert x is not None and a @ x == b
+
+
+PRIMES = st.sampled_from([2, 3, 7, 32003])
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(), PRIMES)
+@example(([[2, 0], [0, -3]], 2), 2)  # 2 = 0 mod 2
+@example(([[2, 0], [0, -3]], 2), 3)  # -3 = 0 mod 3
+def test_mod_p_rank_and_kernel_equal_the_oracle(case, p):
+    dense, ncols = case
+    a = to_sparse(PrimeField(p), dense, ncols)
+    assert linalg.rank(a) == dense_rank(dense, p)
+    # reduction mod p can only lose pivots of the same integer matrix
+    assert linalg.rank(a) <= linalg.rank(to_sparse(QQ, dense, ncols))
+    expected = [{j: v for j, v in enumerate(x) if v} for x in dense_kernel(dense, ncols, p)]
+    assert linalg.kernel_basis(a) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(), st.integers(0, 3), st.booleans(), PRIMES, st.data())
+def test_mod_p_solve_matrix_equals_the_oracle(case, bcols, consistent, p, data):
+    gf = PrimeField(p)
+    dense, ncols = case
+    if consistent:
+        b_dense = matmul_dense(dense, data.draw(dense_ints(ncols, bcols)), bcols)
+    else:
+        b_dense = data.draw(dense_ints(len(dense), bcols))
+    columns = [[row[k] for row in dense] for k in range(ncols)]
+    solutions = [dense_solve(columns, [row[j] for row in b_dense], p) for j in range(bcols)]
+    x = linalg.solve_matrix(to_sparse(gf, dense, ncols), to_sparse(gf, b_dense, bcols))
+    if any(s is None for s in solutions):
+        assert x is None
+    else:
+        assert x.entries == {
+            (k, j): v for j, s in enumerate(solutions) for k, v in enumerate(s) if v
+        }
+
+
+def test_mod_p_matrices_hold_reduced_residues_only():
+    gf = PrimeField(7)
+    for bad in (7, -1, 8):
+        with pytest.raises(ValueError):
+            SparseMatrix(gf, 1, 1, {(0, 0): bad})
+    m = SparseMatrix(gf, 1, 2, {(0, 0): 6, (0, 1): 1})
+    assert (m + m).entries == {(0, 0): 5, (0, 1): 2}
+    assert (m @ SparseMatrix.from_rows(gf, [[1], [1]])).is_zero()
+    assert m.to_coordinate_text() == "1 2\n0 0 6 (mod 7)\n0 1 1 (mod 7)\n"
+    assert gf.from_fraction("3/2") == 5 and gf.from_int(-1) == 6
+    with pytest.raises(ZeroDivisionError):
+        gf.from_fraction("1/7")
