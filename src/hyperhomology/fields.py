@@ -1,43 +1,32 @@
 """Exact coefficient fields for chain computations.
 
 Two fields are supported: the rationals (default) and Z/p for a prime p.
-Rank computations never touch floating point.  When gmpy2 is installed its
-``mpq`` type is used for rational scalars; otherwise ``fractions.Fraction``
-is the (slower, pure stdlib) fallback.  A Z/p scalar is a plain ``int`` in
-[0, p): the elimination code in ``linalg`` reduces mod ``characteristic``
-whenever it is nonzero, so no wrapper object is ever built.
+Rank computations never touch floating point.  A Q scalar is an ``int``, or
+a ``fractions.Fraction`` when it is not integral; a Z/p scalar is an ``int``
+in [0, p), which the elimination code in ``linalg`` keeps reduced mod
+``characteristic``.  So no wrapper object is built for an integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _rational = Fraction
+_rational = Fraction  # the one non-integral Q scalar type, named in bench reports
 
 
 class RationalField:
-    """The field of rational numbers with exact arithmetic."""
+    """The rationals; a scalar is an int, or a Fraction when it is not integral."""
 
     name = "Q"
     characteristic = 0
+    one = 1
 
-    def from_int(self, value: int):
-        return _rational(value)
+    def from_int(self, value: int) -> int:
+        return int(value)
 
     def from_fraction(self, value):
-        fr = Fraction(value)
-        return _rational(fr.numerator) / _rational(fr.denominator)
-
-    @property
-    def zero(self):
-        return _rational(0)
-
-    @property
-    def one(self):
-        return _rational(1)
+        fr = _rational(value)
+        return fr.numerator if fr.denominator == 1 else fr
 
     def __repr__(self):
         return "QQ"
@@ -61,7 +50,6 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """The finite field Z/p for a prime p; its scalars are ints in [0, p)."""
 
-    zero = 0
     one = 1
 
     def __init__(self, p: int):

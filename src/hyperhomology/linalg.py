@@ -1,20 +1,22 @@
 """Exact sparse linear algebra over the rationals or Z/p.
 
-Matrices are stored in coordinate form (dict keyed by (row, col)); a Z/p
-scalar is a plain int in [0, p).  Every rank, kernel, solve and span
-question is answered by one exact elimination: ``Echelon``, an incremental
-echelon of sparse vectors keyed by their largest index, fed the columns
-left to right.  Kernels and solves tag column j with -1 at index j - ncols,
-below every row index, so a row keyed by a tag records a column dependency
-and a right-hand side reduced to tags alone records its solution.  Each
-routine reads ``field.characteristic`` once: when it is a prime p, an int
-loop reduces mod p and inverts with ``pow(x, -1, p)``.  A deliberately
-naive dense elimination in the test suite is the independent oracle.
+Matrices are stored in coordinate form (dict keyed by (row, col)); a Q
+scalar is an int, or a Fraction when not integral, and a Z/p scalar is an
+int in [0, p).  Every rank, kernel, solve and span question is answered by
+one exact elimination: ``Echelon``, an incremental echelon of sparse vectors
+keyed by their largest index, fed the columns left to right.  Kernels and
+solves tag column j with -1 at index j - ncols, below every row index, so a
+row keyed by a tag records a column dependency and a right-hand side reduced
+to tags alone records its solution.  Each routine reads
+``field.characteristic`` once: when it is a prime p, an int loop reduces mod
+p and inverts with ``pow(x, -1, p)``.  A deliberately naive dense
+elimination in the test suite is the independent oracle.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -65,9 +67,6 @@ class SparseMatrix:
                 if scalar:
                     entries[(i, j)] = scalar
         return cls(field, len(rows), ncols, entries)
-
-    def get(self, i: int, j: int):
-        return self.entries.get((i, j), self.field.zero)
 
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
@@ -189,13 +188,13 @@ class Echelon:
         if not residual:
             return None
         key = max(residual)
-        p = self.field.characteristic
+        pivot, p = residual[key], self.field.characteristic
         if p:
-            inv = pow(residual[key], -1, p)
-            self.rows[key] = {c: v * inv % p for c, v in residual.items()}
-        else:
-            inv = residual[key]
-            self.rows[key] = {c: v / inv for c, v in residual.items()}
+            inv = pow(pivot, -1, p)
+            residual = {c: v * inv % p for c, v in residual.items()}
+        elif pivot != 1:
+            residual = {c: _quotient(v, pivot) for c, v in residual.items()}
+        self.rows[key] = residual
         return key
 
     def contains(self, vector: dict) -> bool:
@@ -207,7 +206,7 @@ class Echelon:
 
 
 def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients) -> None:
-    """Echelon.reduce over Q, in place on vec."""
+    """Echelon.reduce over Q, in place on vec; integral values end as ints."""
     while pending:
         key = -heapq.heappop(pending)
         factor = vec.get(key)
@@ -225,6 +224,18 @@ def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients) -> None:
                 vec[c] = s
             else:
                 del vec[c]
+    for values in (vec, coefficients or {}):  # integral Fractions become ints
+        for c, v in values.items():
+            if v.__class__ is not int and v.denominator == 1:
+                values[c] = v.numerator
+
+
+def _quotient(a, b):
+    """Exact a / b over Q: an int when it is integral, else a Fraction."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _reduce_mod_p(vec: dict, rows: dict, pending: list, coefficients, p: int) -> None:

@@ -68,6 +68,13 @@ def test_prime_field_boundaries_hold_residues():
     assert (c.boundaries[1] @ c.boundaries[2]).is_zero()
 
 
+def test_rational_field_boundaries_hold_ints():
+    c = ambient_complex(hypergraph([[0, 1, 2]]), "closure", field=QQ)
+    assert c._validated  # checked over Z while it was built
+    assert {type(v) for b in c.boundaries for v in b.entries.values()} == {int}
+    assert set(c.boundaries[1].entries.values()) == {1, -1}
+
+
 def test_boundary_missing_face_modes():
     basis = hypergraph_basis(hypergraph([[0, 1], [1, 2]]))  # no vertices present
     with pytest.raises(ValueError):

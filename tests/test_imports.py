@@ -5,7 +5,9 @@ AST scans in place of a linter: a module's imported names must appear as
 a name somewhere in its body, or be listed in its ``__all__`` (a
 re-export).  ``__init__.py`` re-exports by design and is skipped.  A
 module-level definition must be referenced from the package, the tests,
-the scripts or the benchmark, or be listed in ``__all__``.
+the scripts or the benchmark, or be listed in ``__all__``.  The
+exact-arithmetic modules hold no true division, which would turn int
+scalars into floats.
 """
 
 import ast
@@ -95,3 +97,19 @@ def test_no_dead_definitions():
         and node.name not in referenced
     ]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+EXACT = ("linalg.py", "chains.py", "homology.py")
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_no_true_division_in_exact_modules(name):
+    """A stray ``/`` on two int scalars gives a float and an inexact rank;
+    exact code divides with ``//`` or ``Fraction``."""
+    path = PACKAGE / name
+    divisions = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert not divisions, f"{name} divides with '/' on lines {divisions}"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,11 @@ def random_matrix(rng, nrows, ncols, field=QQ, density=0.4):
                 if v:
                     entries[(i, j)] = v
     return SparseMatrix(field, nrows, ncols, entries)
+
+
+def is_q_scalar(value) -> bool:
+    """A Q scalar is an int, or a Fraction only when it is not integral."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
 
 
 def test_rank_against_dense_oracle():
@@ -83,6 +89,15 @@ def test_echelon_keys_and_coordinates():
         for i, v in reducer.rows[key].items():
             rebuilt[i] = rebuilt.get(i, 0) + c * v
     assert {i: v for i, v in rebuilt.items() if v} == vector
+    # a pivot other than 1 stores a fractional row, and exact arithmetic with
+    # it hands integral values back as ints: 1 - 4 * 3/2 is the int -5
+    assert reducer.add({1: 3, 3: 2}) == 3
+    assert reducer.rows[3] == {1: Fraction(3, 2), 3: 1}
+    coefficients = {}
+    residual = reducer.reduce({1: 1, 3: 4}, coefficients)
+    assert residual == {1: -5} and coefficients == {3: 4}
+    stored = [v for row in reducer.rows.values() for v in row.values()]
+    assert all(map(is_q_scalar, [*stored, *residual.values(), *coefficients.values()]))
 
 
 def test_mod_p_rank_matches_rational_rank_generically():
@@ -125,6 +140,8 @@ def test_coordinate_text_round_trip():
         i, j, v = line.split()
         parsed[(int(i), int(j))] = QQ.from_fraction(v)
     assert parsed == m.entries
+    assert type(QQ.from_fraction("4/2")) is int and QQ.from_fraction("4/2") == 2
+    assert QQ.from_fraction("3/2") == Fraction(3, 2)
 
 
 ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
@@ -163,7 +180,11 @@ def matmul_dense(a, x, ncols):
 def test_kernel_basis_is_the_canonical_kernel(case):
     dense, ncols = case
     expected = [{j: v for j, v in enumerate(x) if v} for x in dense_kernel(dense, ncols)]
-    assert linalg.kernel_basis(to_sparse(QQ, dense, ncols)) == expected
+    a = to_sparse(QQ, dense, ncols)
+    kernel = linalg.kernel_basis(a)
+    assert kernel == expected
+    stored = linalg._tagged_echelon(a).rows.values()
+    assert all(is_q_scalar(v) for vec in [*kernel, *stored] for v in vec.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,6 +210,7 @@ def test_solve_matrix_is_the_pivot_supported_solution(case, bcols, consistent, d
         assert x.entries == {
             (k, j): v for j, s in enumerate(solutions) for k, v in enumerate(s) if v
         }
+        assert all(map(is_q_scalar, x.entries.values()))
 
 
 @settings(max_examples=200, deadline=None)
