@@ -7,6 +7,12 @@ boundary of a degree-n basis edge is the usual alternating sum over its
 n + 1 faces.  The boundaries of a closure or full-simplex ambient are built
 once over the integers and checked there (d d = 0 over Z holds over every
 field) before their entries are mapped into the coefficient field.
+
+The infimum and supremum complexes of a hypergraph need only its edges and
+their faces.  Their coordinates in degree n are the degree-n edges followed
+by the faces of the degree-(n+1) edges that are not edges themselves (or an
+ambient's labels, when one is given), and d d e = 0 is checked over Z on
+every edge, which covers every chain they are built from.
 """
 
 from __future__ import annotations
@@ -49,22 +55,12 @@ class GradedBasis:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.labels)
 
-    def index(self, n: int) -> dict[Edge, int]:
-        return {e: k for k, e in enumerate(self.labels[n])}
-
 
 def closure_basis(h: Hypergraph) -> GradedBasis:
     """Basis of the deletion closure of h, degrees 0..top, sorted labels."""
     closed = delta_closure(h)
     top = closed.max_cardinality()
     levels = [closed.level(n + 1) for n in range(top)]
-    return GradedBasis(tuple(levels), h.directed)
-
-
-def hypergraph_basis(h: Hypergraph) -> GradedBasis:
-    """Basis spanned by the edges of h itself (degrees may be ragged)."""
-    top = h.max_cardinality()
-    levels = [h.level(n + 1) for n in range(top)]
     return GradedBasis(tuple(levels), h.directed)
 
 
@@ -85,17 +81,15 @@ def full_simplex_basis(
     return GradedBasis(tuple(levels), directed=False)
 
 
-def _integer_boundary(
-    basis: GradedBasis, n: int, missing: str
-) -> tuple[list[dict[int, int]], tuple[Edge, ...]]:
-    """Integer columns of the boundary from degree n to degree n - 1, and
-    the codomain labels (see ``boundary_matrix``)."""
-    if n < 1 or n > basis.top_degree:
-        raise ValueError(f"no boundary at degree {n}")
-    codomain = list(basis.labels[n - 1])
+def _integer_columns(
+    edges: Sequence[Edge], codomain: list[Edge], missing: str
+) -> list[dict[int, int]]:
+    """Integer boundary columns of the edges over the codomain labels; a
+    face absent from them is rejected (missing="error") or appended to the
+    codomain list (missing="extend")."""
     index = {e: k for k, e in enumerate(codomain)}
     columns = []
-    for e in basis.labels[n]:
+    for e in edges:
         col: dict[int, int] = {}
         sign = 1
         for i in range(len(e)):
@@ -103,7 +97,7 @@ def _integer_boundary(
             row = index.get(f)
             if row is None:
                 if missing == "error":
-                    raise ValueError(f"face {f} of {e} is not in the degree-{n-1} basis")
+                    raise ValueError(f"face {f} of {e} is not in the degree-{len(f) - 1} basis")
                 index[f] = row = len(codomain)
                 codomain.append(f)
             col[row] = col.get(row, 0) + sign
@@ -111,19 +105,13 @@ def _integer_boundary(
         if len(col) < len(e):  # coinciding faces may cancel
             col = {i: v for i, v in col.items() if v}
         columns.append(col)
-    return columns, tuple(codomain)
+    return columns
 
 
-def _in_field(field, nrows: int, columns: list[dict[int, int]]) -> SparseMatrix:
-    """The matrix with the given integer columns, entries mapped into the field."""
+def _in_field(field, columns: list[dict[int, int]]) -> list[dict]:
+    """The integer columns with their entries mapped into the field."""
     scalars = {v: field.from_int(v) for col in columns for v in col.values()}
-    entries = {
-        (i, j): scalars[v]
-        for j, col in enumerate(columns)
-        for i, v in col.items()
-        if scalars[v]
-    }
-    return SparseMatrix(field, nrows, len(columns), entries)
+    return [{i: s for i, v in col.items() if (s := scalars[v])} for col in columns]
 
 
 def boundary_matrix(
@@ -135,8 +123,11 @@ def boundary_matrix(
     (missing="error") or appended to an extended codomain
     (missing="extend"); the codomain labels actually used are returned.
     """
-    columns, codomain = _integer_boundary(basis, n, missing)
-    return _in_field(field, len(codomain), columns), codomain
+    if n < 1 or n > basis.top_degree:
+        raise ValueError(f"no boundary at degree {n}")
+    codomain = list(basis.labels[n - 1])
+    columns = _in_field(field, _integer_columns(basis.labels[n], codomain, missing))
+    return SparseMatrix.from_columns(field, len(codomain), columns), tuple(codomain)
 
 
 def _not_a_complex(n: int, nonzero, labels) -> InvariantViolation:
@@ -201,21 +192,21 @@ class ChainComplex:
         object.__setattr__(self, "_validated", True)
 
 
-def _check_square_zero(columns: list[list[dict[int, int]]], labels) -> None:
-    """Raise InvariantViolation unless d_n d_{n+1} = 0 over Z for the integer
-    boundaries columns[n - 1] = d_n, the same check and certificate as
-    ``ChainComplex.validate``.  Over Z it implies d d = 0 over every field."""
-    for n in range(1, len(columns)):
-        lower, nonzero = columns[n - 1], []
-        for j, col in enumerate(columns[n]):
-            acc: dict[int, int] = {}
-            for k, t in col.items():
-                for i, s in lower[k].items():
-                    acc[i] = acc.get(i, 0) + t * s
-            if any(acc.values()):
-                nonzero += [(i, j) for i, v in acc.items() if v]
-        if nonzero:
-            raise _not_a_complex(n, nonzero, labels)
+def _check_square_zero(n: int, lower, upper: list[dict[int, int]], labels) -> None:
+    """Raise InvariantViolation unless d_n d_{n+1} = 0 over Z, where upper
+    lists the integer columns of d_{n+1} and lower[k] is column k of d_n:
+    the same check and certificate as ``ChainComplex.validate``.  Over Z it
+    implies d d = 0 over every field."""
+    nonzero = []
+    for j, col in enumerate(upper):
+        acc: dict[int, int] = {}
+        for k, t in col.items():
+            for i, s in lower[k].items():
+                acc[i] = acc.get(i, 0) + t * s
+        if any(acc.values()):
+            nonzero += [(i, j) for i, v in acc.items() if v]
+    if nonzero:
+        raise _not_a_complex(n, nonzero, labels)
 
 
 def chain_complex_from_basis(basis: GradedBasis, field=QQ) -> ChainComplex:
@@ -224,12 +215,16 @@ def chain_complex_from_basis(basis: GradedBasis, field=QQ) -> ChainComplex:
     The boundaries are built and checked (d d = 0) once, over the integers,
     and only then mapped into the field; the complex is returned validated.
     """
-    dims = basis.dims()
-    columns = [_integer_boundary(basis, n, "error")[0] for n in range(1, len(dims))]
-    _check_square_zero(columns, basis.labels)
+    dims, labels = basis.dims(), basis.labels
+    columns = [
+        _integer_columns(labels[n], list(labels[n - 1]), "error") for n in range(1, len(dims))
+    ]
+    for n in range(1, len(columns)):
+        _check_square_zero(n, columns[n - 1], columns[n], labels)
     boundaries = [SparseMatrix.zeros(field, 0, dims[0] if dims else 0)]
     for n in range(1, len(dims)):
-        boundaries.append(_in_field(field, dims[n - 1], columns[n - 1]))
+        in_field = _in_field(field, columns[n - 1])
+        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], in_field))
         columns[n - 1] = None  # the integer copy is not kept beside the field one
     complex_ = ChainComplex(field, dims, tuple(boundaries), labels=basis.labels)
     object.__setattr__(complex_, "_validated", True)
@@ -252,9 +247,15 @@ def ambient_complex(
     """Chain complex of the deletion closure or of a full simplex.
 
     closure mode uses the closure of h; full_simplex mode spans all subsets
-    of the given vertex set up to max_degree (vertex count capped).
+    of the given vertex set up to max_degree.  Both cap the vertex count
+    before building anything: the closure of a k-vertex edge is the full
+    simplex on its k vertices, so there the cap bounds the largest edge.
     """
     if mode == "closure":
+        if h.max_cardinality() > cap:
+            raise ResourceCapError(
+                f"closure of a {h.max_cardinality()}-vertex edge exceeds the cap of {cap}"
+            )
         if not h.edges:
             return empty_complex(field)
         return chain_complex_from_basis(closure_basis(h), field)
@@ -272,14 +273,14 @@ def ambient_complex(
 
 @dataclass(frozen=True)
 class EmbeddedComplex:
-    """A subcomplex of an ambient chain complex with explicit embeddings.
+    """A subcomplex of the chains on some edge labels, with explicit embeddings.
 
     embeddings[n] has the internal degree-n basis vectors as columns, in
-    ambient coordinates; the internal boundaries are the ambient boundaries
-    restricted to those columns.
+    the coordinates labels[n]; the internal boundaries write the boundaries
+    of those columns in the embedding one degree down.
     """
 
-    ambient: ChainComplex
+    labels: tuple[tuple[Edge, ...], ...]
     complex: ChainComplex
     embeddings: tuple[SparseMatrix, ...]
 
@@ -287,30 +288,90 @@ class EmbeddedComplex:
         return self.complex.dim(n)
 
 
-def _edge_indices(ambient: ChainComplex, h, n: int) -> list[int]:
-    if ambient.labels is None:
-        raise ValueError("ambient complex must carry labels")
-    index = {e: k for k, e in enumerate(ambient.labels[n])}
-    out = []
-    for e in h.level(n + 1):
-        if e not in index:
-            raise ValueError(f"edge {e} is missing from the ambient basis")
-        out.append(index[e])
-    return out
+def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
+    """Per degree n: labels, the positions of the degree-n edges of h among
+    them, and a map from each such position to its edge's boundary column.
+
+    The labels are the ambient's, or else the degree-n edges followed by the
+    faces of the degree-(n+1) edges that are not edges.  d d e = 0 is
+    checked over Z on every edge e, through the faces of its faces.
+    """
+    levels = h.levels()
+    top = h.max_cardinality() if ambient is None else len(ambient.labels)
+    edges = [levels.get(n + 1, ()) for n in range(top)]
+    labels = [list(level) for level in (edges if ambient is None else ambient.labels)]
+    missing = "extend" if ambient is None else "error"
+    span, boundary, lower = [], [], {}
+    for n, level in enumerate(labels):
+        index = {e: k for k, e in enumerate(level)}
+        if absent := [e for e in edges[n] if e not in index]:
+            raise ValueError(f"edge {absent[0]} is missing from the ambient basis")
+        span.append([index[e] for e in edges[n]])
+        columns = _integer_columns(edges[n], labels[n - 1], missing) if n else [{}] * len(span[0])
+        if n >= 2:  # lower: the boundaries of the degree-(n-1) edges, then of the other faces
+            faces = sorted({k for col in columns for k in col} - lower.keys())
+            below = [labels[n - 1][k] for k in faces]
+            lower.update(zip(faces, _integer_columns(below, list(labels[n - 2]), "extend")))
+            _check_square_zero(n - 1, lower, columns, edges)
+        lower = dict(zip(span[n], columns))
+        boundary.append(dict(zip(span[n], _in_field(field, columns))))
+    return tuple(map(tuple, labels)), span, boundary
 
 
-def _restricted_complex(
-    ambient: ChainComplex, embeddings: tuple[SparseMatrix, ...]
-) -> EmbeddedComplex:
-    """Package per-degree embedding matrices as an EmbeddedComplex."""
-    field = ambient.field
+def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:
+    """Largest subcomplex inside the span of the given basis vectors.
+
+    dims[n] is the dimension of degree n, span[n] lists degree-n basis
+    positions and boundary[n][j] is the boundary column of position j.
+    Degree n of the result is the kernel of the part of the boundary of
+    span[n] outside span[n-1].  Returns per degree the embedding matrix of
+    that kernel's canonical basis, and the matrix of their boundaries.
+    """
+    embeddings, images = [], []
+    for n, cols in enumerate(span):
+        below, inside = (dims[n - 1], set(span[n - 1])) if n else (0, set())
+        down = [boundary[n][j] for j in cols]
+        outside = [{i: v for i, v in col.items() if i not in inside} for col in down]
+        kernel = linalg.kernel_basis(SparseMatrix.from_columns(field, below, outside))
+        embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
+        embeddings.append(SparseMatrix.from_columns(field, dims[n], embedded))
+        kernel_matrix = SparseMatrix.from_columns(field, len(cols), kernel)
+        images.append(SparseMatrix.from_columns(field, below, down) @ kernel_matrix)
+    return tuple(embeddings), tuple(images)
+
+
+def smallest_containing(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:
+    """Smallest subcomplex containing the span of the given basis vectors.
+
+    Arguments as for ``largest_inside``.  Degree n of the result is spanned
+    by span[n] and the boundaries of span[n+1]; of these columns, in that
+    order, each one outside the span of the earlier ones is kept.  Returns
+    per degree the embedding matrix and the matrix of the boundaries of its
+    columns, zero for a kept boundary: the caller ensures d d = 0.
+    """
+    top = len(span) - 1
+    embeddings, images = [], []
+    for n, cols in enumerate(span):
+        pairs = [({j: field.one}, boundary[n][j]) for j in cols]
+        if n < top:
+            pairs += [(col, {}) for j in span[n + 1] if (col := boundary[n + 1][j])]
+        stacked = SparseMatrix.from_columns(field, dims[n], [c for c, _ in pairs])
+        kept = [pairs[k] for k in linalg.independent_columns(stacked)]
+        embeddings.append(SparseMatrix.from_columns(field, dims[n], [c for c, _ in kept]))
+        below = dims[n - 1] if n else 0
+        images.append(SparseMatrix.from_columns(field, below, [d for _, d in kept]))
+    return tuple(embeddings), tuple(images)
+
+
+def _embedded(build, h: Hypergraph, field, ambient) -> EmbeddedComplex:
+    """The subcomplex that ``build`` finds around the edge span of h; its
+    boundaries are the coordinates of the boundaries of its columns."""
+    labels, span, boundary = _edge_chains(h, field, ambient)
+    embeddings, images = build(field, [len(level) for level in labels], span, boundary)
     dims = tuple(e.ncols for e in embeddings)
-    if not dims:
-        return EmbeddedComplex(ambient, empty_complex(field), ())
-    boundaries = [SparseMatrix.zeros(field, 0, dims[0])]
+    boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
     for n in range(1, len(dims)):
-        image = ambient.boundary_or_zero(n) @ embeddings[n]
-        restricted = linalg.solve_matrix(embeddings[n - 1], image)
+        restricted = linalg.solve_matrix(embeddings[n - 1], images[n])
         if restricted is None:
             raise InvariantViolation(
                 f"boundary does not stay inside the subcomplex at degree {n}"
@@ -318,62 +379,7 @@ def _restricted_complex(
         boundaries.append(restricted)
     sub = ChainComplex(field, dims, tuple(boundaries))
     sub.validate()
-    return EmbeddedComplex(ambient, sub, embeddings)
-
-
-def largest_inside(
-    c: ChainComplex, span: Sequence[Sequence[int]]
-) -> tuple[SparseMatrix, ...]:
-    """Largest subcomplex of c inside the span of the given basis vectors.
-
-    span[n] lists degree-n basis indices of c.  Degree n of the result is
-    the set of combinations of span[n] whose boundary has no component
-    outside span[n-1]: the kernel of that outside part of the boundary.
-    Returns one embedding matrix per degree, columns in c's coordinates.
-    """
-    embeddings = []
-    for n in range(c.top_degree + 1):
-        cols = span[n]
-        inside = set(span[n - 1]) if n else set()
-        col_map = {j: k for k, j in enumerate(cols)}
-        row_map: dict[int, int] = {}
-        entries = {}
-        for (i, j), v in c.boundaries[n].entries.items():
-            if j in col_map and i not in inside:
-                row = row_map.setdefault(i, len(row_map))
-                entries[(row, col_map[j])] = v
-        constraint = SparseMatrix(c.field, len(row_map), len(cols), entries)
-        kernel = [
-            {cols[k]: v for k, v in vec.items()} for vec in linalg.kernel_basis(constraint)
-        ]
-        embeddings.append(SparseMatrix.from_columns(c.field, c.dim(n), kernel))
-    return tuple(embeddings)
-
-
-def smallest_containing(
-    c: ChainComplex, span: Sequence[Sequence[int]]
-) -> tuple[SparseMatrix, ...]:
-    """Smallest subcomplex of c containing the span of the given basis vectors.
-
-    Degree n of the result is spanned by the basis vectors span[n] and the
-    boundaries of span[n+1]; of these columns, in that order, each one
-    outside the span of the earlier ones is kept.
-    """
-    one = c.field.one
-    embeddings = []
-    for n in range(c.top_degree + 1):
-        cols = [{i: one} for i in span[n]]
-        if n < c.top_degree:
-            boundary = c.boundaries[n + 1].columns()
-            cols += [boundary[j] for j in span[n + 1] if boundary[j]]
-        stacked = SparseMatrix.from_columns(c.field, c.dim(n), cols)
-        kept = [cols[j] for j in linalg.independent_columns(stacked)]
-        embeddings.append(SparseMatrix.from_columns(c.field, c.dim(n), kept))
-    return tuple(embeddings)
-
-
-def _edge_spans(ambient: ChainComplex, h) -> list[list[int]]:
-    return [_edge_indices(ambient, h, n) for n in range(ambient.top_degree + 1)]
+    return EmbeddedComplex(labels, sub, embeddings)
 
 
 def inf_complex(
@@ -383,14 +389,12 @@ def inf_complex(
 ) -> EmbeddedComplex:
     """Largest subcomplex whose chains and boundaries stay in the edge span.
 
-    Degreewise this is the span of the degree-n edges intersected with the
-    boundary preimage of the span of the degree-(n-1) edges, computed as a
-    kernel problem inside the closure ambient (the result does not depend
-    on that choice).
+    Degreewise the span of the degree-n edges intersected with the boundary
+    preimage of the span of the degree-(n-1) edges: a kernel problem on the
+    boundaries of the edges, in the ambient's labels when one is given (the
+    complex does not depend on them).
     """
-    if ambient is None:
-        ambient = ambient_complex(h, "closure", field=field)
-    return _restricted_complex(ambient, largest_inside(ambient, _edge_spans(ambient, h)))
+    return _embedded(largest_inside, h, field, ambient)
 
 
 def sup_complex(
@@ -403,11 +407,7 @@ def sup_complex(
     Degreewise the span of the degree-n edges plus the boundaries of the
     degree-(n+1) edges, over a reduced column basis.
     """
-    if ambient is None:
-        ambient = ambient_complex(h, "closure", field=field)
-    return _restricted_complex(
-        ambient, smallest_containing(ambient, _edge_spans(ambient, h))
-    )
+    return _embedded(smallest_containing, h, field, ambient)
 
 
 def face_table(basis: GradedBasis) -> dict[Edge, tuple[Edge, ...]]:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse/config error, 3 resource cap exceeded,
 4 failed theorem or invariant check.  Caps can be overridden with the
-environment variables HYPERHOMOLOGY_SIMPLEX_CAP (full-simplex vertex cap)
-and HYPERHOMOLOGY_VERTEX_CAP (permutation search cap).
+environment variables HYPERHOMOLOGY_SIMPLEX_CAP (vertex cap for full-simplex
+ambients and for the largest edge of a closure ambient, which is the full
+simplex on that edge) and HYPERHOMOLOGY_VERTEX_CAP (permutation search cap).
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _run_homology(args) -> Report:
 
     def work():
         if args.kind == "ambient":
-            complex_ = ambient_complex(h, "closure", field=field)
+            complex_ = ambient_complex(h, "closure", field=field, cap=_simplex_cap())
         elif args.kind == "inf":
             complex_ = inf_complex(h, field=field).complex
         else:
@@ -260,7 +261,7 @@ def _run_four_term(args) -> Report:
     return timed_report(
         "four-term",
         {"input": args.input, "field": args.field},
-        lambda: four_term_sequence(h, field=field).as_dict(),
+        lambda: four_term_sequence(h, field=field, cap=_simplex_cap()).as_dict(),
     )
 
 
@@ -298,8 +299,9 @@ def _run_persist(args) -> Report:
 
     def work():
         steps = build_filtration(sample, args.n_max)
+        all_pairs = args.all_pairs or args.barcode
         table = persistent_betti(
-            steps, degrees, args.kind, all_pairs=args.all_pairs or args.barcode, field=field
+            steps, degrees, args.kind, all_pairs=all_pairs, field=field, cap=_simplex_cap()
         )
         payload = {
             "kind": table.kind,

@@ -23,8 +23,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .chains import (
+    DEFAULT_SIMPLEX_CAP,
     ChainComplex,
-    _edge_spans,
+    _edge_chains,
     ambient_complex,
     largest_inside,
     smallest_containing,
@@ -213,7 +214,9 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
     keys: list[list[int]] = [[] for _ in range(top + 1)]
     births: list[list[int]] = [[] for _ in range(top + 1)]
     for k, h in enumerate(hypergraphs):
-        for n, embedding in enumerate(build(ambient, _edge_spans(ambient, h))):
+        _, span, boundary = _edge_chains(h, field, ambient)
+        embeddings, _ = build(field, ambient.dims, span, boundary)
+        for n, embedding in enumerate(embeddings):
             for col in embedding.columns():
                 key = echelons[n].add(col)
                 if key is not None:
@@ -304,13 +307,15 @@ def persistent_betti(
     *,
     all_pairs: bool = False,
     field=QQ,
+    cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> PersistentBettiTable:
     """Ranks of H_n(step_i) -> H_n(step_j) along the inclusion order.
 
     kind selects the Inf or the Sup complex of each step; both nest along
     the filtration, and the maps are induced by chain inclusion inside the
-    common ambient of the final (largest) step.  When every step's edges
-    already span a subcomplex, both kinds are that span.
+    common ambient of the final (largest) step, whose closure obeys the
+    vertex cap (see ``ambient_complex``).  When every step's edges already
+    span a subcomplex, both kinds are that span.
     """
     if kind not in ("inf", "sup"):
         raise ValueError("kind must be 'inf' or 'sup'")
@@ -323,7 +328,7 @@ def persistent_betti(
             raise ValueError("steps must be nested increasingly")
     if not steps:
         raise ValueError("empty filtration")
-    ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field)
+    ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field, cap=cap)
     hypergraphs = [s.hypergraph for s in steps]
     births, columns = _unit_basis(ambient, hypergraphs) or _echelon_basis(
         ambient, hypergraphs, kind

@@ -20,8 +20,8 @@ from typing import Sequence
 from . import linalg
 from .chains import (
     ChainComplex,
+    DEFAULT_SIMPLEX_CAP,
     EmbeddedComplex,
-    _edge_indices,
     ambient_complex,
     chain_complex_from_basis,
     closure_basis,
@@ -36,7 +36,6 @@ from .fields import QQ, RationalField
 from .hypergraphs import (
     Edge,
     Hypergraph,
-    delta_closure,
     is_sigma_invariant,
     is_simplicial,
     lower_associated,
@@ -55,9 +54,6 @@ class HomologySummary:
 
     def betti_dict(self) -> dict[str, int]:
         return {str(n): b for n, b in enumerate(self.betti)}
-
-    def total(self) -> int:
-        return sum(self.betti)
 
 
 def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = False) -> HomologySummary:
@@ -82,19 +78,15 @@ def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = F
     return HomologySummary(c.field.name, numbers, reps)
 
 
-def cycle_columns(c: ChainComplex, n: int) -> list[dict]:
-    return linalg.kernel_basis(c.boundary_or_zero(n))
-
-
 def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: int) -> int:
     """Rank of H_n(source) -> H_n(target) induced by inclusion.
 
-    Both complexes must be embedded in the same ambient complex; the
+    Both complexes must be embedded in chains on the same labels; the
     source degree-n chain space must lie inside the target one.
     """
-    if source.ambient is not target.ambient and source.ambient != target.ambient:
-        raise ValueError("complexes are not embedded in a common ambient")
-    cycles = cycle_columns(source.complex, n)
+    if source.labels is not target.labels and source.labels != target.labels:
+        raise ValueError("complexes are not embedded in chains on the same labels")
+    cycles = linalg.kernel_basis(source.complex.boundary_or_zero(n))
     if not cycles:
         return 0
     cycle_matrix = SparseMatrix.from_columns(
@@ -131,15 +123,14 @@ def verify_quasi_iso_theta(h: Hypergraph, field=QQ) -> QuasiIsoReport:
     """Check that inclusion of the Inf into the Sup complex is a quasi-iso.
 
     Per degree: equal Betti numbers on both sides and an inclusion-induced
-    map on homology of full rank.
+    map on homology of full rank.  Both complexes are built on the edges of
+    h and their faces, with no closure ambient.
     """
-    ambient = ambient_complex(h, "closure", field=field)
-    inf = inf_complex(h, field=field, ambient=ambient)
-    sup = sup_complex(h, field=field, ambient=ambient)
+    inf = inf_complex(h, field=field)
+    sup = sup_complex(h, field=field)
     b_inf = betti(inf).betti
     b_sup = betti(sup).betti
-    top = ambient.top_degree
-    ranks = tuple(induced_homology_rank(inf, sup, n) for n in range(top + 1))
+    ranks = tuple(induced_homology_rank(inf, sup, n) for n in range(len(inf.labels)))
     is_iso = all(
         bi == bs == r for bi, bs, r in zip(b_inf, b_sup, ranks)
     )
@@ -329,7 +320,9 @@ class FourTermReport:
         }
 
 
-def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
+def four_term_sequence(
+    h: Hypergraph, field=QQ, *, cap: int = DEFAULT_SIMPLEX_CAP
+) -> FourTermReport:
     """The four-stage surjective sequence over the closure of h.
 
     Working with functions on the closure (boundary transposed, so the
@@ -340,15 +333,15 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     build them for the edge span.  Quotienting by them gives the two
     middle stages, and functions on the largest deletion-closed part of h
     give the last.  All three successive maps are canonical surjections,
-    and they are all identities exactly when h is already simplicial.
+    and they are all identities exactly when h is already simplicial.  The
+    closure ambient obeys the vertex cap (see ``ambient_complex``).
     """
-    closed = delta_closure(h)
-    lower = lower_associated(h)
-    if not closed.edges:
+    if not h.edges:
         empty = empty_complex(field)
         b = betti(empty).betti
         return FourTermReport(((),) * 4, (b,) * 4, (True, True, True), True)
-    ambient = ambient_complex(h, "closure", field=field)
+    ambient = ambient_complex(h, "closure", field=field, cap=cap)
+    lower = lower_associated(h)
     top = ambient.top_degree
     one = field.one
 
@@ -356,15 +349,19 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
 
     def reversed_indices(g) -> list[set[int]]:
         # degree m of the reversed complex is degree top - m of the closure
-        return [set(_edge_indices(ambient, g, top - m)) for m in range(top + 1)]
+        return [
+            {k for k, e in enumerate(ambient.labels[top - m]) if e in g.edges}
+            for m in range(top + 1)
+        ]
 
     in_h, in_lower = reversed_indices(h), reversed_indices(lower)
     complement = [
         [i for i in range(reversed_ambient.dim(m)) if i not in in_h[m]]
         for m in range(top + 1)
     ]
-    inward = largest_inside(reversed_ambient, complement)
-    outward = smallest_containing(reversed_ambient, complement)
+    columns = [b.columns() for b in reversed_ambient.boundaries]
+    inward, _ = largest_inside(field, reversed_ambient.dims, complement, columns)
+    outward, _ = smallest_containing(field, reversed_ambient.dims, complement, columns)
     stage2 = quotient_complex(reversed_ambient, inward)
     stage3 = quotient_complex(reversed_ambient, outward)
 

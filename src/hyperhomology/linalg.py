@@ -57,20 +57,6 @@ class SparseMatrix:
                     entries[(i, j)] = v
         return cls(field, nrows, len(columns), entries)
 
-    @classmethod
-    def from_rows(cls, field, rows: Sequence[Sequence]) -> "SparseMatrix":
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                scalar = field.from_int(v) if isinstance(v, int) else v
-                if scalar:
-                    entries[(i, j)] = scalar
-        return cls(field, len(rows), ncols, entries)
-
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self) -> list[dict]:
         cols = [dict() for _ in range(self.ncols)]
         for (i, j), v in self.entries.items():
@@ -261,10 +247,15 @@ def _reduce_mod_p(vec: dict, rows: dict, pending: list, coefficients, p: int) ->
 
 
 def _nonzero(entries: dict, p: int) -> dict:
-    """The nonzero entries, reduced into [0, p) when p is nonzero."""
+    """The nonzero entries, reduced into [0, p) when p is nonzero, and over Q
+    with integral values as ints."""
     if p:
         return {key: r for key, v in entries.items() if (r := v % p)}
-    return {key: v for key, v in entries.items() if v}
+    return {
+        key: v if v.__class__ is int or v.denominator != 1 else v.numerator
+        for key, v in entries.items()
+        if v
+    }
 
 
 def _added(reducer: Echelon, vectors: Iterable[dict]) -> list[int]:

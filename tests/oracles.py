@@ -4,9 +4,12 @@ Everything here is deliberately textbook and self-contained: dense
 list-of-list matrices over fractions.Fraction (or over Z/p, as ints reduced
 with ``%`` and inverted with ``pow(x, -1, p)``), first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
-package's linear algebra, except ``pairwise_persistence``: it computes
-persistence the slow way, through the package's per-step embedded
-complexes and one induced-rank problem per pair of steps.  The group
+package's linear algebra, except two oracles that check a construction
+rather than an elimination.  ``closure_embedded`` builds the Inf or Sup
+complex the old way, inside the whole deletion-closure ambient.
+``pairwise_persistence`` computes persistence the slow way, through the
+package's per-step embedded complexes and one induced-rank problem per
+pair of steps.  The group
 oracles work on permutations of range(n) as plain image tuples, check
 every pair of elements, and walk all n! maps for isometries.
 """
@@ -14,10 +17,18 @@ every pair of elements, and walk all n! maps for isometries.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
+from hyperhomology import linalg
+from hyperhomology.chains import (
+    ChainComplex,
+    EmbeddedComplex,
+    ambient_complex,
+    inf_complex,
+    sup_complex,
+)
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ
 from hyperhomology.homology import betti, induced_homology_rank
+from hyperhomology.linalg import SparseMatrix
 
 
 def _scalars(rows, p):
@@ -310,6 +321,52 @@ def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=Q
                     alive_to_dies - alive_past
                 )
     return betti_by_step, entries, bars
+
+
+def closure_embedded(h, kind="inf", field=QQ):
+    """The Inf (or Sup) complex of h built inside its deletion closure.
+
+    Degree n of Inf is the kernel of the closure boundary restricted to the
+    degree-n edge columns and to the rows of non-edges; degree n of Sup is
+    spanned by the degree-n edges and the closure boundaries of the
+    degree-(n+1) edges, independent columns kept left to right.  The
+    internal boundaries solve (closure boundary) @ embedding in the
+    embedding one degree down.
+    """
+    ambient = ambient_complex(h, "closure", field=field)
+    top = ambient.top_degree
+    span = []
+    for n in range(top + 1):
+        index = {e: k for k, e in enumerate(ambient.labels[n])}
+        span.append([index[e] for e in h.level(n + 1)])
+    columns = [b.columns() for b in ambient.boundaries]
+    embeddings = []
+    for n in range(top + 1):
+        if kind == "inf":
+            inside = set(span[n - 1]) if n else set()
+            outside = [
+                {i: v for i, v in columns[n][j].items() if i not in inside} for j in span[n]
+            ]
+            constraint = SparseMatrix.from_columns(field, ambient.dim(n - 1), outside)
+            kept = [
+                {span[n][k]: v for k, v in vec.items()}
+                for vec in linalg.kernel_basis(constraint)
+            ]
+        else:
+            generators = [{j: field.one} for j in span[n]]
+            if n < top:
+                generators += [columns[n + 1][j] for j in span[n + 1] if columns[n + 1][j]]
+            stacked = SparseMatrix.from_columns(field, ambient.dim(n), generators)
+            kept = [generators[k] for k in linalg.independent_columns(stacked)]
+        embeddings.append(SparseMatrix.from_columns(field, ambient.dim(n), kept))
+    dims = tuple(e.ncols for e in embeddings)
+    boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
+    for n in range(1, top + 1):
+        image = ambient.boundaries[n] @ embeddings[n]
+        boundaries.append(linalg.solve_matrix(embeddings[n - 1], image))
+    sub = ChainComplex(field, dims, tuple(boundaries))
+    sub.validate()
+    return EmbeddedComplex(ambient.labels, sub, tuple(embeddings))
 
 
 # ------------------------------------------------------------------ groups

@@ -2,6 +2,7 @@ import pytest
 
 from hyperhomology import chains
 from hyperhomology.chains import (
+    GradedBasis,
     ambient_complex,
     boundary_matrix,
     chain_complex_from_basis,
@@ -9,7 +10,6 @@ from hyperhomology.chains import (
     delta_identity_check,
     face_table,
     full_simplex_basis,
-    hypergraph_basis,
     inf_complex,
     sup_complex,
 )
@@ -24,7 +24,7 @@ def test_boundary_signs_on_a_pair():
     basis = closure_basis(hypergraph([[0, 1]]))
     matrix, codomain = boundary_matrix(basis, 1)
     assert codomain == ((0,), (1,))
-    col = matrix.column(0)
+    col = matrix.columns()[0]
     assert col[1] == QQ.one  # +1 at {1} (drop position 0)
     assert col[0] == -QQ.one  # -1 at {0} (drop position 1)
 
@@ -32,7 +32,7 @@ def test_boundary_signs_on_a_pair():
 def test_boundary_triangle_alternating():
     basis = closure_basis(hypergraph([[0, 1, 2]]))
     matrix, codomain = boundary_matrix(basis, 2)
-    col = matrix.column(0)
+    col = matrix.columns()[0]
     by_label = {codomain[i]: v for i, v in col.items()}
     assert by_label == {(1, 2): QQ.one, (0, 2): -QQ.one, (0, 1): QQ.one}
 
@@ -51,14 +51,23 @@ def _faces_0_and_1_swapped(edge, i):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(2)])
-@pytest.mark.parametrize("mode", ["closure", "full_simplex"])
+@pytest.mark.parametrize("mode", ["closure", "full_simplex", "inf", "sup"])
 def test_broken_face_signs_fail_the_integer_check(monkeypatch, field, mode):
     # with faces 0 and 1 swapped, d d sends the triangle (0, 1, 2) to
-    # 2(0) - 2(1): nonzero over Z, so over Z/2 too
+    # 2(0) - 2(1): nonzero over Z, so over Z/2 too.  Inf and Sup, built with
+    # no ambient, check d d e over Z on the one edge (0, 1, 2, 3) itself.
     monkeypatch.setattr(chains, "face", _faces_0_and_1_swapped)
+    h = hypergraph([[0, 1, 2, 3]])
     with pytest.raises(InvariantViolation) as failure:
-        ambient_complex(hypergraph([[0, 1, 2, 3]]), mode, field=field)
-    assert failure.value.certificate == {"degree": 2, "chain": "(0, 1, 2)", "row": 0}
+        if mode in ("inf", "sup"):
+            (inf_complex if mode == "inf" else sup_complex)(h, field=field)
+        else:
+            ambient_complex(h, mode, field=field)
+    if mode in ("inf", "sup"):
+        expected = {"degree": 3, "chain": "(0, 1, 2, 3)", "row": 0}
+    else:
+        expected = {"degree": 2, "chain": "(0, 1, 2)", "row": 0}
+    assert failure.value.certificate == expected
 
 
 def test_prime_field_boundaries_hold_residues():
@@ -76,7 +85,7 @@ def test_rational_field_boundaries_hold_ints():
 
 
 def test_boundary_missing_face_modes():
-    basis = hypergraph_basis(hypergraph([[0, 1], [1, 2]]))  # no vertices present
+    basis = GradedBasis(((), ((0, 1), (1, 2))), directed=False)  # no vertices present
     with pytest.raises(ValueError):
         boundary_matrix(basis, 1, missing="error")
     matrix, codomain = boundary_matrix(basis, 1, missing="extend")
@@ -97,6 +106,20 @@ def test_ambient_complex_sizes():
 def test_full_simplex_cap():
     with pytest.raises(ResourceCapError):
         full_simplex_basis(range(17), 2)
+
+
+def test_closure_cap_applies_to_the_largest_edge(monkeypatch):
+    def no_closure(h):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(chains, "closure_basis", no_closure)
+    for h in (hypergraph([range(17), [20, 21]]), hyperdigraph([range(16, -1, -1)])):
+        with pytest.raises(ResourceCapError):
+            ambient_complex(h, "closure")
+    with pytest.raises(ResourceCapError):
+        ambient_complex(hypergraph([[0, 1, 2, 3]]), "closure", cap=3)
+    monkeypatch.undo()
+    assert ambient_complex(hypergraph([[0, 1, 2]]), "closure", cap=3).dims == (3, 3, 1)
 
 
 def test_inf_sup_example_dimensions():

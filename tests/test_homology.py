@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperhomology import chains
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ, PrimeField
@@ -10,6 +11,7 @@ from hyperhomology.homology import (
     betti,
     four_term_sequence,
     hodge_laplacian,
+    induced_homology_rank,
     invariant_dimension,
     quotient_complex,
     quotient_map_surjective,
@@ -27,6 +29,7 @@ from hyperhomology.linalg import SparseMatrix
 from hyperhomology.suites import random_hyperdigraph, random_hypergraph
 
 from oracles import (
+    closure_embedded,
     fixed_subspace_dimension,
     quotient_coordinates,
     quotient_representatives,
@@ -115,6 +118,60 @@ def test_quasi_iso_on_hyperdigraphs():
     report = verify_quasi_iso_theta(d)
     assert report.betti_inf == report.betti_sup
     assert report.is_iso
+
+
+def test_quasi_iso_builds_no_closure(monkeypatch):
+    def no_closure(h):
+        raise AssertionError("the closure ambient was built")
+
+    monkeypatch.setattr(chains, "closure_basis", no_closure)
+    for h in (MIXED, HOLLOW, hyperdigraph([(0, 1), (1, 0), (0, 1, 2)])):
+        assert verify_quasi_iso_theta(h).is_iso
+    # one 30-vertex edge: 2^30 - 1 closure cells, none of them built
+    report = verify_quasi_iso_theta(hypergraph([range(30)]))
+    assert report.is_iso and report.betti_inf == (0,) * 30
+
+
+@st.composite
+def punched_closures(draw):
+    """The deletion closure of a few edges, directed or not, on at most 7
+    vertices, with an arbitrary subset of its edges removed."""
+    n = draw(st.integers(1, 7))
+    build = draw(st.sampled_from([hypergraph, hyperdigraph]))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5), unique=True)
+    closed = delta_closure(build(draw(st.lists(edge, min_size=1, max_size=3)))).sorted_edges()
+    keep = draw(st.lists(st.booleans(), min_size=len(closed), max_size=len(closed)))
+    return build([e for e, k in zip(closed, keep) if k], vertices=range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(punched_closures(), st.sampled_from([QQ, PrimeField(7)]))
+def test_local_inf_sup_match_the_closure_oracle(h, field):
+    local = {"inf": inf_complex(h, field=field), "sup": sup_complex(h, field=field)}
+    oracle = {kind: closure_embedded(h, kind, field) for kind in local}
+    for kind in local:
+        assert local[kind].complex.dims == oracle[kind].complex.dims
+        assert local[kind].complex.boundaries == oracle[kind].complex.boundaries
+        assert betti(local[kind]).betti == betti(oracle[kind]).betti
+    degrees = range(h.max_cardinality())
+    assert [induced_homology_rank(local["inf"], local["sup"], n) for n in degrees] == [
+        induced_homology_rank(oracle["inf"], oracle["sup"], n) for n in degrees
+    ]
+
+
+def test_local_coordinates_are_edges_then_faces():
+    # degree n: the degree-n edges, then the new faces of the degree-(n+1)
+    # edges in the order the boundary meets them
+    assert inf_complex(MIXED).labels == (
+        ((1,), (0,), (2,)),
+        ((0, 1), (1, 2), (0, 2)),
+        ((0, 1, 2),),
+    )
+    assert sup_complex(MIXED).labels == inf_complex(MIXED).labels
+    ambient = ambient_complex(MIXED, "closure")
+    assert inf_complex(MIXED, ambient=ambient).labels == ambient.labels
+    with pytest.raises(ValueError):
+        induced_homology_rank(inf_complex(MIXED), sup_complex(MIXED, ambient=ambient), 1)
 
 
 def test_quotient_by_zero_is_identity():

@@ -5,7 +5,8 @@ AST scans in place of a linter: a module's imported names must appear as
 a name somewhere in its body, or be listed in its ``__all__`` (a
 re-export).  ``__init__.py`` re-exports by design and is skipped.  A
 module-level definition must be referenced from the package, the tests,
-the scripts or the benchmark, or be listed in ``__all__``.  The
+the scripts or the benchmark, or be listed in ``__all__``; a method that
+is not a dunder method must be referenced there as an attribute.  The
 exact-arithmetic modules hold no true division, which would turn int
 scalars into floats.
 """
@@ -66,35 +67,56 @@ def _python_files():
                 yield path
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names a module uses: identifiers, attributes, imported names, and the
-    parts of dotted strings (the benchmark's tracer names its targets so)."""
-    names = set()
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Names a module uses, and the subset it uses as attributes.  Both
+    count the parts of dotted strings (the benchmark's tracer names its
+    targets so); the names also count identifiers and imported names."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(p for p in node.value.split(".") if p.isidentifier())
-    return names
+            attributes.update(p for p in node.value.split(".") if p.isidentifier())
+    return names | attributes, attributes
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module):
+    """(definition, is a method): module-level functions and classes, and
+    the methods of those classes other than dunder methods, which the
+    language calls by protocol."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, DEFINITIONS) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield member, True
 
 
 def test_no_dead_definitions():
     """Every module-level function or class of the package is referenced
-    somewhere in src/, tests/, scripts/ or bench/, or listed in __all__."""
-    referenced = set()
+    somewhere in src/, tests/, scripts/ or bench/, or listed in __all__;
+    every method of its classes is referenced there as an attribute."""
+    referenced, attributes = set(), set()
     for path in _python_files():
         tree = ast.parse(path.read_text(), filename=str(path))
-        referenced |= _references(tree) | _exported(tree)
+        names, attrs = _references(tree)
+        referenced |= names | _exported(tree)
+        attributes |= attrs
     dead = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in MODULES
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in referenced
+        for node, is_method in _definitions(ast.parse(path.read_text()))
+        if node.name not in (attributes if is_method else referenced)
     ]
     assert not dead, f"defined but never referenced: {dead}"
 

@@ -261,6 +261,49 @@ def test_cli_persist_field(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == ""
 
 
+def test_cli_one_30_vertex_edge(tmp_path):
+    # Inf and Sup need only the edge and its faces; the closure has 2^30 - 1
+    # cells and is refused at the vertex cap (exit 3) before it is built
+    path = write_fixture(tmp_path, "edge.json", {"edges": [list(range(30))]})
+    for argv, code in [
+        (["quasi-check"], 0),
+        (["homology", "--kind", "inf"], 0),
+        (["homology", "--kind", "sup"], 0),
+        (["homology", "--kind", "ambient"], 3),
+        (["four-term"], 3),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperhomology.cli", *argv, path],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        if code == 0:
+            betti = json.loads(proc.stdout)["results"]["betti"]
+            assert betti == {str(n): 0 for n in range(30)}
+        else:
+            assert "cap of 16" in proc.stderr
+
+
+def test_cli_simplex_cap_bounds_every_closure(tmp_path, capsys, monkeypatch):
+    path = write_fixture(tmp_path, "tetra.json", {"edges": [[0, 1, 2, 3]]})
+    pts = tmp_path / "line.csv"
+    pts.write_text("id,x\n0,0\n1,1\n2,3\n")
+    commands = [
+        ["homology", "--kind", "ambient", path],
+        ["four-term", path],
+        ["persist", str(pts), "--n-max", "3"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", "2")
+    for argv in commands:
+        assert main(argv) == 3
+    assert main(["quasi-check", path]) == 0  # no closure on this path
+    capsys.readouterr()
+
+
 def _fake_suites(passed):
     def run_all(seed):
         time.sleep(0.01)

@@ -57,13 +57,13 @@ def test_solve_matrix_finds_exact_solutions():
 
 
 def test_solve_detects_inconsistency():
-    a = SparseMatrix.from_rows(QQ, [[1, 0], [1, 0]])
-    b = SparseMatrix.from_rows(QQ, [[1], [2]])
+    a = to_sparse(QQ, [[1, 0], [1, 0]], 2)
+    b = to_sparse(QQ, [[1], [2]], 1)
     assert linalg.solve_matrix(a, b) is None
 
 
 def test_independent_columns_greedy_first_wins():
-    a = SparseMatrix.from_rows(QQ, [[1, 2, 0], [0, 0, 1]])
+    a = to_sparse(QQ, [[1, 2, 0], [0, 0, 1]], 3)
     assert linalg.independent_columns(a) == [0, 2]
 
 
@@ -106,10 +106,19 @@ def test_mod_p_rank_matches_rational_rank_generically():
     for _ in range(20):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
-        mq = SparseMatrix.from_rows(QQ, dense)
-        mp = SparseMatrix.from_rows(gf, dense)
+        mq = to_sparse(QQ, dense, ncols)
+        mp = to_sparse(gf, dense, ncols)
         # entries are tiny, so a large prime cannot drop the rank
         assert linalg.rank(mq) == linalg.rank(mp)
+
+
+def test_rational_products_and_sums_hold_integral_values_as_ints():
+    half = SparseMatrix(QQ, 1, 1, {(0, 0): Fraction(1, 2)})
+    product = half @ SparseMatrix(QQ, 1, 1, {(0, 0): 2})
+    assert type(product.entries[(0, 0)]) is int and product.entries[(0, 0)] == 1
+    total = half + half
+    assert type(total.entries[(0, 0)]) is int and total.entries[(0, 0)] == 1
+    assert (half + SparseMatrix(QQ, 1, 1, {(0, 0): 1})).entries == {(0, 0): Fraction(3, 2)}
 
 
 def test_prime_field_rejects_composites():
@@ -125,13 +134,13 @@ def test_matmul_shape_mismatch():
 
 
 def test_image_rank_modulo():
-    boundary = SparseMatrix.from_rows(QQ, [[1], [-1]])
+    boundary = to_sparse(QQ, [[1], [-1]], 1)
     vectors = [{0: QQ.one, 1: QQ.from_int(-1)}, {0: QQ.one, 1: QQ.one}]
     assert linalg.image_rank_modulo(vectors, boundary, QQ) == 1
 
 
 def test_coordinate_text_round_trip():
-    m = SparseMatrix.from_rows(QQ, [[1, 0], [0, -2]])
+    m = to_sparse(QQ, [[1, 0], [0, -2]], 2)
     text = m.to_coordinate_text()
     lines = text.strip().splitlines()
     assert lines[0] == "2 2"
@@ -276,7 +285,7 @@ def test_mod_p_matrices_hold_reduced_residues_only():
             SparseMatrix(gf, 1, 1, {(0, 0): bad})
     m = SparseMatrix(gf, 1, 2, {(0, 0): 6, (0, 1): 1})
     assert (m + m).entries == {(0, 0): 5, (0, 1): 2}
-    assert (m @ SparseMatrix.from_rows(gf, [[1], [1]])).is_zero()
+    assert (m @ to_sparse(gf, [[1], [1]], 1)).is_zero()
     assert m.to_coordinate_text() == "1 2\n0 0 6 (mod 7)\n0 1 1 (mod 7)\n"
     assert gf.from_fraction("3/2") == 5 and gf.from_int(-1) == 6
     with pytest.raises(ZeroDivisionError):
