@@ -24,13 +24,9 @@ from .bundles import (
 from .chains import (
     ChainComplex,
     EmbeddedComplex,
-    GradedBasis,
     ambient_complex,
-    boundary_matrix,
-    closure_basis,
     delta_identity_check,
     face_table,
-    full_simplex_basis,
     inf_complex,
     sup_complex,
 )

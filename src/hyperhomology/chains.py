@@ -4,15 +4,18 @@ A hyperedge with k vertices sits in degree k - 1.  The i-th face of an
 edge drops the vertex at position i (sorted position for unordered edges,
 coordinate position for directed ones) and carries sign (-1)^i, so the
 boundary of a degree-n basis edge is the usual alternating sum over its
-n + 1 faces.  The boundaries of a closure or full-simplex ambient are built
-once over the integers and checked there (d d = 0 over Z holds over every
-field) before their entries are mapped into the coefficient field.
+n + 1 faces.
 
-The infimum and supremum complexes of a hypergraph need only its edges and
-their faces.  Their coordinates in degree n are the degree-n edges followed
-by the faces of the degree-(n+1) edges that are not edges themselves (or an
-ambient's labels, when one is given), and d d e = 0 is checked over Z on
-every edge, which covers every chain they are built from.
+Every complex here is built from the edges of a hypergraph and their faces
+by one builder, ``_edge_chains``.  Its coordinates in degree n are the
+degree-n edges followed by the faces of the degree-(n+1) edges that are
+not edges themselves (or an ambient's labels, when one is given).  The
+boundary columns of the edges are built over the integers and d d e = 0 is
+checked there on every edge (over Z it holds over every field) before the
+entries are mapped into the coefficient field.  A closure or full-simplex
+ambient is the edge-chain complex of a hypergraph closed under vertex
+deletion, where every coordinate is an edge; the infimum and supremum
+complexes are found around the edge span of any hypergraph.
 """
 
 from __future__ import annotations
@@ -32,53 +35,6 @@ DEFAULT_SIMPLEX_CAP = 16
 
 def face(edge: Edge, i: int) -> Edge:
     return edge[:i] + edge[i + 1 :]
-
-
-@dataclass(frozen=True)
-class GradedBasis:
-    """Ordered edge labels per degree; labels[n] holds (n+1)-vertex edges."""
-
-    labels: tuple[tuple[Edge, ...], ...]
-    directed: bool
-
-    def __post_init__(self):
-        for n, level in enumerate(self.labels):
-            if len(set(level)) != len(level):
-                raise ValueError(f"duplicate labels in degree {n}")
-            if any(len(e) != n + 1 for e in level):
-                raise ValueError(f"degree {n} must hold edges of cardinality {n + 1}")
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.labels) - 1
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.labels)
-
-
-def closure_basis(h: Hypergraph) -> GradedBasis:
-    """Basis of the deletion closure of h, degrees 0..top, sorted labels."""
-    closed = delta_closure(h)
-    top = closed.max_cardinality()
-    levels = [closed.level(n + 1) for n in range(top)]
-    return GradedBasis(tuple(levels), h.directed)
-
-
-def full_simplex_basis(
-    vertices: Iterable[int], max_degree: int, cap: int = DEFAULT_SIMPLEX_CAP
-) -> GradedBasis:
-    """All subsets of the vertex set up to max_degree, as an unordered basis."""
-    vs = sorted(set(vertices))
-    if len(vs) > cap:
-        raise ResourceCapError(
-            f"full simplex on {len(vs)} vertices exceeds the cap of {cap}"
-        )
-    levels = []
-    for n in range(max_degree + 1):
-        if n + 1 > len(vs):
-            break
-        levels.append(tuple(combinations(vs, n + 1)))
-    return GradedBasis(tuple(levels), directed=False)
 
 
 def _integer_columns(
@@ -112,22 +68,6 @@ def _in_field(field, columns: list[dict[int, int]]) -> list[dict]:
     """The integer columns with their entries mapped into the field."""
     scalars = {v: field.from_int(v) for col in columns for v in col.values()}
     return [{i: s for i, v in col.items() if (s := scalars[v])} for col in columns]
-
-
-def boundary_matrix(
-    basis: GradedBasis, n: int, field=QQ, *, missing: str = "error"
-) -> tuple[SparseMatrix, tuple[Edge, ...]]:
-    """Boundary from degree n to degree n - 1 over the given basis.
-
-    Codomain labels absent from the basis are either rejected
-    (missing="error") or appended to an extended codomain
-    (missing="extend"); the codomain labels actually used are returned.
-    """
-    if n < 1 or n > basis.top_degree:
-        raise ValueError(f"no boundary at degree {n}")
-    codomain = list(basis.labels[n - 1])
-    columns = _in_field(field, _integer_columns(basis.labels[n], codomain, missing))
-    return SparseMatrix.from_columns(field, len(codomain), columns), tuple(codomain)
 
 
 def _not_a_complex(n: int, nonzero, labels) -> InvariantViolation:
@@ -174,8 +114,8 @@ class ChainComplex:
             return self.boundaries[n]
         return SparseMatrix.zeros(self.field, self.dim(n - 1), self.dim(n))
 
-    # set on the instance once validate() passes, or by chain_complex_from_basis
-    # after its integer check; a failure is never kept
+    # set on the instance once validate() passes, or by ambient_complex after
+    # the integer check of its edges; a failure is never kept
     _validated = False
 
     def validate(self) -> None:
@@ -209,28 +149,6 @@ def _check_square_zero(n: int, lower, upper: list[dict[int, int]], labels) -> No
         raise _not_a_complex(n, nonzero, labels)
 
 
-def chain_complex_from_basis(basis: GradedBasis, field=QQ) -> ChainComplex:
-    """Chain complex on a face-closed basis (raises if a face is missing).
-
-    The boundaries are built and checked (d d = 0) once, over the integers,
-    and only then mapped into the field; the complex is returned validated.
-    """
-    dims, labels = basis.dims(), basis.labels
-    columns = [
-        _integer_columns(labels[n], list(labels[n - 1]), "error") for n in range(1, len(dims))
-    ]
-    for n in range(1, len(columns)):
-        _check_square_zero(n, columns[n - 1], columns[n], labels)
-    boundaries = [SparseMatrix.zeros(field, 0, dims[0] if dims else 0)]
-    for n in range(1, len(dims)):
-        in_field = _in_field(field, columns[n - 1])
-        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], in_field))
-        columns[n - 1] = None  # the integer copy is not kept beside the field one
-    complex_ = ChainComplex(field, dims, tuple(boundaries), labels=basis.labels)
-    object.__setattr__(complex_, "_validated", True)
-    return complex_
-
-
 def empty_complex(field=QQ) -> ChainComplex:
     return ChainComplex(field, (), (), labels=())
 
@@ -250,25 +168,38 @@ def ambient_complex(
     of the given vertex set up to max_degree.  Both cap the vertex count
     before building anything: the closure of a k-vertex edge is the full
     simplex on its k vertices, so there the cap bounds the largest edge.
+    Either way the complex is the edge-chain complex of a deletion-closed
+    hypergraph, on its sorted levels, and comes back validated: d d = 0 was
+    checked over Z on every edge.
     """
     if mode == "closure":
         if h.max_cardinality() > cap:
             raise ResourceCapError(
                 f"closure of a {h.max_cardinality()}-vertex edge exceeds the cap of {cap}"
             )
-        if not h.edges:
-            return empty_complex(field)
-        return chain_complex_from_basis(closure_basis(h), field)
-    if mode == "full_simplex":
+        closed = delta_closure(h)
+    elif mode == "full_simplex":
         if h.directed:
             raise ValueError("full simplex ambient applies to unordered hypergraphs")
         vs = set(h.vertices if vertices is None else vertices)
         if not {v for e in h.edges for v in e} <= vs:
             raise ValueError("ambient vertices must cover the hypergraph support")
+        if len(vs) > cap:
+            raise ResourceCapError(f"full simplex on {len(vs)} vertices exceeds the cap of {cap}")
         degree = max_degree if max_degree is not None else max(h.max_cardinality() - 1, 0)
-        basis = full_simplex_basis(vs, degree, cap=cap)
-        return chain_complex_from_basis(basis, field)
-    raise ValueError(f"unknown ambient mode {mode!r}")
+        faces = (f for k in range(1, degree + 2) for f in combinations(sorted(vs), k))
+        closed = Hypergraph(frozenset(vs), frozenset(faces))
+    else:
+        raise ValueError(f"unknown ambient mode {mode!r}")
+    labels, _, boundary = _edge_chains(closed, field, None)
+    dims = tuple(len(level) for level in labels)
+    boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
+    for n in range(1, len(dims)):
+        columns = list(boundary[n].values())
+        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], columns))
+    complex_ = ChainComplex(field, dims, tuple(boundaries), labels=labels)
+    object.__setattr__(complex_, "_validated", True)
+    return complex_
 
 
 @dataclass(frozen=True)
@@ -363,10 +294,11 @@ def smallest_containing(field, dims, span, boundary) -> tuple[tuple[SparseMatrix
     return tuple(embeddings), tuple(images)
 
 
-def _embedded(build, h: Hypergraph, field, ambient) -> EmbeddedComplex:
-    """The subcomplex that ``build`` finds around the edge span of h; its
-    boundaries are the coordinates of the boundaries of its columns."""
-    labels, span, boundary = _edge_chains(h, field, ambient)
+def _embedded(build, edge_chains, field) -> EmbeddedComplex:
+    """The subcomplex that ``build`` finds around an edge span, given the
+    ``_edge_chains`` of its hypergraph; its boundaries are the coordinates
+    of the boundaries of its columns."""
+    labels, span, boundary = edge_chains
     embeddings, images = build(field, [len(level) for level in labels], span, boundary)
     dims = tuple(e.ncols for e in embeddings)
     boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
@@ -394,7 +326,7 @@ def inf_complex(
     boundaries of the edges, in the ambient's labels when one is given (the
     complex does not depend on them).
     """
-    return _embedded(largest_inside, h, field, ambient)
+    return _embedded(largest_inside, _edge_chains(h, field, ambient), field)
 
 
 def sup_complex(
@@ -407,16 +339,22 @@ def sup_complex(
     Degreewise the span of the degree-n edges plus the boundaries of the
     degree-(n+1) edges, over a reduced column basis.
     """
-    return _embedded(smallest_containing, h, field, ambient)
+    return _embedded(smallest_containing, _edge_chains(h, field, ambient), field)
 
 
-def face_table(basis: GradedBasis) -> dict[Edge, tuple[Edge, ...]]:
+def _inf_and_sup(h: Hypergraph, field, ambient) -> tuple[EmbeddedComplex, EmbeddedComplex]:
+    """``inf_complex`` and ``sup_complex`` of h from one ``_edge_chains``."""
+    edge_chains = _edge_chains(h, field, ambient)
+    return (
+        _embedded(largest_inside, edge_chains, field),
+        _embedded(smallest_containing, edge_chains, field),
+    )
+
+
+def face_table(closed: Hypergraph) -> dict[Edge, tuple[Edge, ...]]:
     """Explicit face maps: each edge of length >= 2 maps to its face tuple."""
-    table = {}
-    for level in basis.labels[1:]:
-        for e in level:
-            table[e] = tuple(face(e, i) for i in range(len(e)))
-    return table
+    edges = closed.sorted_edges()
+    return {e: tuple(face(e, i) for i in range(len(e))) for e in edges if len(e) >= 2}
 
 
 def delta_identity_check(table: dict[Edge, tuple[Edge, ...]]) -> bool:

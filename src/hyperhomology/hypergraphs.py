@@ -107,14 +107,13 @@ def hyperdigraph(edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -
     return _build(frozenset(directed_edge(e) for e in edges), vertices, True)
 
 
-def subedges(edge: Edge, directed: bool) -> list[Edge]:
+def subedges(edge: Edge) -> list[Edge]:
     """All nonempty subsets (sorted) or subsequences of an edge.
 
     ``itertools.combinations`` preserves input order, which is exactly the
     subsequence enumeration for directed edges and, since unordered edges
     are stored sorted, the canonical subset enumeration otherwise.
     """
-    del directed  # same enumeration for both kinds, see docstring
     out: list[Edge] = []
     for k in range(1, len(edge) + 1):
         out.extend(combinations(edge, k))
@@ -138,7 +137,7 @@ def delta_closure(h):
     """
     closed: set[Edge] = set()
     for e in h.edges:
-        closed.update(subedges(e, h.directed))
+        closed.update(subedges(e))
     return Hypergraph(h.vertices, frozenset(closed), h.directed)
 
 
@@ -148,7 +147,7 @@ def lower_associated(h):
     Keeps exactly the edges whose full closure lies inside h.
     """
     kept = {
-        e for e in h.edges if all(s in h.edges for s in subedges(e, h.directed))
+        e for e in h.edges if all(s in h.edges for s in subedges(e))
     }
     return Hypergraph(h.vertices, frozenset(kept), h.directed)
 

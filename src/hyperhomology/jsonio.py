@@ -196,10 +196,9 @@ class Report:
             "results": self.results,
         }
 
-    def to_json(self, *, with_timing: bool = True) -> str:
+    def to_json(self) -> str:
         body = self.payload()
-        if with_timing:
-            body["timing_seconds"] = self.timing_seconds
+        body["timing_seconds"] = self.timing_seconds
         return json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 

@@ -18,7 +18,6 @@ from functools import partial
 from . import bundles
 from .chains import (
     ambient_complex,
-    closure_basis,
     delta_identity_check,
     face_table,
     inf_complex,
@@ -441,9 +440,9 @@ def structural_suite(seed: int, fuzz_elements: int = 1000) -> SuiteResult:
             if directed
             else random_hypergraph(rng, max_vertices=7, max_card=5)
         )
-        basis = closure_basis(h)
-        table = face_table(basis)
-        total += sum(len(level) for level in basis.labels)
+        closed = delta_closure(h)
+        table = face_table(closed)
+        total += len(closed.edges)
         result.checks += 1
         if not delta_identity_check(table):
             result.fail({"instance": _edge_dump(h), "case": "delta identity"})

@@ -1,48 +1,86 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperhomology import chains
 from hyperhomology.chains import (
-    GradedBasis,
+    ChainComplex,
     ambient_complex,
-    boundary_matrix,
-    chain_complex_from_basis,
-    closure_basis,
     delta_identity_check,
     face_table,
-    full_simplex_basis,
     inf_complex,
     sup_complex,
 )
 from hyperhomology.errors import InvariantViolation, ResourceCapError
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.hypergraphs import delta_closure, hyperdigraph, hypergraph
+from hyperhomology.linalg import SparseMatrix
 
-from oracles import dense_rank, sparse_to_dense
+from oracles import dense_rank, simplicial_boundary_dense, sparse_to_dense
 
 
 def test_boundary_signs_on_a_pair():
-    basis = closure_basis(hypergraph([[0, 1]]))
-    matrix, codomain = boundary_matrix(basis, 1)
-    assert codomain == ((0,), (1,))
-    col = matrix.columns()[0]
+    c = ambient_complex(hypergraph([[0, 1]]))
+    assert c.labels[0] == ((0,), (1,))
+    col = c.boundaries[1].columns()[0]
     assert col[1] == QQ.one  # +1 at {1} (drop position 0)
     assert col[0] == -QQ.one  # -1 at {0} (drop position 1)
 
 
 def test_boundary_triangle_alternating():
-    basis = closure_basis(hypergraph([[0, 1, 2]]))
-    matrix, codomain = boundary_matrix(basis, 2)
-    col = matrix.columns()[0]
-    by_label = {codomain[i]: v for i, v in col.items()}
+    c = ambient_complex(hypergraph([[0, 1, 2]]))
+    col = c.boundaries[2].columns()[0]
+    by_label = {c.labels[1][i]: v for i, v in col.items()}
     assert by_label == {(1, 2): QQ.one, (0, 2): -QQ.one, (0, 1): QQ.one}
 
 
 def test_boundary_squared_zero():
-    basis = closure_basis(hypergraph([[0, 1, 2], [1, 2, 3]]))
-    c = chain_complex_from_basis(basis)
-    c.validate()
+    c = ambient_complex(hypergraph([[0, 1, 2], [1, 2, 3]]))
+    assert c._validated  # checked over Z while it was built
+    # and again over the field, on an unvalidated copy
+    ChainComplex(c.field, c.dims, c.boundaries, labels=c.labels).validate()
     product = c.boundaries[1] @ c.boundaries[2]
     assert product.is_zero()
+
+
+@st.composite
+def ambient_cases(draw):
+    """(h, ambient_complex keywords, every cell of the ambient): the closure
+    of a few edges, directed or not, or the full simplex on h's vertices up
+    to a random degree; the cells are enumerated here from scratch."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        build = draw(st.sampled_from([hypergraph, hyperdigraph]))
+        edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True)
+        h = build(draw(st.lists(edge, max_size=4)), vertices=range(n))
+        cells = {s for e in h.edges for k in range(1, len(e) + 1) for s in combinations(e, k)}
+        return h, {"mode": "closure"}, cells
+    max_degree = draw(st.integers(0, 4))
+    edge = st.sets(st.integers(0, n - 1), min_size=1, max_size=3)
+    h = hypergraph(draw(st.lists(edge, max_size=4)), vertices=range(n))
+    cells = {s for k in range(1, max_degree + 2) for s in combinations(range(n), k)}
+    return h, {"mode": "full_simplex", "max_degree": max_degree}, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_cases(), st.sampled_from([QQ, PrimeField(7)]))
+def test_ambient_matches_the_dense_simplicial_oracle(case, field):
+    h, keywords, cells = case
+    by_dim: dict[int, list] = {}
+    for s in sorted(cells):
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    top = max(by_dim, default=-1)
+    c = ambient_complex(h, field=field, **keywords)
+    assert c._validated
+    assert c.labels == tuple(tuple(by_dim[n]) for n in range(top + 1))
+    assert c.dims == tuple(len(by_dim[n]) for n in range(top + 1))
+    p = getattr(field, "p", None)
+    for n in range(1, top + 1):
+        expected = simplicial_boundary_dense(by_dim, n)
+        if p:
+            expected = [[x % p for x in row] for row in expected]
+        assert sparse_to_dense(c.boundaries[n]) == expected
 
 
 def _faces_0_and_1_swapped(edge, i):
@@ -85,12 +123,21 @@ def test_rational_field_boundaries_hold_ints():
 
 
 def test_boundary_missing_face_modes():
-    basis = GradedBasis(((), ((0, 1), (1, 2))), directed=False)  # no vertices present
-    with pytest.raises(ValueError):
-        boundary_matrix(basis, 1, missing="error")
-    matrix, codomain = boundary_matrix(basis, 1, missing="extend")
-    assert set(codomain) == {(0,), (1,), (2,)}
-    assert matrix.shape == (3, 2)
+    # a face missing from an ambient is an error; with no ambient it is added
+    h = hypergraph([[0, 1], [1, 2]])
+    no_vertices = ChainComplex(
+        QQ,
+        (0, 2),
+        (SparseMatrix.zeros(QQ, 0, 0), SparseMatrix.zeros(QQ, 0, 2)),
+        labels=((), ((0, 1), (1, 2))),
+    )
+    for build in (inf_complex, sup_complex):
+        with pytest.raises(ValueError, match="face"):
+            build(h, ambient=no_vertices)
+    labels, span, boundary = chains._edge_chains(h, QQ, None)
+    assert set(labels[0]) == {(0,), (1,), (2,)}
+    assert span == [[], [0, 1]]
+    assert all(len(boundary[1][j]) == 2 for j in span[1])
 
 
 def test_ambient_complex_sizes():
@@ -104,15 +151,19 @@ def test_ambient_complex_sizes():
 
 
 def test_full_simplex_cap():
+    h = hypergraph([], vertices=range(17))
+    with pytest.raises(ResourceCapError, match="on 17 vertices exceeds the cap of 16"):
+        ambient_complex(h, "full_simplex", max_degree=2)
     with pytest.raises(ResourceCapError):
-        full_simplex_basis(range(17), 2)
+        ambient_complex(hypergraph([[0, 1]], vertices=range(4)), "full_simplex", cap=3)
+    assert ambient_complex(h, "full_simplex", max_degree=0, cap=17).dims == (17,)
 
 
 def test_closure_cap_applies_to_the_largest_edge(monkeypatch):
     def no_closure(h):
         raise AssertionError("the closure was built")
 
-    monkeypatch.setattr(chains, "closure_basis", no_closure)
+    monkeypatch.setattr(chains, "delta_closure", no_closure)
     for h in (hypergraph([range(17), [20, 21]]), hyperdigraph([range(16, -1, -1)])):
         with pytest.raises(ResourceCapError):
             ambient_complex(h, "closure")
@@ -166,23 +217,23 @@ def test_directed_complexes():
 
 
 def test_delta_identity_check_unordered_and_directed():
-    basis = closure_basis(hypergraph([[0, 1, 2, 3]]))
-    assert delta_identity_check(face_table(basis))
-    directed = closure_basis(hyperdigraph([(2, 0, 1, 3)]))
+    closed = delta_closure(hypergraph([[0, 1, 2, 3]]))
+    assert delta_identity_check(face_table(closed))
+    directed = delta_closure(hyperdigraph([(2, 0, 1, 3)]))
     assert delta_identity_check(face_table(directed))
+    assert face_table(directed)[(2, 0, 1)] == ((0, 1), (2, 1), (2, 0))
+    assert len(face_table(directed)) == 15 - 4  # every closure edge but the vertices
 
 
 def test_delta_identity_detects_corruption():
-    basis = closure_basis(hypergraph([[0, 1, 2]]))
-    table = face_table(basis)
+    table = face_table(delta_closure(hypergraph([[0, 1, 2]])))
     faces = list(table[(0, 1, 2)])
     table[(0, 1, 2)] = tuple([faces[1]] + faces[1:])
     assert not delta_identity_check(table)
 
 
 def test_delta_identity_rejects_malformed_table():
-    basis = closure_basis(hypergraph([[0, 1, 2]]))
-    table = face_table(basis)
+    table = face_table(delta_closure(hypergraph([[0, 1, 2]])))
     del table[(0, 1)]
     with pytest.raises(ValueError):
         delta_identity_check(table)

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperhomology import chains
+from hyperhomology.cli import main
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ, PrimeField
@@ -24,6 +26,7 @@ from hyperhomology.hypergraphs import (
     hyperdigraph,
     hypergraph,
     lift,
+    lower_associated,
 )
 from hyperhomology.linalg import SparseMatrix
 from hyperhomology.suites import random_hyperdigraph, random_hypergraph
@@ -124,12 +127,32 @@ def test_quasi_iso_builds_no_closure(monkeypatch):
     def no_closure(h):
         raise AssertionError("the closure ambient was built")
 
-    monkeypatch.setattr(chains, "closure_basis", no_closure)
+    monkeypatch.setattr(chains, "delta_closure", no_closure)
     for h in (MIXED, HOLLOW, hyperdigraph([(0, 1), (1, 0), (0, 1, 2)])):
         assert verify_quasi_iso_theta(h).is_iso
     # one 30-vertex edge: 2^30 - 1 closure cells, none of them built
     report = verify_quasi_iso_theta(hypergraph([range(30)]))
     assert report.is_iso and report.betti_inf == (0,) * 30
+
+
+def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
+    calls, build = [], chains._edge_chains
+
+    def counted(h, field, ambient):
+        calls.append(ambient is None)
+        return build(h, field, ambient)
+
+    monkeypatch.setattr(chains, "_edge_chains", counted)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
+    assert main(["quasi-check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["inf_sup_iso"]
+    assert calls == [True]
+    # quotient-check: one build for the full-simplex ambient, one for Inf and Sup
+    calls.clear()
+    assert main(["quotient-check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["betti_equal"]
+    assert calls == [True, False]
 
 
 @st.composite
@@ -287,9 +310,12 @@ def test_four_term_middle_stages_match_embedded_homology_randomized():
         report = four_term_sequence(h)
         b_sup = betti(sup_complex(h)).betti
         b_inf = betti(inf_complex(h)).betti
+        # the last stage is the homology of the largest deletion-closed part
+        b_lower = simplicial_betti(lower_associated(h).edges)
         top = len(report.stage_betti[0])
         assert report.stage_betti[1] == b_sup + (0,) * (top - len(b_sup))
         assert report.stage_betti[2] == b_inf + (0,) * (top - len(b_inf))
+        assert report.stage_betti[3] == b_lower + (0,) * (top - len(b_lower))
 
 
 def test_hodge_laplacian_examples():

@@ -6,7 +6,8 @@ a name somewhere in its body, or be listed in its ``__all__`` (a
 re-export).  ``__init__.py`` re-exports by design and is skipped.  A
 module-level definition must be referenced from the package, the tests,
 the scripts or the benchmark, or be listed in ``__all__``; a method that
-is not a dunder method must be referenced there as an attribute.  The
+is not a dunder method must be referenced there as an attribute.  Every
+parameter of a package function or lambda is read in its body.  The
 exact-arithmetic modules hold no true division, which would turn int
 scalars into floats.
 """
@@ -119,6 +120,35 @@ def test_no_dead_definitions():
         if node.name not in (attributes if is_method else referenced)
     ]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    """A parameter that its function never reads (``del`` is not a read) is
+    a knob that does nothing; ``self`` and ``cls`` are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for statement in body
+            for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{getattr(node, 'name', 'lambda')}:{node.lineno} {name}"
+            for name in params
+            if name not in read and name not in ("self", "cls")
+        ]
+    assert not unread, f"{path.name} has parameters that are never read: {unread}"
 
 
 EXACT = ("linalg.py", "chains.py", "homology.py")
