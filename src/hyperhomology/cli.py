@@ -348,12 +348,11 @@ def _run_isom(args) -> Report:
 
     def work():
         cap = _vertex_cap()
-        group = isom_group(sample, cap, args.tolerance)
-        payload = {"isom_order": group.order}
-        if args.hypergraph:
-            h = parse_hypergraph(args.hypergraph)
-            payload["aut_isom"] = aut_isom(h, sample, cap, args.tolerance).as_dict()
-        return payload
+        if not args.hypergraph:
+            return {"isom_order": isom_group(sample, cap, args.tolerance).order}
+        h = parse_hypergraph(args.hypergraph)
+        report = aut_isom(h, sample, cap, args.tolerance).as_dict()
+        return {"isom_order": report["isom_order"], "aut_isom": report}
 
     return timed_report(
         "isom", {"points": args.points, "tolerance": args.tolerance}, work

@@ -2,10 +2,15 @@
 
 Every group is found by one backtracking search over vertex maps, capped by
 default at 10 vertices.  It prunes candidate images by vertex profiles and
-checks each edge as soon as its last vertex is assigned; the isometry group
-runs the same search on the complete graph, so each pairwise distance is
-compared when its later point is assigned.  Groups are listed element by
-element, but closure and normality are checked on greedy generators, not
+checks each edge as soon as its last vertex is assigned.  The vertices are
+assigned in an order that completes as many edges as early as it can (the
+first step of graph automorphism search in McKay, "Practical graph
+isomorphism", 1981), so that edges are checked early whatever the labels.
+The isometry group runs the same search on the complete graph, whose order
+is the id order, so each pairwise distance is compared when its later point
+is assigned; the distances are looked up in a table built once per sample,
+as one small int per class of equal exact distances.  Groups are listed element by element, but closure and
+normality are checked on greedy generators, computed once per group, not
 on all pairs of elements.  The edge action of the automorphism group is
 faithful, so automorphisms are stored as permutations of the (sorted) edge
 list together with one vertex-level representative each.
@@ -104,9 +109,20 @@ class PermutationGroup:
     domain: tuple[int, ...]
     elements: tuple[Permutation, ...]
 
+    # (greedy generators, whether their closure is the element set), set on
+    # the instance by the first _greedy() call; the elements never change
+    _greedy_result = None
+
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def _greedy(self) -> tuple[list[tuple[int, ...]], bool]:
+        if self._greedy_result is None:
+            members = {p._index_images() for p in self.elements}
+            gens, generated = _greedy_generators(members)
+            object.__setattr__(self, "_greedy_result", (gens, generated == members))
+        return self._greedy_result
 
     def __contains__(self, perm: Permutation) -> bool:
         return perm in set(self.elements)
@@ -122,8 +138,7 @@ class PermutationGroup:
         """
         if Permutation.identity(self.domain) not in set(self.elements):
             raise ValueError("identity missing")
-        members = {p._index_images() for p in self.elements}
-        if _greedy_generators(members)[1] != members:
+        if not self._greedy()[1]:
             raise ValueError("not closed under composition")
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
@@ -147,9 +162,9 @@ class PermutationGroup:
 
     def generators(self) -> tuple[Permutation, ...]:
         """A small (greedy) generating set."""
-        gens, _ = _greedy_generators([p._index_images() for p in self.elements])
         return tuple(
-            Permutation(self.domain, tuple(self.domain[k] for k in g)) for g in gens
+            Permutation(self.domain, tuple(self.domain[k] for k in g))
+            for g in self._greedy()[0]
         )
 
 
@@ -159,7 +174,8 @@ def _greedy_generators(elements) -> tuple[list, set]:
     Candidates are taken in sorted order, and each one not yet generated
     becomes a generator.  The closure grows by composing on the right with
     the generators, and stops growing once it is larger than the set, which
-    is then no group.
+    is then no group.  Until then the closure is closed under the earlier
+    generators, so a new generator's first step composes with it alone.
     """
     members = sorted(set(elements))
     gens: list[tuple[int, ...]] = []
@@ -170,16 +186,16 @@ def _greedy_generators(elements) -> tuple[list, set]:
         if candidate in generated:
             continue
         gens.append(candidate)
-        frontier = list(generated)
+        frontier, step_gens = list(generated), [candidate]
         while frontier and len(generated) <= len(members):
             step = []
             for a in frontier:
-                for g in gens:
+                for g in step_gens:
                     b = tuple(a[k] for k in g)
                     if b not in generated:
                         generated.add(b)
                         step.append(b)
-            frontier = step
+            frontier, step_gens = step, gens
     return gens, generated
 
 
@@ -192,11 +208,39 @@ def _vertex_profiles(h) -> dict[int, tuple]:
     return {v: tuple(sorted(items)) for v, items in prof.items()}
 
 
+def _search_order(domain: Sequence[int], edges) -> list[int]:
+    """The order in which the search assigns the vertices.
+
+    Next comes the vertex that completes the most edges together with the
+    vertices already placed, so that edges are checked as early as they can
+    be; ties go to the vertex in more edges, then to the smallest id.
+    """
+    edges_of: dict[int, list[int]] = {v: [] for v in domain}
+    missing = []
+    for k, e in enumerate(edges):
+        support = set(e)
+        missing.append(len(support))
+        for v in support:
+            edges_of[v].append(k)
+    order: list[int] = []
+    remaining = list(domain)
+    while remaining:
+        v = max(
+            remaining,
+            key=lambda u: (sum(missing[k] == 1 for k in edges_of[u]), len(edges_of[u])),
+        )
+        order.append(v)
+        remaining.remove(v)
+        for k in edges_of[v]:
+            missing[k] -= 1
+    return order
+
+
 def _search_vertex_maps(h, predicate, cap: int) -> list[Permutation]:
     """All vertex permutations passing the per-edge predicate.
 
-    Backtracking over images with profile pruning; edges fully contained in
-    the assigned prefix are checked as soon as they close.
+    Backtracking over images with profile pruning, in ``_search_order``;
+    each edge is checked as soon as its last vertex is assigned.
     """
     domain = tuple(sorted(h.vertices))
     if len(domain) > cap:
@@ -207,8 +251,9 @@ def _search_vertex_maps(h, predicate, cap: int) -> list[Permutation]:
     candidates = {
         v: [w for w in domain if profiles[w] == profiles[v]] for v in domain
     }
+    order = _search_order(domain, h.edges)
     edges_by_last = {v: [] for v in domain}
-    position = {v: k for k, v in enumerate(domain)}
+    position = {v: k for k, v in enumerate(order)}
     for e in h.edges:
         last = max(e, key=lambda v: position[v])
         edges_by_last[last].append(e)
@@ -218,10 +263,10 @@ def _search_vertex_maps(h, predicate, cap: int) -> list[Permutation]:
     used: set[int] = set()
 
     def backtrack(k: int):
-        if k == len(domain):
+        if k == len(order):
             found.append(Permutation(domain, tuple(assignment[v] for v in domain)))
             return
-        v = domain[k]
+        v = order[k]
         for w in candidates[v]:
             if w in used:
                 continue
@@ -299,10 +344,22 @@ class EdgeActionGroup:
         ]
 
 
-def edge_action(h, perm: Permutation) -> tuple[int, ...]:
+def _edge_action_map(h):
+    """The map from a vertex permutation to the permutation it induces on
+    the sorted edge list, with the edge index built once."""
     edges = h.sorted_edges()
     index = {e: k for k, e in enumerate(edges)}
-    return tuple(index[perm.apply_edge(e, h.directed)] for e in edges)
+    arrange = tuple if h.directed else lambda mapped: tuple(sorted(mapped))
+
+    def action(perm: Permutation) -> tuple[int, ...]:
+        look = perm._lookup()
+        return tuple(index[arrange([look[v] for v in e])] for e in edges)
+
+    return action
+
+
+def edge_action(h, perm: Permutation) -> tuple[int, ...]:
+    return _edge_action_map(h)(perm)
 
 
 def aut_group(h, cap: int = DEFAULT_VERTEX_CAP) -> EdgeActionGroup:
@@ -311,17 +368,17 @@ def aut_group(h, cap: int = DEFAULT_VERTEX_CAP) -> EdgeActionGroup:
     stab = stab_group(h, cap)
     if not stab.is_normal_in(homeo):
         raise AssertionError("stabilizer is not normal in the homeomorphism group")
-    edges = h.sorted_edges()
+    act = _edge_action_map(h)
     seen: dict[tuple[int, ...], Permutation] = {}
     for perm in homeo.elements:
-        action = edge_action(h, perm)
+        action = act(perm)
         if action not in seen:
             seen[action] = perm
     if len(seen) * stab.order != homeo.order:
         raise AssertionError("coset count does not match |Homeo| / |Stab|")
     items = sorted(seen.items())
     return EdgeActionGroup(
-        edges,
+        h.sorted_edges(),
         tuple(a for a, _ in items),
         tuple(p for _, p in items),
         homeo,
@@ -341,7 +398,8 @@ def pi_surjection_check(h: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
     flat = project(h)
     down = aut_group(flat, cap)
     homeo_up = homeo_group(h, cap)
-    induced = {edge_action(flat, perm) for perm in homeo_up.elements}
+    act = _edge_action_map(flat)
+    induced = {act(perm) for perm in homeo_up.elements}
     return all(a in induced for a in down.elements)
 
 
@@ -419,22 +477,32 @@ def isom_group(
 ) -> PermutationGroup:
     """Distance-preserving bijections of a finite metric sample.
 
-    The vertex-map search runs on the complete graph over the sample: each
-    pair's distance is compared with its image's once, when the pair's later
-    point is assigned.  Comparison is exact for rational metrics; for
-    float-valued metrics a non-zero tolerance can be supplied.
+    The vertex-map search runs on the complete graph over the sample, whose
+    search order is the id order: each pair's distance is compared with its
+    image's once, when the pair's later point is assigned.  The distances
+    are looked up in a table of both orders of every pair, built once from
+    ``metric.pair_keys``.  With tolerance 0 the table holds a small int per
+    distinct exact key, so comparison is exact for rational metrics; with a
+    non-zero tolerance (for float-valued metrics) it holds the keys as
+    floats, and two distances match when they differ by at most it.
     """
     ids = tuple(sorted(sample.ids))
     if len(ids) > cap:
         raise ResourceCapError(f"sample of size {len(ids)} exceeds the cap of {cap}")
-    key = sample.metric.distance_key
+    table = {}
+    classes: dict = {}
+    for (a, b), key in sample.metric.pair_keys(ids).items():
+        value = float(key) if tolerance else classes.setdefault(key, len(classes))
+        table[a, b] = table[b, a] = value
 
-    def preserves(pair, assignment):
-        a, b = pair
-        d1, d2 = key(a, b), key(assignment[a], assignment[b])
-        if tolerance:
-            return abs(float(d1) - float(d2)) <= tolerance
-        return d1 == d2
+    if tolerance:
+        def preserves(pair, assignment):
+            a, b = pair
+            return abs(table[pair] - table[assignment[a], assignment[b]]) <= tolerance
+    else:
+        def preserves(pair, assignment):
+            a, b = pair
+            return table[pair] == table[assignment[a], assignment[b]]
 
     complete = Hypergraph(frozenset(ids), frozenset(combinations(ids, 2)))
     group = PermutationGroup(ids, tuple(_search_vertex_maps(complete, preserves, cap)))
@@ -486,8 +554,9 @@ def aut_isom(
     isom_h.verify()
     stab_isom.verify()
     normal = stab_isom.is_normal_in(isom_h)
-    actions_isom = {edge_action(h, p) for p in isom_h.elements}
-    actions_all = {edge_action(h, p) for p in homeo.elements}
+    act = _edge_action_map(h)
+    actions_isom = {act(p) for p in isom_h.elements}
+    actions_all = {act(p) for p in homeo.elements}
     return IsometricAutReport(
         isom.order,
         isom_h.order,

@@ -17,6 +17,7 @@ from functools import partial
 
 from . import bundles
 from .chains import (
+    _inf_and_sup,
     ambient_complex,
     delta_identity_check,
     face_table,
@@ -185,8 +186,7 @@ def simplicial_identity_suite(seed: int, count: int = 50) -> SuiteResult:
     for _ in range(count):
         h = random_simplicial_complex(rng, max_vertices=7, max_card=4)
         ambient = ambient_complex(h, "closure")
-        inf = inf_complex(h, ambient=ambient)
-        sup = sup_complex(h, ambient=ambient)
+        inf, sup = _inf_and_sup(h, ambient.field, ambient)
         result.checks += 1
         same_rep = (
             inf.complex.dims == sup.complex.dims == ambient.dims
@@ -421,11 +421,12 @@ def structural_suite(seed: int, fuzz_elements: int = 1000) -> SuiteResult:
             padded, "full_simplex", max_degree=closure_amb.top_degree
         )
         result.checks += 1
-        same = betti(inf_complex(h, ambient=closure_amb)).betti == betti(
-            inf_complex(padded, ambient=simplex_amb)
-        ).betti and betti(sup_complex(h, ambient=closure_amb)).betti == betti(
-            sup_complex(padded, ambient=simplex_amb)
-        ).betti
+        inf, sup = _inf_and_sup(h, closure_amb.field, closure_amb)
+        padded_inf, padded_sup = _inf_and_sup(padded, simplex_amb.field, simplex_amb)
+        same = (
+            betti(inf).betti == betti(padded_inf).betti
+            and betti(sup).betti == betti(padded_sup).betti
+        )
         if not same:
             result.fail({"instance": _edge_dump(h), "case": "ambient independence"})
         closure_amb.validate()

@@ -11,7 +11,8 @@ complex the old way, inside the whole deletion-closure ambient.
 package's per-step embedded complexes and one induced-rank problem per
 pair of steps.  The group
 oracles work on permutations of range(n) as plain image tuples, check
-every pair of elements, and walk all n! maps for isometries.
+every pair of elements, and walk all n! maps for vertex symmetries and
+isometries.
 """
 
 from fractions import Fraction
@@ -431,3 +432,23 @@ def brute_isometries(sample, tolerance=0):
         return True
 
     return sorted(images for images in permutations(ids) if preserves(dict(zip(ids, images))))
+
+
+def brute_vertex_maps(h, kind):
+    """Sorted image tuples of every vertex bijection of h that maps each edge
+    onto some edge (kind "homeo") or onto itself (kind "stab").
+
+    Walks all n! vertex maps.  An undirected edge is compared as a set of
+    vertices, a directed one coordinate by coordinate.
+    """
+    ids = tuple(sorted(h.vertices))
+    shape = tuple if h.directed else frozenset
+    edges = {shape(e) for e in h.edges}
+
+    def keeps(look):
+        pairs = [(shape(e), shape(look[v] for v in e)) for e in h.edges]
+        if kind == "homeo":
+            return all(image in edges for _, image in pairs)
+        return all(image == edge for edge, image in pairs)
+
+    return sorted(images for images in permutations(ids) if keeps(dict(zip(ids, images))))

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperhomology import groups
+from hyperhomology import cli, groups
 from hyperhomology.cli import main
 from hyperhomology.errors import ResourceCapError
 from hyperhomology.groups import (
@@ -22,12 +22,14 @@ from hyperhomology.groups import (
 )
 from hyperhomology.hypergraphs import hyperdigraph, hypergraph, lift
 from hyperhomology.metrics import (
+    EuclideanMetric,
     circle_sample,
     distance_matrix_sample,
     euclidean_sample,
 )
 from oracles import (
     brute_isometries,
+    brute_vertex_maps,
     generated_by_pairs,
     is_group_by_pairs,
     is_normal_by_pairs,
@@ -222,6 +224,70 @@ def test_five_cycle_generators_pinned():
     ]
 
 
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+)
+CUBE = [(a, b) for a in range(8) for b in range(a + 1, 8) if bin(a ^ b).count("1") == 1]
+NINE_CYCLE = [(i, (i + 1) % 9) for i in range(9)]
+# fixed random labels: the search order depends on them, the groups do not
+PETERSEN_LABELS = (3, 7, 0, 9, 5, 1, 8, 2, 6, 4)
+CUBE_LABELS = (5, 2, 7, 0, 3, 6, 1, 4)
+NINE_CYCLE_LABELS = (4, 7, 1, 8, 2, 0, 6, 3, 5)
+
+
+def _relabelled(labels, edges):
+    return hypergraph([[labels[v] for v in e] for e in edges])
+
+
+def test_relabelled_petersen_and_cube_generators_pinned():
+    petersen = aut_group(_relabelled(PETERSEN_LABELS, PETERSEN))
+    assert petersen.order == 120
+    assert petersen.generator_cycles() == [
+        [[[1, 2], [2, 4]], [[1, 3], [4, 8]], [[1, 6], [4, 5]],
+         [[3, 5], [6, 8]], [[3, 7], [7, 8]], [[5, 9], [6, 9]]],
+        [[[0, 7], [0, 9]], [[1, 3], [1, 6]], [[3, 5], [6, 8]],
+         [[3, 7], [6, 9]], [[4, 5], [4, 8]], [[5, 9], [7, 8]]],
+        [[[0, 7], [1, 2]], [[0, 9], [2, 4]], [[1, 3], [3, 7]],
+         [[1, 6], [7, 8]], [[4, 5], [5, 9]], [[4, 8], [6, 9]]],
+        [[[0, 2], [0, 7]], [[1, 2], [3, 7]], [[1, 6], [3, 5]],
+         [[2, 4], [7, 8]], [[4, 5], [6, 8]], [[5, 9], [6, 9]]],
+    ]
+    cube = aut_group(_relabelled(CUBE_LABELS, CUBE))
+    assert cube.order == 48
+    assert cube.generator_cycles() == [
+        [[[0, 4], [0, 7]], [[1, 4], [1, 7]], [[2, 5], [2, 6]],
+         [[3, 5], [3, 6]], [[4, 6], [5, 7]]],
+        [[[0, 4], [2, 5]], [[0, 7], [2, 6]], [[1, 4], [3, 5]],
+         [[1, 7], [3, 6]], [[4, 6], [5, 7]]],
+        [[[0, 2], [0, 4]], [[1, 3], [3, 5]], [[1, 4], [2, 5]],
+         [[1, 7], [5, 7]], [[2, 6], [4, 6]]],
+    ]
+
+
+@pytest.mark.parametrize(
+    "labels,edges,order,most_calls",
+    [(NINE_CYCLE_LABELS, NINE_CYCLE, 18, 594), (PETERSEN_LABELS, PETERSEN, 120, 4230)],
+)
+def test_search_order_checks_edges_early(monkeypatch, labels, edges, order, most_calls):
+    # in id order, each edge of a randomly labelled graph waits for its
+    # later vertex: 22752 and 4980 predicate calls for these labels
+    calls = []
+    search = groups._search_vertex_maps
+
+    def counted_search(h, predicate, cap):
+        def counted(*args):
+            calls.append(args)
+            return predicate(*args)
+
+        return search(h, counted, cap)
+
+    monkeypatch.setattr(groups, "_search_vertex_maps", counted_search)
+    assert homeo_group(_relabelled(labels, edges)).order == order
+    assert len(calls) <= most_calls
+
+
 def test_aut_command_searches_once(monkeypatch, tmp_path, capsys):
     calls = []
     for name in ("homeo_group", "stab_group"):
@@ -238,6 +304,58 @@ def test_aut_command_searches_once(monkeypatch, tmp_path, capsys):
     assert sorted(calls) == ["homeo_group", "stab_group"]
     report = json.loads(capsys.readouterr().out)["results"]
     assert (report["homeo_order"], report["stab_order"], report["aut_order"]) == (10, 1, 10)
+
+
+def test_isom_command_searches_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = groups.isom_group
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "isom_group", counted)
+    monkeypatch.setattr(cli, "isom_group", counted)
+    points = tmp_path / "square.csv"
+    points.write_text("0,0,0\n1,1,0\n2,1,1\n3,0,1\n")
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
+    assert main(["isom", str(points), "--hypergraph", str(cycle)]) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert report["isom_order"] == report["aut_isom"]["isom_order"] == 8
+    calls.clear()
+    assert main(["isom", str(points)]) == 0
+    assert len(calls) == 1
+
+
+def test_isom_cap_is_checked_before_the_distance_table(monkeypatch, tmp_path):
+    def no_table(*args):
+        raise AssertionError("distance table built above the cap")
+
+    monkeypatch.setattr(EuclideanMetric, "pair_keys", no_table)
+    monkeypatch.setenv("HYPERHOMOLOGY_VERTEX_CAP", "3")
+    points = tmp_path / "square.csv"
+    points.write_text("0,0,0\n1,1,0\n2,1,1\n3,0,1\n")
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
+    assert main(["isom", str(points)]) == 3
+    assert main(["isom", str(points), "--hypergraph", str(cycle)]) == 3
+
+
+@pytest.mark.parametrize("tolerance", [0, 1e-3])
+def test_isom_group_searches_a_distance_table(monkeypatch, tolerance):
+    samples = [
+        (euclidean_sample([(0, 0), (1, 0), (1, 1), (0, 1)]), 8),
+        (circle_sample([0, Fraction(1, 2), 1, Fraction(3, 2)]), 8),
+        (distance_matrix_sample([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 2),
+    ]
+    for sample, order in samples:
+        def no_key(*args):
+            raise AssertionError("distance_key called during the search")
+
+        monkeypatch.setattr(sample.metric, "distance_key", no_key)
+        assert isom_group(sample, tolerance=tolerance).order == order
 
 
 # ---------------------------------------------- against the pairwise oracles
@@ -292,6 +410,26 @@ def test_is_normal_in_agrees_with_pairwise_oracle(sub_gens, gens, nested):
     group = generated_by_pairs(gens + sub_gens if nested else gens, 4)
     expected = is_normal_by_pairs(sub, group)
     assert _s4_group(sub).is_normal_in(_s4_group(group)) == expected
+
+
+@st.composite
+def relabelled_hypergraphs(draw):
+    """At most 6 vertices, directed or not, under a random relabelling."""
+    n = draw(st.integers(1, 6))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True)
+    edges = draw(st.lists(edge, max_size=8))
+    labels = draw(st.permutations(range(n)))
+    build = hyperdigraph if draw(st.booleans()) else hypergraph
+    return build([[labels[v] for v in e] for e in edges], vertices=range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_hypergraphs())
+@example(hypergraph(NINE_CYCLE[:5], vertices=range(6)))
+@example(hyperdigraph([(2, 0, 1), (1, 0, 2), (3, 4)], vertices=range(6)))
+def test_homeo_and_stab_match_brute_force(h):
+    assert [p.images for p in homeo_group(h).elements] == brute_vertex_maps(h, "homeo")
+    assert [p.images for p in stab_group(h).elements] == brute_vertex_maps(h, "stab")
 
 
 def _isom_matches_oracle(sample, tolerance):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperhomology import chains
+from hyperhomology import chains, suites
 from hyperhomology.cli import main
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
@@ -153,6 +153,21 @@ def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
     assert main(["quotient-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["betti_equal"]
     assert calls == [True, False]
+
+
+def test_structural_suite_builds_inf_and_sup_together(monkeypatch):
+    calls, build = [], chains._edge_chains
+
+    def counted(h, field, ambient):
+        calls.append(ambient is None)
+        return build(h, field, ambient)
+
+    monkeypatch.setattr(chains, "_edge_chains", counted)
+    result = suites.structural_suite(3, fuzz_elements=0)
+    assert result.passed and result.checks == 15
+    # per instance: the closure and full-simplex ambients, then Inf and Sup
+    # from one build in each of them
+    assert calls == [True, True, False, False] * result.checks
 
 
 @st.composite
