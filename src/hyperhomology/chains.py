@@ -126,9 +126,10 @@ class ChainComplex:
         if self._validated:
             return
         for n in range(1, self.top_degree):
-            product = self.boundaries[n] @ self.boundaries[n + 1]
-            if not product.is_zero():
-                raise _not_a_complex(n, product.entries, self.labels)
+            product = (self.boundaries[n] @ self.boundaries[n + 1]).columns()
+            if any(product):
+                nonzero = [(i, j) for j, col in enumerate(product) for i in col]
+                raise _not_a_complex(n, nonzero, self.labels)
         object.__setattr__(self, "_validated", True)
 
 

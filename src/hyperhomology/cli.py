@@ -290,6 +290,8 @@ def _run_quotient(args) -> Report:
 
 
 def _run_persist(args) -> Report:
+    if args.barcode and args.format != "json":
+        raise ParseError("--barcode needs --format json")
     sample = parse_point_sample(args.points)
     try:
         degrees = [int(d) for d in args.degrees.split(",") if d.strip() != ""]

@@ -180,8 +180,9 @@ def _unit_basis(ambient: ChainComplex, hypergraphs: Sequence) -> tuple[list, lis
         previous = h.edges
     born = [[birth.get(e) for e in level] for level in ambient.labels]
     for n in range(1, ambient.top_degree + 1):
-        for i, j in ambient.boundaries[n].entries:
-            if born[n][j] is not None and (born[n - 1][i] is None or born[n - 1][i] > born[n][j]):
+        below = [math.inf if b is None else b for b in born[n - 1]]  # unborn: after every step
+        for b, col in zip(born[n], ambient.boundaries[n].columns()):
+            if b is not None and max(map(below.__getitem__, col), default=b) > b:
                 return None
     births, columns, position = [], [], []
     for n, level in enumerate(born):

@@ -379,7 +379,7 @@ def four_term_sequence(
         stage3.echelons[m].contains(col) for m in range(top + 1) for col in inward[m].columns()
     )
     outward_misses_lower = not any(
-        i in in_lower[m] for m in range(top + 1) for i, _ in outward[m].entries
+        i in in_lower[m] for m in range(top + 1) for col in outward[m].columns() for i in col
     )
     surjective = (True, inward_in_outward, outward_misses_lower)
 

@@ -1,115 +1,113 @@
 """Exact sparse linear algebra over the rationals or Z/p.
 
-Matrices are stored in coordinate form (dict keyed by (row, col)); a Q
-scalar is an int, or a Fraction when not integral, and a Z/p scalar is an
-int in [0, p).  Every rank, kernel, solve and span question is answered by
-one exact elimination: ``Echelon``, an incremental echelon of sparse vectors
-keyed by their largest index, fed the columns left to right.  Kernels and
-solves tag column j with -1 at index j - ncols, below every row index, so a
-row keyed by a tag records a column dependency and a right-hand side reduced
-to tags alone records its solution.  Each routine reads
-``field.characteristic`` once: when it is a prime p, an int loop reduces mod
-p and inverts with ``pow(x, -1, p)``.  A deliberately naive dense
-elimination in the test suite is the independent oracle.
+A matrix is a list of column dicts (row index to nonzero value), as every
+chain builder makes them and every elimination reads them; a product is a
+sum of scaled columns.  A Q scalar is an int, or a Fraction when not
+integral, and a Z/p scalar is an int in [0, p).  Every rank, kernel, solve
+and span question is answered by one exact elimination: ``Echelon``, an
+incremental echelon of sparse vectors keyed by their largest index, fed the
+columns left to right.  Kernels and solves tag column j with -1 at index
+j - ncols, below every row index, so a row keyed by a tag records a column
+dependency and a right-hand side reduced to tags alone records its solution.
+Each routine reads ``field.characteristic`` once: when it is a prime p, an
+int loop reduces mod p and inverts with ``pow(x, -1, p)``.  A deliberately
+naive dense elimination in the test suite is the independent oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over an exact field."""
+    """Immutable sparse matrix over an exact field, stored by columns.
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    ``columns()`` returns the stored column dicts, which are read-only.  The
+    constructor (entries keyed by (row, col)) and ``from_columns`` copy and
+    check their input; results computed here are stored unchecked."""
+
+    __slots__ = ("field", "nrows", "ncols", "_columns")
 
     def __init__(self, field, nrows: int, ncols: int, entries=None):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = dict(entries) if entries else {}
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < nrows and 0 <= j < ncols):
+        columns: list[dict] = [{} for _ in range(ncols)]
+        for (i, j), v in (entries or {}).items():
+            if not 0 <= j < ncols:
                 raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
             if not v:
                 raise ValueError("explicit zero entry stored")
-        p, values = field.characteristic, self.entries.values()
-        if p and values and (min(values) < 0 or max(values) >= p):
-            raise ValueError(f"entry outside [0, {p}) stored over Z/{p}")
+            columns[j][i] = v
+        _check(field, nrows, columns)
+        self.field, self.nrows, self.ncols, self._columns = field, nrows, ncols, columns
+
+    @classmethod
+    def _of(cls, field, nrows: int, columns: list[dict]) -> "SparseMatrix":
+        matrix = object.__new__(cls)
+        matrix.field, matrix.nrows, matrix.ncols, matrix._columns = field, nrows, len(columns), columns
+        return matrix
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "SparseMatrix":
-        return cls(field, nrows, ncols)
+        return cls._of(field, nrows, [{} for _ in range(ncols)])
 
     @classmethod
     def identity(cls, field, n: int) -> "SparseMatrix":
-        one = field.one
-        return cls(field, n, n, {(i, i): one for i in range(n)})
+        return cls._of(field, n, [{i: field.one} for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, nrows: int, columns: Sequence[dict]) -> "SparseMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls(field, nrows, len(columns), entries)
+        """Matrix with copies of the given columns, their zero values dropped."""
+        copies = [
+            col.copy() if all(col.values()) else {i: v for i, v in col.items() if v}
+            for col in columns
+        ]
+        _check(field, nrows, copies)
+        return cls._of(field, nrows, copies)
 
     def columns(self) -> list[dict]:
-        cols = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        return self._columns
 
-    def rows(self) -> list[dict]:
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries keyed by (row, col), built on each access."""
+        return {(i, j): v for j, col in enumerate(self._columns) for i, v in col.items()}
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.field,
-            self.ncols,
-            self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
+        rows: list[dict] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return SparseMatrix._of(self.field, self.ncols, rows)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        other_rows = other.rows()
-        entries = {}
-        for i, row in enumerate(self.rows()):
+        mine, p = self._columns, self.field.characteristic
+        product = []
+        for col in other._columns:
             acc: dict = {}
-            for k, a in row.items():
-                for j, b in other_rows[k].items():
-                    cur = acc.get(j)
-                    acc[j] = a * b if cur is None else cur + a * b
-            for j, v in acc.items():
-                entries[(i, j)] = v
-        return SparseMatrix(
-            self.field, self.nrows, other.ncols, _nonzero(entries, self.field.characteristic)
-        )
+            for k, b in col.items():
+                for i, a in mine[k].items():
+                    cur = acc.get(i)
+                    acc[i] = a * b if cur is None else cur + a * b
+            product.append(_nonzero(acc, p))
+        return SparseMatrix._of(self.field, self.nrows, product)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            entries[key] = entries.get(key, 0) + v
-        return SparseMatrix(
-            self.field, self.nrows, self.ncols, _nonzero(entries, self.field.characteristic)
-        )
+        p = self.field.characteristic
+        total = [
+            _nonzero({i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}, p)
+            for a, b in zip(self._columns, other._columns)
+        ]
+        return SparseMatrix._of(self.field, self.nrows, total)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
+        same_kind = isinstance(other, SparseMatrix) and self.nrows == other.nrows
+        return same_kind and self._columns == other._columns
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
@@ -119,10 +117,10 @@ class SparseMatrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self._columns)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._columns))
 
     def to_coordinate_text(self) -> str:
         """Coordinate exchange format: one "row col value" line per nonzero,
@@ -130,12 +128,22 @@ class SparseMatrix:
         p = self.field.characteristic
         suffix = f" (mod {p})" if p else ""
         lines = [f"{self.nrows} {self.ncols}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}{suffix}")
+        lines += [f"{i} {j} {v}{suffix}" for (i, j), v in sorted(self.entries.items())]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+def _check(field, nrows: int, columns: list[dict]) -> None:
+    """Raise unless every row index lies in [0, nrows) and, over Z/p, every value in [0, p)."""
+    rows = list(chain.from_iterable(columns))
+    if rows and (min(rows) < 0 or max(rows) >= nrows):
+        raise IndexError(f"row index outside [0, {nrows}) stored")
+    p = field.characteristic
+    values = list(chain.from_iterable(col.values() for col in columns)) if p else ()
+    if values and (min(values) < 0 or max(values) >= p):
+        raise ValueError(f"entry outside [0, {p}) stored over Z/{p}")
 
 
 class Echelon:
@@ -246,14 +254,14 @@ def _reduce_mod_p(vec: dict, rows: dict, pending: list, coefficients, p: int) ->
                 del vec[c]
 
 
-def _nonzero(entries: dict, p: int) -> dict:
-    """The nonzero entries, reduced into [0, p) when p is nonzero, and over Q
+def _nonzero(column: dict, p: int) -> dict:
+    """The nonzero values, reduced into [0, p) when p is nonzero, and over Q
     with integral values as ints."""
     if p:
-        return {key: r for key, v in entries.items() if (r := v % p)}
+        return {i: r for i, v in column.items() if (r := v % p)}
     return {
-        key: v if v.__class__ is int or v.denominator != 1 else v.numerator
-        for key, v in entries.items()
+        i: v if v.__class__ is int or v.denominator != 1 else v.numerator
+        for i, v in column.items()
         if v
     }
 
@@ -278,12 +286,9 @@ def _tagged_echelon(matrix: SparseMatrix) -> Echelon:
     is the kernel vector with 1 at the column and support on the earlier
     columns that added rows keyed by real indices (the greedy pivot columns).
     """
-    minus_one = matrix.field.from_int(-1)
-    shift = matrix.ncols
-    columns = matrix.columns()
-    for j, col in enumerate(columns):
-        col[j - shift] = minus_one
-    return _echelon_of(matrix.field, columns)
+    minus_one, shift = matrix.field.from_int(-1), matrix.ncols
+    tagged = ({**col, j - shift: minus_one} for j, col in enumerate(matrix.columns()))
+    return _echelon_of(matrix.field, tagged)
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -318,25 +323,19 @@ def solve_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
     """
     if a.nrows != b.nrows:
         raise ValueError("A and B must have matching row counts")
-    reducer = _tagged_echelon(a)
-    shift = a.ncols
-    entries = {}
-    for k, col in enumerate(b.columns()):
+    reducer, shift, solution = _tagged_echelon(a), a.ncols, []
+    for col in b.columns():
         residual = reducer.reduce(col)
         if any(i >= 0 for i in residual):
             return None
-        for c, v in residual.items():
-            entries[(c + shift, k)] = v
-    return SparseMatrix(a.field, a.ncols, b.ncols, entries)
+        solution.append({c + shift: v for c, v in residual.items()})
+    return SparseMatrix._of(a.field, a.ncols, solution)
 
 
 def solve(a: SparseMatrix, b: dict) -> dict | None:
     """Solve A x = b for a single sparse right-hand side."""
-    rhs = SparseMatrix(a.field, a.nrows, 1, {(i, 0): v for i, v in b.items() if v})
-    x = solve_matrix(a, rhs)
-    if x is None:
-        return None
-    return {i: v for (i, _), v in x.entries.items()}
+    x = solve_matrix(a, SparseMatrix.from_columns(a.field, a.nrows, [b]))
+    return None if x is None else x.columns()[0]
 
 
 def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:

@@ -145,7 +145,6 @@ def _edge_dump(h) -> dict:
 def group_tables_suite() -> SuiteResult:
     """Fixed four-vertex fixtures with known (|Homeo|, |Stab|, |Aut|)."""
     result = SuiteResult("group_tables")
-    start = time.perf_counter()
     fixtures = [
         (hypergraph([[1, 2], [0, 2], [0, 1], [0, 1, 2]], vertices=range(4)), (6, 1, 6)),
         (hypergraph([[0, 1], [2, 3]]), (8, 4, 2)),
@@ -157,7 +156,6 @@ def group_tables_suite() -> SuiteResult:
         result.checks += 1
         if got != expected:
             result.fail({"case": k, "expected": expected, "got": got})
-    result.details["seconds"] = round(time.perf_counter() - start, 4)
     return result
 
 
@@ -166,7 +164,6 @@ def quasi_iso_suite(
 ) -> SuiteResult:
     """Inf/Sup Betti equality and inclusion-induced isomorphism, randomized."""
     result = SuiteResult("quasi_iso")
-    start = time.perf_counter()
     rng = random.Random(seed)
     instances = [random_hypergraph(rng) for _ in range(hypergraphs)]
     instances += [random_hyperdigraph(rng) for _ in range(hyperdigraphs)]
@@ -175,7 +172,6 @@ def quasi_iso_suite(
         result.checks += 1
         if not report.is_iso:
             result.fail({"instance": _edge_dump(h), "report": report.as_dict()})
-    result.details["seconds"] = round(time.perf_counter() - start, 4)
     return result
 
 

@@ -16,7 +16,7 @@ from hyperhomology.jsonio import (
     parse_hypergraph,
     parse_point_sample,
 )
-from hyperhomology.suites import SuiteResult
+from hyperhomology.suites import SuiteResult, group_tables_suite, quasi_iso_suite
 
 
 def test_parse_hypergraph_canonicalizes():
@@ -231,6 +231,15 @@ def test_cli_persist_json_barcode(tmp_path, capsys):
     assert "barcode" in payload["results"]
 
 
+def test_cli_persist_barcode_needs_json(tmp_path, capsys):
+    pts = tmp_path / "line.csv"
+    pts.write_text("id,x\n0,0\n1,1\n2,3\n")
+    assert main(["persist", str(pts), "--n-max", "2", "--barcode"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--barcode needs --format json" in captured.err
+
+
 def test_cli_persist_rejects_negative_degrees(tmp_path, capsys):
     pts = tmp_path / "line.csv"
     pts.write_text("id,x\n0,0\n1,1\n2,3\n")
@@ -319,6 +328,12 @@ def test_cli_selftest_reports_its_timing(monkeypatch, capsys, passed, code):
     payload = json.loads(capsys.readouterr().out)
     assert payload["timing_seconds"] > 0
     assert payload["results"][0]["passed"] is passed
+
+
+def test_selftest_suites_hold_no_wall_time():
+    # run_all times each suite in SuiteResult.seconds; results stay deterministic
+    assert group_tables_suite().details == {}
+    assert quasi_iso_suite(1, hypergraphs=2, hyperdigraphs=1).details == {}
 
 
 def test_cli_bundle_and_embed(capsys):

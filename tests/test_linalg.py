@@ -290,3 +290,64 @@ def test_mod_p_matrices_hold_reduced_residues_only():
     assert gf.from_fraction("3/2") == 5 and gf.from_int(-1) == 6
     with pytest.raises(ZeroDivisionError):
         gf.from_fraction("1/7")
+
+
+FIELDS = st.sampled_from([QQ, PrimeField(7)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS, st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_products_sums_and_transposes_equal_the_dense_ones(field, nrows, inner, ncols, data):
+    a = to_sparse(field, data.draw(dense_ints(nrows, inner)), inner)
+    b = to_sparse(field, data.draw(dense_ints(inner, ncols)), ncols)
+    c = to_sparse(field, data.draw(dense_ints(nrows, inner)), inner)
+    da, db, dc = map(sparse_to_dense, (a, b, c))
+    p = field.characteristic
+    reduced = (lambda v: v % p) if p else (lambda v: v)
+    product = [
+        [reduced(sum(da[i][k] * db[k][j] for k in range(inner))) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    assert sparse_to_dense(a @ b) == product
+    assert sparse_to_dense(a + c) == [
+        [reduced(x + y) for x, y in zip(ra, rc)] for ra, rc in zip(da, dc)
+    ]
+    assert sparse_to_dense(a.transpose()) == [
+        [da[i][j] for i in range(nrows)] for j in range(inner)
+    ]
+    if not p:
+        results = (a @ b, a + c, a.transpose())
+        assert all(is_q_scalar(v) for m in results for v in m.entries.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(FIELDS, int_matrices())
+def test_entries_and_columns_build_equal_matrices(field, case):
+    dense, ncols = case
+    # the columns keep their zero values, which from_columns drops
+    columns = [{i: field.from_int(row[j]) for i, row in enumerate(dense)} for j in range(ncols)]
+    built = SparseMatrix.from_columns(field, len(dense), columns)
+    given_entries = to_sparse(field, dense, ncols)
+    assert built == given_entries and hash(built) == hash(given_entries)
+    assert built.entries == given_entries.entries
+
+
+def test_matrices_are_checked_where_they_enter():
+    for bad in (2, -1):
+        with pytest.raises(IndexError):
+            SparseMatrix.from_columns(QQ, 2, [{bad: 1}])
+        with pytest.raises(IndexError):
+            SparseMatrix(QQ, 2, 2, {(bad, 0): 1})
+        with pytest.raises(IndexError):
+            SparseMatrix(QQ, 2, 2, {(0, bad): 1})
+    with pytest.raises(ValueError):
+        SparseMatrix(QQ, 1, 1, {(0, 0): 0})
+    gf = PrimeField(7)
+    for bad in (7, -1, 8):
+        with pytest.raises(ValueError):
+            SparseMatrix.from_columns(gf, 1, [{0: bad}])
+    assert SparseMatrix.from_columns(gf, 2, [{0: 0, 1: 3}]).columns() == [{1: 3}]
+    column = {0: 1}
+    m = SparseMatrix.from_columns(QQ, 1, [column])
+    column[0] = 5  # from_columns copied the column
+    assert m.entries == {(0, 0): 1}
