@@ -21,7 +21,7 @@ complexes are found around the edge span of any hypergraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -65,8 +65,12 @@ def _integer_columns(
 
 
 def _in_field(field, columns: list[dict[int, int]]) -> list[dict]:
-    """The integer columns with their entries mapped into the field."""
-    scalars = {v: field.from_int(v) for col in columns for v in col.values()}
+    """The integer columns with their entries mapped into the field: the
+    same columns when every entry is its own image (always over Q)."""
+    values = set(chain.from_iterable(col.values() for col in columns))
+    scalars = {v: field.from_int(v) for v in values}
+    if all(v == s for v, s in scalars.items()):
+        return columns
     return [{i: s for i, v in col.items() if (s := scalars[v])} for col in columns]
 
 
@@ -154,6 +158,13 @@ def empty_complex(field=QQ) -> ChainComplex:
     return ChainComplex(field, (), (), labels=())
 
 
+def _check_closure_cap(size: int, cap: int) -> None:
+    """Raise ResourceCapError when the closure of a size-vertex edge, the
+    full simplex on its vertices, exceeds the cap."""
+    if size > cap:
+        raise ResourceCapError(f"closure of a {size}-vertex edge exceeds the cap of {cap}")
+
+
 def ambient_complex(
     h: Hypergraph,
     mode: str = "closure",
@@ -174,10 +185,7 @@ def ambient_complex(
     checked over Z on every edge.
     """
     if mode == "closure":
-        if h.max_cardinality() > cap:
-            raise ResourceCapError(
-                f"closure of a {h.max_cardinality()}-vertex edge exceeds the cap of {cap}"
-            )
+        _check_closure_cap(h.max_cardinality(), cap)
         closed = delta_closure(h)
     elif mode == "full_simplex":
         if h.directed:

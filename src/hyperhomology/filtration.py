@@ -1,17 +1,17 @@
 """Hard-sphere filtrations and persistent Betti numbers.
 
-Shrinking the exclusion radius only adds edges, so the hard-sphere
-hypergraphs at decreasing radii form an increasing filtration.  Persistent
+Shrinking the exclusion radius only adds edges, and at radius 0 every pair
+of distinct points is separated, so every set of at most n_max points is an
+edge from the step of its latest pair on: the filtration is the flag
+(Vietoris-Rips) filtration of the pairs by decreasing distance.  Persistent
 Betti numbers are the exact ranks of the homology maps induced by the
-chain-level inclusions of the embedded (Inf or Sup) complexes.
-
-The embedded complexes of the steps are nested, so they form one filtered
-chain complex.  ``persistent_betti`` builds a basis of it in which every
-vector has a birth step, runs one column reduction (with clearing) on the
-boundaries in that basis, and reads every Betti number, rank and bar off
-the resulting bars: a bar is a class born at one step that dies at a later
-one, and the rank of H_n(step i) -> H_n(step j) counts the degree-n bars
-alive from i through j.
+chain-level inclusions of the embedded (Inf or Sup) complexes, which nest
+into one filtered chain complex.  ``persistent_betti`` builds a basis of it
+in which every vector has a birth step (the simplices, when every step is
+simplicial), runs one column reduction (with clearing) on the boundaries in
+that basis, and reads every Betti number, rank and bar off the bars: a bar
+is a class born at one step that dies at a later one, and the rank of
+H_n(step i) -> H_n(step j) counts the degree-n bars alive from i through j.
 """
 
 from __future__ import annotations
@@ -22,42 +22,62 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .chains import (
-    DEFAULT_SIMPLEX_CAP,
-    ChainComplex,
-    _edge_chains,
-    ambient_complex,
-    largest_inside,
-    smallest_containing,
-)
+from .chains import DEFAULT_SIMPLEX_CAP, ChainComplex, ambient_complex
+from .chains import _check_closure_cap, _check_square_zero, _edge_chains, _in_field
+from .chains import _integer_columns, largest_inside, smallest_containing
 from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
 from .linalg import Echelon, SparseMatrix
-from .metrics import (
-    CircleMetric,
-    MetricPointSample,
-    PiValue,
-    half_distances_by_key,
-    hard_sphere,
-    midpoint,
-)
+from .metrics import CircleMetric, MetricPointSample, PiValue, half_distances_by_key, midpoint
 
 
-@dataclass(frozen=True)
+class _PairSteps:
+    """The step at which each pair of a sample's points enters its
+    hard-sphere filtration, of which there are ``count`` steps."""
+
+    def __init__(self, ids: list, step: dict, n_max: int, count: int):
+        self.ids, self.step, self.count = ids, step, count
+        self.top = min(n_max, len(ids))  # the most vertices of an edge
+
+    def levels(self):
+        """Per degree, each edge mapped to its step, the latest among its
+        pairs; edges in sorted order."""
+        level = {(i,): 0 for i in self.ids}
+        for k in range(2, self.top + 1):
+            yield level
+            prev, step = level, self.step
+            # the pairs of s are those of its two long faces and its end pair
+            level = {
+                s: max(prev[s[:-1]], prev[s[1:]], step[s[0]][s[-1]])
+                for s in combinations(self.ids, k)
+            }
+        yield level
+
+
 class FiltrationStep:
     """One constancy interval of the hard-sphere family.
 
     The hypergraph is constant for radii in the open interval
     (lower, upper); the representative is an exact radius inside it (a
     float only for float circle samples).  Steps are listed by decreasing
-    radius, so hypergraphs grow with the step index.
+    radius, so hypergraphs grow with the step index.  A step of
+    ``build_filtration`` builds its hypergraph when it is first read.
     """
 
-    lower: object
-    upper: object
-    representative: object
-    hypergraph: Hypergraph
+    __slots__ = ("lower", "upper", "representative", "_hypergraph", "_pairs")
+
+    def __init__(self, lower, upper, representative, hypergraph: Hypergraph):
+        self.lower, self.upper, self.representative = lower, upper, representative
+        self._hypergraph, self._pairs = hypergraph, None
+
+    @property
+    def hypergraph(self) -> Hypergraph:
+        if self._hypergraph is None:
+            pairs, k = self._pairs
+            edges = (s for level in pairs.levels() for s, born in level.items() if born <= k)
+            self._hypergraph = Hypergraph(frozenset(pairs.ids), frozenset(edges))
+        return self._hypergraph
 
 
 def build_filtration(sample: MetricPointSample, n_max: int) -> tuple[FiltrationStep, ...]:
@@ -72,30 +92,27 @@ def build_filtration(sample: MetricPointSample, n_max: int) -> tuple[FiltrationS
     """
     if len(sample) < 1:
         raise ValueError("need at least one point")
-    if len(sample) == 1:
-        only = hard_sphere(sample, 0, n_max)
-        return (FiltrationStep(0, math.inf, 1, only),)
-    keys = sample.metric.pair_keys(sorted(sample.ids))
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    ids = sorted(sample.ids)
+    keys = sample.metric.pair_keys(ids)
     radius_of = half_distances_by_key(sample, keys)
     order = sorted(radius_of, reverse=True)
     step_of = {key: k for k, key in enumerate(order, start=1)}
-    by_step: list[list] = [[] for _ in range(len(order) + 1)]
-    for e in hard_sphere(sample, 0, n_max).edges:
-        by_step[max((step_of[keys[pair]] for pair in combinations(e, 2)), default=0)].append(e)
-
+    step: dict = {i: {} for i in ids}
+    for (i, j), key in keys.items():
+        step[i][j] = step_of[key]
     radii = [radius_of[key] for key in order]
-    intervals = [(radii[0], math.inf, radii[0] * 2)]
-    intervals += [(lo, hi, midpoint(lo, hi)) for hi, lo in zip(radii, radii[1:])]
-    intervals.append((0, radii[-1], radii[-1] / 2))
-    vertices = frozenset(sample.ids)
-    edges: set = set()
+    intervals = [(0, math.inf, 1)]
+    if radii:
+        intervals = [(radii[0], math.inf, radii[0] * 2)]
+        intervals += [(lo, hi, midpoint(lo, hi)) for hi, lo in zip(radii, radii[1:])]
+        intervals.append((0, radii[-1], radii[-1] / 2))
+    pairs = _PairSteps(ids, step, n_max, len(intervals))
     steps = []
-    for (lower, upper, rep), new in zip(intervals, by_step):
-        edges.update(new)
-        steps.append(FiltrationStep(lower, upper, rep, Hypergraph(vertices, frozenset(edges))))
-    for earlier, later in zip(steps, steps[1:]):
-        if not earlier.hypergraph.edges <= later.hypergraph.edges:
-            raise InvariantViolation("filtration steps are not nested")
+    for k, (lower, upper, rep) in enumerate(intervals):
+        steps.append(FiltrationStep(lower, upper, rep, None))
+        steps[-1]._pairs = (pairs, k)
     return tuple(steps)
 
 
@@ -131,11 +148,8 @@ class PersistentBettiTable:
     def csv_rows(self) -> list[list]:
         rows = [["degree", "r_i", "r_j", "beta_i", "beta_j", "rank"]]
         for d, i, j, r in self.entries:
-            bi = self.betti_by_step[i][d] if d < len(self.betti_by_step[i]) else 0
-            bj = self.betti_by_step[j][d] if d < len(self.betti_by_step[j]) else 0
-            rows.append(
-                [d, float(self.step_radii[i]), float(self.step_radii[j]), bi, bj, r]
-            )
+            radii = float(self.step_radii[i]), float(self.step_radii[j])
+            rows.append([d, *radii, self.rank(d, i, i), self.rank(d, j, j), r])
         return rows
 
     def barcode(self) -> list[dict]:
@@ -146,58 +160,53 @@ class PersistentBettiTable:
         alive at the end).
         """
         never = len(self.betti_by_step)
-        bars = []
-        for d in self.degrees:
-            ends = sorted(
-                (born, never if dies is None else dies)
-                for degree, born, dies in self.bars
-                if degree == d
+        return [
+            {"degree": d, "born_step": born, "dies_step": None if dies == never else dies}
+            for d in self.degrees
+            for born, dies in sorted(
+                (born, never if dies is None else dies) for n, born, dies in self.bars if n == d
             )
-            for born, dies in ends:
-                bars.append(
-                    {
-                        "degree": d,
-                        "born_step": born,
-                        "dies_step": None if dies == never else dies,
-                    }
-                )
-        return bars
+        ]
 
 
-def _unit_basis(ambient: ChainComplex, hypergraphs: Sequence) -> tuple[list, list] | None:
-    """Filtered basis of ambient edges, when every step spans a subcomplex.
+def _simplex_basis(levels, field) -> tuple[list, list] | None:
+    """Filtered basis of simplices, when every step spans a subcomplex.
 
-    An edge is born at the first step holding it.  If each edge's boundary
-    only reaches edges born no later, the edge span of every step is closed
-    under the boundary, hence is its Inf and its Sup.  The basis is then the
-    born edges ordered by (birth, index).  Returns None otherwise.
+    levels[n] maps each degree-n simplex to its birth step, in sorted order;
+    the basis is ordered by (birth, simplex).  The boundary columns are built
+    over Z, checked there to square to zero and to reach only faces born no
+    later (else None is returned), then mapped into the field.  The span of
+    each step is closed under the boundary, hence is its Inf and its Sup.
     """
-    birth: dict = {}
-    previous: frozenset = frozenset()
-    for k, h in enumerate(hypergraphs):
-        for e in h.edges - previous:
-            birth[e] = k
-        previous = h.edges
-    born = [[birth.get(e) for e in level] for level in ambient.labels]
-    for n in range(1, ambient.top_degree + 1):
-        below = [math.inf if b is None else b for b in born[n - 1]]  # unborn: after every step
-        for b, col in zip(born[n], ambient.boundaries[n].columns()):
-            if b is not None and max(map(below.__getitem__, col), default=b) > b:
-                return None
-    births, columns, position = [], [], []
-    for n, level in enumerate(born):
-        order = sorted((b, k) for k, b in enumerate(level) if b is not None)
-        births.append([b for b, _ in order])
-        position.append({k: p for p, (_, k) in enumerate(order)})
+    births, columns, labels, lower = [], [], [], None
+    for n, level in enumerate(levels):
+        labels.append(sorted(level, key=level.__getitem__))  # stable: (birth, simplex)
+        born = [level[s] for s in labels[n]]
         if n:
-            boundary = ambient.boundaries[n].columns()
-            rows = position[n - 1]
-            columns.append(
-                [{rows[i]: v for i, v in boundary[k].items()} for _, k in order]
-            )
+            below, codomain = births[n - 1], list(labels[n - 1])
+            ints = _integer_columns(labels[n], codomain, "extend")
+            missing = len(codomain) > len(below)
+            if missing or any(col and below[max(col)] > b for col, b in zip(ints, born)):
+                return None  # a face is missing or born later
+            if n >= 2:
+                _check_square_zero(n - 1, lower, ints, labels)
+            columns.append(_in_field(field, ints))
+            lower, labels[n - 1] = ints, None  # only labels[n] may name a failure
         else:
-            columns.append([{} for _ in order])
+            columns.append([{} for _ in born])
+        births.append(born)
     return births, columns
+
+
+def _hypergraph_levels(hypergraphs: Sequence) -> list[dict]:
+    """Per degree, each edge of the last hypergraph mapped to the first step
+    holding it, in sorted order."""
+    birth: dict = {}
+    for k in range(len(hypergraphs) - 1, -1, -1):  # the earliest step is written last
+        birth.update(dict.fromkeys(hypergraphs[k].edges, k))
+    last = hypergraphs[-1]
+    levels = last.levels()
+    return [{e: birth[e] for e in levels.get(n, ())} for n in range(1, last.max_cardinality() + 1)]
 
 
 def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> tuple[list, list]:
@@ -224,9 +233,8 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
                     keys[n].append(key)
                     births[n].append(k)
             if echelons[n].dimension != embedding.ncols:
-                raise InvariantViolation(
-                    f"embedded complexes are not nested at step {k}, degree {n}"
-                )
+                message = f"embedded complexes are not nested at step {k}, degree {n}"
+                raise InvariantViolation(message)
     columns = [[{} for _ in births[0]]]
     for n in range(1, top + 1):
         basis = [echelons[n].rows[key] for key in keys[n]]
@@ -238,20 +246,14 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
             residual = echelons[n - 1].reduce(image, coefficients)
             column = {position[i]: v for i, v in coefficients.items()}
             if residual or (column and births[n - 1][max(column)] > born):
-                raise InvariantViolation(
-                    f"boundary leaves the step-{born} subcomplex at degree {n}"
-                )
+                message = f"boundary leaves the step-{born} subcomplex at degree {n}"
+                raise InvariantViolation(message)
             level.append(column)
         columns.append(level)
     dims = tuple(len(b) for b in births)
-    ChainComplex(
-        field,
-        dims,
-        tuple(
-            SparseMatrix.from_columns(field, dims[n - 1] if n else 0, columns[n])
-            for n in range(top + 1)
-        ),
-    ).validate()
+    rows = (dims[n - 1] if n else 0 for n in range(len(dims)))
+    matrices = tuple(SparseMatrix.from_columns(field, r, c) for r, c in zip(rows, columns))
+    ChainComplex(field, dims, matrices).validate()
     return births, columns
 
 
@@ -313,10 +315,11 @@ def persistent_betti(
     """Ranks of H_n(step_i) -> H_n(step_j) along the inclusion order.
 
     kind selects the Inf or the Sup complex of each step; both nest along
-    the filtration, and the maps are induced by chain inclusion inside the
-    common ambient of the final (largest) step, whose closure obeys the
-    vertex cap (see ``ambient_complex``).  When every step's edges already
-    span a subcomplex, both kinds are that span.
+    the filtration, and the maps are induced by chain inclusion.  The
+    largest edge of the final step obeys the closure cap (see
+    ``ambient_complex``), checked before any simplex is listed.  When every
+    step's edges already span a subcomplex, both kinds are that span, and
+    no closure ambient is built.
     """
     if kind not in ("inf", "sup"):
         raise ValueError("kind must be 'inf' or 'sup'")
@@ -324,16 +327,22 @@ def persistent_betti(
     if any(d < 0 for d in degrees):
         raise ValueError(f"degrees must be non-negative, got {list(degrees)}")
     steps = list(steps)
-    for earlier, later in zip(steps, steps[1:]):
-        if not earlier.hypergraph.edges <= later.hypergraph.edges:
-            raise ValueError("steps must be nested increasingly")
+    # all the steps of one build_filtration, in order, are nested by construction
+    flag = steps[0]._pairs[0] if steps and steps[0]._pairs else None
+    if flag is None or [s._pairs for s in steps] != [(flag, k) for k in range(flag.count)]:
+        flag = None
+        for earlier, later in zip(steps, steps[1:]):
+            if not earlier.hypergraph.edges <= later.hypergraph.edges:
+                raise ValueError("steps must be nested increasingly")
     if not steps:
         raise ValueError("empty filtration")
-    ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field, cap=cap)
-    hypergraphs = [s.hypergraph for s in steps]
-    births, columns = _unit_basis(ambient, hypergraphs) or _echelon_basis(
-        ambient, hypergraphs, kind
-    )
+    _check_closure_cap(flag.top if flag else steps[-1].hypergraph.max_cardinality(), cap)
+    levels = flag.levels() if flag else _hypergraph_levels([s.hypergraph for s in steps])
+    basis = _simplex_basis(levels, field)
+    if basis is None:
+        ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field, cap=cap)
+        basis = _echelon_basis(ambient, [s.hypergraph for s in steps], kind)
+    births, columns = basis
     bars = _bars(births, columns, field)
 
     count = len(steps)
@@ -343,11 +352,7 @@ def persistent_betti(
     betti_by_step = tuple(
         tuple(ranks[n][i][i] for n in range(len(births))) for i in range(count)
     )
-    pairs = (
-        [(i, j) for i in range(count) for j in range(i + 1, count)]
-        if all_pairs
-        else [(i, i + 1) for i in range(count - 1)]
-    )
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count) if all_pairs or j == i + 1]
     entries = []
     for d in degrees:
         for i, j in pairs:
@@ -357,14 +362,8 @@ def persistent_betti(
                     f"induced rank {r} exceeds min Betti at degree {d}, steps {i}->{j}"
                 )
             entries.append((d, i, j, r))
-    return PersistentBettiTable(
-        kind,
-        degrees,
-        tuple(s.representative for s in steps),
-        betti_by_step,
-        tuple(entries),
-        tuple(bars),
-    )
+    radii = tuple(s.representative for s in steps)
+    return PersistentBettiTable(kind, degrees, radii, betti_by_step, tuple(entries), tuple(bars))
 
 
 def emptiness_threshold(sample: MetricPointSample, n: int):
@@ -383,14 +382,10 @@ def emptiness_threshold(sample: MetricPointSample, n: int):
     if n > len(sample):
         # no n-subsets at all: empty from radius 0 on
         return PiValue(0) if sample.metric.exact else 0.0
-    best = None
-    ids = sorted(sample.ids)
-    for subset in combinations(ids, n):
-        worst = min(
-            sample.metric.distance_key(i, j) for i, j in combinations(subset, 2)
-        )
-        if best is None or worst > best:
-            best = worst
+    best = max(
+        min(sample.metric.distance_key(i, j) for i, j in combinations(subset, 2))
+        for subset in combinations(sorted(sample.ids), n)
+    )
     if sample.metric.exact:
         return PiValue(Fraction(best) / 2)
     return float(best) / 2.0

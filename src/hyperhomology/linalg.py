@@ -159,6 +159,7 @@ class Echelon:
     def __init__(self, field):
         self.field = field
         self.rows: dict[int, dict] = {}
+        self._fractions = False  # whether a stored row holds a Fraction
 
     def reduce(self, vector: dict, coefficients: dict | None = None) -> dict:
         """Normal form of vector.  A dict passed as coefficients receives,
@@ -172,7 +173,8 @@ class Echelon:
         if p:
             _reduce_mod_p(vec, self.rows, pending, coefficients, p)
         else:
-            _reduce_exact(vec, self.rows, pending, coefficients)
+            fractions = self._fractions or _holds_fraction(vec.values())
+            _reduce_exact(vec, self.rows, pending, coefficients, fractions)
         return vec
 
     def add(self, vector: dict) -> int | None:
@@ -186,8 +188,10 @@ class Echelon:
         if p:
             inv = pow(pivot, -1, p)
             residual = {c: v * inv % p for c, v in residual.items()}
-        elif pivot != 1:
-            residual = {c: _quotient(v, pivot) for c, v in residual.items()}
+        else:
+            if pivot != 1:
+                residual = {c: _quotient(v, pivot) for c, v in residual.items()}
+            self._fractions = self._fractions or _holds_fraction(residual.values())
         self.rows[key] = residual
         return key
 
@@ -199,8 +203,10 @@ class Echelon:
         return len(self.rows)
 
 
-def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients) -> None:
-    """Echelon.reduce over Q, in place on vec; integral values end as ints."""
+def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients, fractions: bool) -> None:
+    """Echelon.reduce over Q, in place on vec; integral values end as ints.
+    Without a Fraction in vec or in the rows (fractions false) every value
+    stays an int."""
     while pending:
         key = -heapq.heappop(pending)
         factor = vec.get(key)
@@ -218,10 +224,20 @@ def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients) -> None:
                 vec[c] = s
             else:
                 del vec[c]
+    if not fractions:
+        return
     for values in (vec, coefficients or {}):  # integral Fractions become ints
         for c, v in values.items():
             if v.__class__ is not int and v.denominator == 1:
                 values[c] = v.numerator
+
+
+def _holds_fraction(values) -> bool:
+    """Whether any of these Q scalars is a Fraction."""
+    for v in values:
+        if v.__class__ is not int:
+            return True
+    return False
 
 
 def _quotient(a, b):

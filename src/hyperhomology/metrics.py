@@ -290,7 +290,8 @@ class CircleMetric:
         if exact:
             self.angles = {i: Fraction(a) % 2 for i, a in angles.items()}
         else:
-            self.angles = {i: float(a) % (2 * math.pi) for i, a in angles.items()}
+            # a tiny negative angle reduces to 2 pi itself: reduce again, to 0
+            self.angles = {i: float(a) % (2 * math.pi) % (2 * math.pi) for i, a in angles.items()}
         seen = {}
         for i, a in self.angles.items():
             if a in seen:

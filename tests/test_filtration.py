@@ -183,6 +183,40 @@ def test_each_step_is_the_hard_sphere_hypergraph_of_its_representative(sample, n
         assert all(a.hypergraph != b.hypergraph for a, b in zip(steps, steps[1:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(exact_samples(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_lazy_step_hypergraphs_are_the_hard_sphere_hypergraphs(sample, n_max, rng):
+    # each step builds its hypergraph on first read, in any order, once
+    steps = build_filtration(sample, n_max)
+    for k in rng.sample(range(len(steps)), len(steps)):
+        h = steps[k].hypergraph
+        assert h == hard_sphere(sample, steps[k].representative, n_max)
+        assert steps[k].hypergraph is h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exact_samples(),
+    st.integers(1, 3),
+    st.sampled_from(["inf", "sup"]),
+    st.booleans(),
+    st.sampled_from([QQ, PrimeField(7)]),
+)
+def test_pair_steps_and_explicit_steps_give_one_table(sample, n_max, kind, all_pairs, field):
+    # build_filtration's steps take the births from the pair steps; the same
+    # steps built by hand, or a part of build_filtration's steps, take them
+    # from the step hypergraphs
+    steps = build_filtration(sample, n_max)
+    explicit = []
+    for s in steps:
+        h = hard_sphere(sample, s.representative, n_max)
+        explicit.append(FiltrationStep(s.lower, s.upper, s.representative, h))
+    for cut in (len(steps), (len(steps) + 1) // 2):
+        table = persistent_betti(steps[:cut], [0, 1, 2], kind, all_pairs=all_pairs, field=field)
+        again = persistent_betti(explicit[:cut], [0, 1, 2], kind, all_pairs=all_pairs, field=field)
+        assert table == again
+
+
 def test_negative_degree_is_rejected():
     steps = build_filtration(equilateral(), 2)
     with pytest.raises(ValueError):

@@ -383,3 +383,64 @@ def test_cli_dihedral_fixture_example(tmp_path, capsys):
         "stab_order": 4,
         "aut_order": 2,
     }
+
+
+SIX_POINTS = "id,x,y\n0,0,0\n1,3,1\n2,1,4\n3,5,5\n4,2,2\n5,7,1/2\n"
+
+
+@pytest.mark.parametrize("field", ["Q", "7"])
+@pytest.mark.parametrize("barcode", [False, True])
+def test_cli_persist_builds_no_hypergraph(tmp_path, capsys, monkeypatch, field, barcode):
+    # the persist path works from the pair steps: no step hypergraph, no
+    # closure ambient, no hard-sphere enumeration
+    from hyperhomology import chains, filtration, hypergraphs, metrics
+
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    post_init = hypergraphs.Hypergraph.__post_init__
+    monkeypatch.setattr(hypergraphs.Hypergraph, "__post_init__", counted("Hypergraph", post_init))
+    for module in (chains, filtration, cli):
+        monkeypatch.setattr(module, "ambient_complex", counted("ambient", chains.ambient_complex))
+    for module in (metrics, filtration):
+        hard_sphere = counted("hard_sphere", metrics.hard_sphere)
+        monkeypatch.setattr(module, "hard_sphere", hard_sphere, raising=False)
+    pts = tmp_path / "six.csv"
+    pts.write_text(SIX_POINTS)
+    argv = ["persist", str(pts), "--n-max", "3", "--degrees", "0,1", "--field", field]
+    argv += ["--format", "json"] + (["--barcode"] if barcode else [])
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["betti_by_step"][-1] == [1, 0, 10]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "points, n_max, size",
+    [(SIX_POINTS, 5, 5), ("id,x\n0,0\n1,1\n2,3\n", 9, 3)],
+    ids=["n_max", "points"],
+)
+def test_cli_persist_cap_exits_before_listing_simplices(
+    tmp_path, capsys, monkeypatch, points, n_max, size
+):
+    from hyperhomology import filtration
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simplices listed above the cap")
+
+    monkeypatch.setattr(filtration._PairSteps, "levels", unreachable)
+    monkeypatch.setattr(filtration, "_simplex_basis", unreachable)
+    monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", str(size - 1))
+    pts = tmp_path / "points.csv"
+    pts.write_text(points)
+    assert main(["persist", str(pts), "--n-max", str(n_max), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"resource cap: closure of a {size}-vertex edge exceeds the cap of {size - 1}"
+    assert captured.err.strip() == expected

@@ -100,6 +100,40 @@ def test_echelon_keys_and_coordinates():
     assert all(map(is_q_scalar, [*stored, *residual.values(), *coefficients.values()]))
 
 
+def test_echelon_with_fractions_in_the_vector_only_stores_ints():
+    # integer rows, a Fraction (integral or not) in the reduced vector: the
+    # residual, the coefficients and the stored rows hold ints where integral
+    reducer = linalg.Echelon(QQ)
+    assert reducer.add({0: 2, 1: 1}) == 1
+    coefficients = {}
+    residual = reducer.reduce({0: 1, 1: Fraction(3)}, coefficients)
+    assert residual == {0: -5} and coefficients == {1: 3}
+    assert all(map(is_q_scalar, [*residual.values(), *coefficients.values()]))
+    assert reducer.add({0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(2)}) == 2
+    assert reducer.rows[2] == {0: Fraction(-1, 4), 2: 1}
+    assert reducer.add({0: Fraction(1, 3), 3: Fraction(6, 3)}) == 3
+    stored = [v for row in reducer.rows.values() for v in row.values()]
+    assert all(map(is_q_scalar, stored))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool)), max_size=8))
+def test_int_echelon_never_stores_a_fraction_while_pivots_are_units(vectors):
+    # while every pivot met is 1 or -1, no Fraction is ever made: rows,
+    # residuals and coefficients are ints, and the echelon records none;
+    # once a row holds a Fraction, the echelon records it
+    reducer = linalg.Echelon(QQ)
+    for vector in vectors:
+        coefficients = {}
+        residual = reducer.reduce(vector, coefficients)
+        if not reducer._fractions:
+            assert all(type(v) is int for v in [*residual.values(), *coefficients.values()])
+        reducer.add(vector)
+        stored = [v for row in reducer.rows.values() for v in row.values()]
+        assert all(map(is_q_scalar, stored))
+        assert reducer._fractions == any(type(v) is Fraction for v in stored)
+
+
 def test_mod_p_rank_matches_rational_rank_generically():
     rng = random.Random(3)
     gf = PrimeField(10007)

@@ -141,6 +141,13 @@ def test_euclidean_coincident_points_rejected():
         euclidean_sample([(0, 0), (0, 0)])
 
 
+def test_float_circle_points_at_arc_zero_rejected():
+    # -1e-20 reduces modulo 2 pi to 2 pi itself, the same point as 0
+    with pytest.raises(ValueError, match="coincide"):
+        circle_sample(radians=[-1e-20, 0.0, 1.0])
+    assert circle_sample(radians=[-1e-20, 1.0]).metric.angles[0] == 0.0
+
+
 def test_circle_samples_modes():
     exact = circle_sample([0, Fraction(1, 2), 1])
     d = exact.metric.distance(exact.ids[0], exact.ids[2])
