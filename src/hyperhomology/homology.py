@@ -8,6 +8,9 @@ keyed by largest index.  The representatives are the basis indices that
 are not keys: exactly the indices i whose unit vector lies outside the
 subspace plus the unit vectors below i.  A vector's quotient coordinates
 are its normal form in that echelon.
+
+The four-stage sequence builds no quotient: its middle stages are the
+duals of the Sup and Inf complexes, whose dims and Betti numbers it reads.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import linalg
+from . import chains, linalg
 from .chains import (
     ChainComplex,
     DEFAULT_SIMPLEX_CAP,
@@ -264,10 +267,16 @@ class QuotientPairReport:
 
 
 def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> QuotientPairReport:
-    """Compare homology of ambient/Sup and ambient/Inf for the edge span of h."""
-    inf, sup = _inf_and_sup(h, field, ambient)
-    by_sup = quotient_complex(ambient, sup.embeddings)
-    by_inf = quotient_complex(ambient, inf.embeddings)
+    """Compare homology of ambient/Sup and ambient/Inf for the edge span of h.
+
+    Inf and Sup enter only as embeddings, which ``quotient_complex`` checks.
+    """
+    labels, span, boundary = chains._edge_chains(h, field, ambient)
+    dims = [len(level) for level in labels]
+    inf, _ = largest_inside(field, dims, span, boundary)
+    sup, _ = smallest_containing(field, dims, span, boundary)
+    by_sup = quotient_complex(ambient, sup)
+    by_inf = quotient_complex(ambient, inf)
     return QuotientPairReport(
         betti(by_sup.complex).betti,
         betti(by_inf.complex).betti,
@@ -275,30 +284,13 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> Quoti
     )
 
 
-def _reversed_complex(c: ChainComplex) -> ChainComplex:
-    """Reindex so the transposed boundaries form a chain complex again.
-
-    Degree m of the result is degree top - m of the input with boundary
-    equal to the transpose of the input boundary one degree up.
-    """
-    top = c.top_degree
-    if top < 0:
-        return c
-    dims = tuple(c.dim(top - m) for m in range(top + 1))
-    boundaries = [SparseMatrix.zeros(c.field, 0, dims[0])]
-    for m in range(1, top + 1):
-        boundaries.append(c.boundaries[top - m + 1].transpose())
-    return ChainComplex(c.field, dims, tuple(boundaries))
-
-
 @dataclass(frozen=True)
 class FourTermReport:
     """Dims, Betti numbers and surjectivity data for the four-stage sequence.
 
-    Stage order: cochains on the closure, the quotient by the inward part
-    of the complement, the quotient by its outward hull, and cochains on
-    the largest simplicial part.  stage_dims[k][n] is the degree-n
-    dimension of stage k.
+    Stage order: cochains on the closure, the duals of the Sup and of the
+    Inf complex, and cochains on the largest simplicial part.
+    stage_dims[k][n] is the degree-n dimension of stage k.
     """
 
     stage_dims: tuple[tuple[int, ...], ...]
@@ -320,84 +312,49 @@ def four_term_sequence(
 ) -> FourTermReport:
     """The four-stage surjective sequence over the closure of h.
 
-    Working with functions on the closure (boundary transposed, so the
-    differential raises degree), the complement of the edge span yields an
-    inward and an outward subcomplex: in the reversed complex they are the
-    Inf and the Sup of the complement, built by ``largest_inside`` and
-    ``smallest_containing`` exactly as ``inf_complex`` and ``sup_complex``
-    build them for the edge span.  Quotienting by them gives the two
-    middle stages, and functions on the largest deletion-closed part of h
-    give the last.  All three successive maps are canonical surjections,
-    and they are all identities exactly when h is already simplicial.  The
-    closure ambient obeys the vertex cap (see ``ambient_complex``).
+    The stages are cochains on the closure C, two quotients of them, and
+    cochains on the largest deletion-closed part of h.  For the edge span V
+    the middle stages divide by the largest and the smallest
+    coboundary-closed subspaces around the cochains that vanish on V.
+    These are the annihilators of Sup(V) and Inf(V); over a field C*/W^perp
+    is W*, whose cohomology is dual to the homology of W.  So stages 2 and
+    3 take the dims and Betti numbers of Sup and Inf, built from the edges
+    and their faces.  The maps are surjections when Inf lies in Sup and the
+    lower edges lie in Inf, both checked, and all identities exactly when
+    h is simplicial.  The closure obeys the vertex cap (``ambient_complex``).
     """
     if not h.edges:
-        empty = empty_complex(field)
-        b = betti(empty).betti
+        b = betti(empty_complex(field)).betti
         return FourTermReport(((),) * 4, (b,) * 4, (True, True, True), True)
     ambient = ambient_complex(h, "closure", field=field, cap=cap)
     lower = lower_associated(h)
-    top = ambient.top_degree
+    inf, sup = _inf_and_sup(h, field, None)
+    top, levels = ambient.top_degree, lower.levels()
 
-    reversed_ambient = _reversed_complex(ambient)
+    def padded(values) -> tuple[int, ...]:
+        return tuple(values) + (0,) * (top + 1 - len(values))
 
-    def reversed_indices(g) -> list[set[int]]:
-        # degree m of the reversed complex is degree top - m of the closure
-        return [
-            {k for k, e in enumerate(ambient.labels[top - m]) if e in g.edges}
-            for m in range(top + 1)
-        ]
+    stage_dims = tuple(padded(c.dims) for c in (ambient, sup.complex, inf.complex))
+    stage_dims += (tuple(len(levels.get(n + 1, ())) for n in range(top + 1)),)
+    lower_complex = ambient_complex(lower, field=field, cap=cap)
+    stage_betti = tuple(padded(betti(c).betti) for c in (ambient, sup, inf, lower_complex))
 
-    in_h, in_lower = reversed_indices(h), reversed_indices(lower)
-    complement = [
-        [i for i in range(reversed_ambient.dim(m)) if i not in in_h[m]]
-        for m in range(top + 1)
-    ]
-    columns = [b.columns() for b in reversed_ambient.boundaries]
-    inward, _ = largest_inside(field, reversed_ambient.dims, complement, columns)
-    outward, _ = smallest_containing(field, reversed_ambient.dims, complement, columns)
-    stage2 = quotient_complex(reversed_ambient, inward)
-    stage3 = quotient_complex(reversed_ambient, outward)
+    def units(n: int) -> SparseMatrix:
+        index = {e: k for k, e in enumerate(inf.labels[n])}
+        columns = [{index[e]: field.one} for e in levels.get(n + 1, ())]
+        return SparseMatrix.from_columns(field, len(index), columns)
 
-    b4 = betti(ambient_complex(lower, field=field, cap=cap)).betti
-    b4 = b4 + (0,) * (top + 1 - len(b4))
-
-    def unreverse(values: tuple[int, ...]) -> tuple[int, ...]:
-        padded = list(values) + [0] * (top + 1 - len(values))
-        return tuple(padded[top - n] for n in range(top + 1))
-
-    dims1 = tuple(ambient.dim(n) for n in range(top + 1))
-    dims2 = unreverse(stage2.complex.dims)
-    dims3 = unreverse(stage3.complex.dims)
-    b1 = betti(ambient).betti
-    b2 = unreverse(betti(stage2.complex).betti)
-    b3 = unreverse(betti(stage3.complex).betti)
-
-    # the three maps are canonical quotient projections; surjectivity needs
-    # the two containments below, which we verify explicitly
-    inward_in_outward = all(
-        stage3.echelons[m].contains(col) for m in range(top + 1) for col in inward[m].columns()
-    )
-    outward_misses_lower = not any(
-        i in in_lower[m] for m in range(top + 1) for col in outward[m].columns() for i in col
-    )
-    surjective = (True, inward_in_outward, outward_misses_lower)
-
-    lower_basis_dims = unreverse(tuple(len(indices) for indices in in_lower))
-    all_identity = (
-        dims1 == dims2 == dims3 == lower_basis_dims and all(surjective)
-    )
+    degrees = range(len(inf.labels))
+    inf_in_sup = all(linalg.columns_in_span(sup.embeddings[n], inf.embeddings[n]) for n in degrees)
+    lower_in_inf = all(linalg.columns_in_span(inf.embeddings[n], units(n)) for n in degrees)
+    surjective = (True, inf_in_sup, lower_in_inf)
+    all_identity = len(set(stage_dims)) == 1 and all(surjective)
     if all_identity != is_simplicial(h):
         raise InvariantViolation(
             "four-term identity flag disagrees with simplicial test",
             certificate={"edges": sorted(h.edges)},
         )
-    return FourTermReport(
-        (dims1, dims2, dims3, lower_basis_dims),
-        (b1, b2, b3, b4),
-        surjective,
-        all_identity,
-    )
+    return FourTermReport(stage_dims, stage_betti, surjective, all_identity)
 
 
 def hodge_laplacian(c: ChainComplex, n: int) -> tuple[SparseMatrix, int]:

@@ -185,13 +185,15 @@ def midpoint(a, b):
     low, high = _square(a), _square(b)
     if not low < high:
         raise ValueError("midpoint needs a < b")
+    low_num, low_den = low.as_integer_ratio()
+    high_num, high_den = high.as_integer_ratio()
     scale = 1
     while True:
-        # (isqrt(floor(low * scale^2)) + 1) / scale is the least multiple of
-        # 1/scale whose square exceeds low
-        above = Fraction(math.isqrt(math.floor(low * scale * scale)) + 1, scale)
-        if above * above < high:
-            return above
+        # m / scale with m = isqrt(floor(low * scale^2)) + 1 is the least
+        # multiple of 1/scale whose square exceeds low
+        m = math.isqrt(low_num * scale * scale // low_den) + 1
+        if m * m * high_den < high_num * scale * scale:
+            return Fraction(m, scale)
         scale *= 2
 
 
@@ -223,8 +225,8 @@ class EuclideanMetric:
             return math.sqrt(float(self.distance_sq(i, j))) > 2.0 * float(radius)
         return self.distance_sq(i, j) > 4 * _square(radius)
 
-    def half_distance(self, i: int, j: int):
-        return exact_sqrt(self.distance_sq(i, j) / 4)
+    def half_of_key(self, key):
+        return exact_sqrt(key / 4)
 
     def pair_keys(self, ids):
         return {(i, j): self.distance_sq(i, j) for i, j in combinations(ids, 2)}
@@ -268,8 +270,8 @@ class DistanceMatrixMetric:
         # both sides are non-negative, so compare squares
         return self.distance(i, j) ** 2 > 4 * _square(radius)
 
-    def half_distance(self, i: int, j: int) -> Fraction:
-        return self.distance(i, j) / 2
+    def half_of_key(self, key) -> Fraction:
+        return key / 2
 
     def pair_keys(self, ids):
         return {(i, j): self.distance(i, j) for i, j in combinations(ids, 2)}
@@ -321,9 +323,8 @@ class CircleMetric:
         _square(radius)  # rejects negative radii
         return float(d) > 2.0 * float(radius)
 
-    def half_distance(self, i: int, j: int):
-        d = self.distance(i, j)
-        return d / 2 if self.exact else d / 2.0
+    def half_of_key(self, key):
+        return PiValue(key) / 2 if self.exact else key / 2.0
 
     def pair_keys(self, ids):
         return {(i, j): self._arc(i, j) for i, j in combinations(ids, 2)}
@@ -442,11 +443,8 @@ def half_distances_by_key(sample: MetricPointSample, keys: dict) -> dict:
     keys is ``sample.metric.pair_keys(...)``; keys order like distances in
     every metric, so sorting by key sorts the half distances.
     """
-    out = {}
-    for pair, key in keys.items():
-        if key not in out:
-            out[key] = sample.metric.half_distance(*pair)
-    return out
+    half_of_key = sample.metric.half_of_key
+    return {key: half_of_key(key) for key in dict.fromkeys(keys.values())}
 
 
 def critical_radii(sample: MetricPointSample, n_max: int) -> list:

@@ -4,12 +4,13 @@ Everything here is deliberately textbook and self-contained: dense
 list-of-list matrices over fractions.Fraction (or over Z/p, as ints reduced
 with ``%`` and inverted with ``pow(x, -1, p)``), first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
-package's linear algebra, except two oracles that check a construction
+package's linear algebra, except three oracles that check a construction
 rather than an elimination.  ``closure_embedded`` builds the Inf or Sup
 complex the old way, inside the whole deletion-closure ambient.
 ``pairwise_persistence`` computes persistence the slow way, through the
 package's per-step embedded complexes and one induced-rank problem per
-pair of steps.  The group
+pair of steps.  ``four_term_by_cochain_quotients`` builds the four-stage
+sequence as quotients of the closure cochains, with no duality.  The group
 oracles work on permutations of range(n) as plain image tuples, check
 every pair of elements, and walk all n! maps for vertex symmetries and
 isometries.
@@ -24,11 +25,14 @@ from hyperhomology.chains import (
     EmbeddedComplex,
     ambient_complex,
     inf_complex,
+    largest_inside,
+    smallest_containing,
     sup_complex,
 )
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ
-from hyperhomology.homology import betti, induced_homology_rank
+from hyperhomology.homology import betti, induced_homology_rank, quotient_complex
+from hyperhomology.hypergraphs import lower_associated
 from hyperhomology.linalg import SparseMatrix
 
 
@@ -368,6 +372,93 @@ def closure_embedded(h, kind="inf", field=QQ):
     sub = ChainComplex(field, dims, tuple(boundaries))
     sub.validate()
     return EmbeddedComplex(ambient.labels, sub, tuple(embeddings))
+
+
+def _reversed_complex(c):
+    """Reindex so the transposed boundaries form a chain complex again.
+
+    Degree m of the result is degree top - m of the input with boundary
+    equal to the transpose of the input boundary one degree up.
+    """
+    top = c.top_degree
+    dims = tuple(c.dim(top - m) for m in range(top + 1))
+    boundaries = [SparseMatrix.zeros(c.field, 0, dims[0])]
+    for m in range(1, top + 1):
+        boundaries.append(c.boundaries[top - m + 1].transpose())
+    return ChainComplex(c.field, dims, tuple(boundaries))
+
+
+def four_term_by_cochain_quotients(h, field=QQ):
+    """The four-stage sequence of h built as quotients of closure cochains,
+    as ``FourTermReport.as_dict()``.
+
+    The cochains are the closure chains with the boundaries transposed and
+    the degrees reversed.  The complement of the edge span has an inward
+    part (``largest_inside``) and an outward hull (``smallest_containing``);
+    the middle stages are the ``quotient_complex`` of the cochains by each.
+    The maps are surjective when the inward part lies in the outward hull
+    and the outward hull misses every edge of the largest deletion-closed
+    part of h, whose closure chains give the last stage.
+    """
+    if not h.edges:
+        empty = list(betti(ChainComplex(field, (), (), labels=())).betti)
+        return {
+            "stage_dims": [[]] * 4,
+            "stage_betti": [empty] * 4,
+            "surjective": [True] * 3,
+            "all_identity": True,
+        }
+    ambient = ambient_complex(h, "closure", field=field)
+    lower = lower_associated(h)
+    top = ambient.top_degree
+    cochains = _reversed_complex(ambient)
+
+    def positions(g):
+        # degree m of the cochains is degree top - m of the closure
+        return [
+            {k for k, e in enumerate(ambient.labels[top - m]) if e in g.edges}
+            for m in range(top + 1)
+        ]
+
+    in_h, in_lower = positions(h), positions(lower)
+    complement = [
+        [i for i in range(cochains.dim(m)) if i not in in_h[m]] for m in range(top + 1)
+    ]
+    columns = [b.columns() for b in cochains.boundaries]
+    inward, _ = largest_inside(field, cochains.dims, complement, columns)
+    outward, _ = smallest_containing(field, cochains.dims, complement, columns)
+    stage2 = quotient_complex(cochains, inward)
+    stage3 = quotient_complex(cochains, outward)
+
+    def unreverse(values):
+        padded = list(values) + [0] * (top + 1 - len(values))
+        return [padded[top - n] for n in range(top + 1)]
+
+    b4 = list(betti(ambient_complex(lower, field=field)).betti)
+    dims = [
+        list(ambient.dims),
+        unreverse(stage2.complex.dims),
+        unreverse(stage3.complex.dims),
+        unreverse([len(indices) for indices in in_lower]),
+    ]
+    inward_in_outward = all(
+        stage3.echelons[m].contains(col) for m in range(top + 1) for col in inward[m].columns()
+    )
+    outward_misses_lower = not any(
+        i in in_lower[m] for m in range(top + 1) for col in outward[m].columns() for i in col
+    )
+    surjective = [True, inward_in_outward, outward_misses_lower]
+    return {
+        "stage_dims": dims,
+        "stage_betti": [
+            list(betti(ambient).betti),
+            unreverse(betti(stage2.complex).betti),
+            unreverse(betti(stage3.complex).betti),
+            b4 + [0] * (top + 1 - len(b4)),
+        ],
+        "surjective": surjective,
+        "all_identity": all(d == dims[0] for d in dims) and all(surjective),
+    }
 
 
 # ------------------------------------------------------------------ groups

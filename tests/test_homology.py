@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperhomology import chains, suites
+from hyperhomology import chains, homology, suites
 from hyperhomology.cli import main
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
@@ -34,6 +34,7 @@ from hyperhomology.suites import random_hyperdigraph, random_hypergraph
 from oracles import (
     closure_embedded,
     fixed_subspace_dimension,
+    four_term_by_cochain_quotients,
     quotient_coordinates,
     quotient_representatives,
     simplicial_betti,
@@ -331,6 +332,37 @@ def test_four_term_middle_stages_match_embedded_homology_randomized():
         assert report.stage_betti[1] == b_sup + (0,) * (top - len(b_sup))
         assert report.stage_betti[2] == b_inf + (0,) * (top - len(b_inf))
         assert report.stage_betti[3] == b_lower + (0,) * (top - len(b_lower))
+
+
+@st.composite
+def small_edge_sets(draw):
+    """A few edges on at most 6 vertices, directed or not, possibly none."""
+    n = draw(st.integers(1, 6))
+    build = draw(st.sampled_from([hypergraph, hyperdigraph]))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5), unique=True)
+    return build(draw(st.lists(edge, max_size=7)), vertices=range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(small_edge_sets(), punched_closures()),
+    st.sampled_from([QQ, PrimeField(7)]),
+)
+def test_four_term_matches_the_cochain_quotient_oracle(h, field):
+    assert four_term_sequence(h, field=field).as_dict() == four_term_by_cochain_quotients(h, field)
+
+
+def test_cli_four_term_builds_no_quotient(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("four-term built a quotient complex")
+
+    monkeypatch.setattr(homology, "quotient_complex", refuse)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
+    assert main(["four-term", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["surjective"] == [True, True, True]
+    assert results["stage_dims"] == [[3, 3, 1], [2, 3, 1], [0, 0, 0], [0, 0, 0]]
 
 
 def test_hodge_laplacian_examples():

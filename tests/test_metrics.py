@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperhomology.metrics import (
     PiValue,
@@ -11,6 +12,7 @@ from hyperhomology.metrics import (
     distance_matrix_sample,
     euclidean_sample,
     evenly_spaced_circle_sample,
+    exact_sqrt,
     hard_sphere,
     midpoint,
     rational_sqrt,
@@ -50,6 +52,25 @@ def test_midpoint_stays_exact_per_domain():
         Fraction(1, 3)
     )
     assert midpoint(0.5, Fraction(3, 2)) == pytest.approx(1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=100, max_denominator=10**4),
+    st.fractions(min_value=0, max_value=100, max_denominator=10**4),
+)
+def test_midpoint_is_the_least_dyadic_above_a_of_smallest_denominator(x, y):
+    assume(x != y)
+    a, b = (exact_sqrt(square) for square in sorted((x, y)))
+    assume(isinstance(a, SqrtValue) or isinstance(b, SqrtValue))
+    r = midpoint(a, b)
+    d = r.denominator
+    assert isinstance(r, Fraction) and d & (d - 1) == 0
+    assert a < r < b
+    # the multiple of 1/d just below r is not above a, and when d > 1 the
+    # multiples of 2/d next to r (an odd multiple of 1/d) miss (a, b)
+    assert r - Fraction(1, d) <= a
+    assert d == 1 or r + Fraction(1, d) >= b
 
 
 def test_hard_sphere_radius_zero_is_complete():
