@@ -15,12 +15,14 @@ checked there on every edge (over Z it holds over every field) before the
 entries are mapped into the coefficient field.  A closure or full-simplex
 ambient is the edge-chain complex of a hypergraph closed under vertex
 deletion, where every coordinate is an edge; the infimum and supremum
-complexes are found around the edge span of any hypergraph.
+complexes are found around the edge span of any hypergraph.  Homology reads
+them through the boundary images that their builders return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -101,9 +103,8 @@ class ChainComplex:
     def __post_init__(self):
         if len(self.boundaries) != len(self.dims):
             raise ValueError("one boundary per degree expected")
-        for n in range(1, len(self.dims)):
-            b = self.boundaries[n]
-            if b.shape != (self.dims[n - 1], self.dims[n]):
+        for n, b in enumerate(self.boundaries):
+            if b.shape != (self.dims[n - 1] if n else 0, self.dims[n]):
                 raise ValueError(f"boundary {n} has shape {b.shape}")
 
     @property
@@ -152,10 +153,6 @@ def _check_square_zero(n: int, lower, upper: list[dict[int, int]], labels) -> No
             nonzero += [(i, j) for i, v in acc.items() if v]
     if nonzero:
         raise _not_a_complex(n, nonzero, labels)
-
-
-def empty_complex(field=QQ) -> ChainComplex:
-    return ChainComplex(field, (), (), labels=())
 
 
 def _check_closure_cap(size: int, cap: int) -> None:
@@ -216,16 +213,38 @@ class EmbeddedComplex:
     """A subcomplex of the chains on some edge labels, with explicit embeddings.
 
     embeddings[n] has the internal degree-n basis vectors as columns, in
-    the coordinates labels[n]; the internal boundaries write the boundaries
-    of those columns in the embedding one degree down.
+    the coordinates labels[n], and images[n] their boundaries in labels[n-1]:
+    embeddings[n-1] times the internal boundary, of the same rank and
+    canonical kernel, since the embeddings have independent columns.  The
+    internal chain complex ``complex`` is solved for and validated on first
+    read (matrix dumps, the Hodge Laplacian, the structural checks).
     """
 
+    field: object
     labels: tuple[tuple[Edge, ...], ...]
-    complex: ChainComplex
     embeddings: tuple[SparseMatrix, ...]
+    images: tuple[SparseMatrix, ...]
 
-    def dim(self, n: int) -> int:
-        return self.complex.dim(n)
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(e.ncols for e in self.embeddings)
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        dims = self.dims
+        boundaries = [SparseMatrix.zeros(self.field, 0, dims[0])] if dims else []
+        for n in range(1, len(dims)):
+            restricted = linalg.solve_matrix(self.embeddings[n - 1], self.images[n])
+            if restricted is None:
+                raise _not_inside(n)
+            boundaries.append(restricted)
+        sub = ChainComplex(self.field, dims, tuple(boundaries))
+        sub.validate()
+        return sub
+
+
+def _not_inside(n: int) -> InvariantViolation:
+    return InvariantViolation(f"boundary does not stay inside the subcomplex at degree {n}")
 
 
 def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
@@ -287,7 +306,8 @@ def smallest_containing(field, dims, span, boundary) -> tuple[tuple[SparseMatrix
     by span[n] and the boundaries of span[n+1]; of these columns, in that
     order, each one outside the span of the earlier ones is kept.  Returns
     per degree the embedding matrix and the matrix of the boundaries of its
-    columns, zero for a kept boundary: the caller ensures d d = 0.
+    columns, each zero (a kept boundary; the caller ensures d d = 0) or
+    offered as a degree-(n-1) generator, so inside the result by construction.
     """
     top = len(span) - 1
     embeddings, images = [], []
@@ -305,22 +325,18 @@ def smallest_containing(field, dims, span, boundary) -> tuple[tuple[SparseMatrix
 
 def _embedded(build, edge_chains, field) -> EmbeddedComplex:
     """The subcomplex that ``build`` finds around an edge span, given the
-    ``_edge_chains`` of its hypergraph; its boundaries are the coordinates
-    of the boundaries of its columns."""
+    ``_edge_chains`` of its hypergraph, with the boundary images it returns.
+    Those stay inside it: d d = 0 was checked over Z on every edge, so an Inf
+    image does once it is supported on the edges, checked here, and a Sup
+    image always does (``smallest_containing``)."""
     labels, span, boundary = edge_chains
     embeddings, images = build(field, [len(level) for level in labels], span, boundary)
-    dims = tuple(e.ncols for e in embeddings)
-    boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
-    for n in range(1, len(dims)):
-        restricted = linalg.solve_matrix(embeddings[n - 1], images[n])
-        if restricted is None:
-            raise InvariantViolation(
-                f"boundary does not stay inside the subcomplex at degree {n}"
-            )
-        boundaries.append(restricted)
-    sub = ChainComplex(field, dims, tuple(boundaries))
-    sub.validate()
-    return EmbeddedComplex(labels, sub, embeddings)
+    if build is largest_inside:
+        for n in range(1, len(images)):
+            inside = set(span[n - 1])
+            if not all(i in inside for col in images[n].columns() for i in col):
+                raise _not_inside(n)
+    return EmbeddedComplex(field, labels, embeddings, images)
 
 
 def inf_complex(

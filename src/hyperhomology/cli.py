@@ -216,17 +216,16 @@ def _run_homology(args) -> Report:
     def work():
         if args.kind == "ambient":
             complex_ = ambient_complex(h, "closure", field=field, cap=_simplex_cap())
-        elif args.kind == "inf":
-            complex_ = inf_complex(h, field=field).complex
         else:
-            complex_ = sup_complex(h, field=field).complex
+            complex_ = (inf_complex if args.kind == "inf" else sup_complex)(h, field=field)
         summary = betti(complex_)
         if args.dump_matrices:
+            boundaries = (complex_ if args.kind == "ambient" else complex_.complex).boundaries
             outdir = Path(args.dump_matrices)
             outdir.mkdir(parents=True, exist_ok=True)
-            for n in range(1, complex_.top_degree + 1):
+            for n in range(1, len(boundaries)):
                 target = outdir / f"boundary_{args.kind}_{n}.txt"
-                target.write_text(complex_.boundaries[n].to_coordinate_text())
+                target.write_text(boundaries[n].to_coordinate_text())
         return {"field": summary.field_name, "betti": summary.betti_dict()}
 
     return timed_report(

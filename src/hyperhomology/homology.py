@@ -1,8 +1,9 @@
 """Homology of embedded chain complexes and the verified identities.
 
 Everything here is exact: Betti numbers come from ranks over Q (or Z/p),
-induced maps are computed by expressing cycle bases in target coordinates,
-and quotient complexes carry explicit coset-representative bases.  Each
+induced ranks from cycles modulo boundaries (an embedded complex gives both
+through its boundary images, in its edge labels), and quotient complexes
+carry explicit coset-representative bases.  Each
 degree of a quotient is eliminated once, into an echelon of the subspace
 keyed by largest index.  The representatives are the basis indices that
 are not keys: exactly the indices i whose unit vector lies outside the
@@ -18,18 +19,18 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from . import chains, linalg
+from . import linalg
 from .chains import (
     ChainComplex,
     DEFAULT_SIMPLEX_CAP,
     EmbeddedComplex,
+    _embedded,
     _inf_and_sup,
     ambient_complex,
-    empty_complex,
     largest_inside,
-    smallest_containing,
 )
 from .errors import InvariantViolation
 from .fields import QQ, RationalField
@@ -59,48 +60,46 @@ class HomologySummary:
 def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = False) -> HomologySummary:
     """Exact Betti numbers: dim_n - rank B_n - rank B_{n+1}.
 
-    Raises InvariantViolation when the input is not a chain complex.
+    An embedded complex is read through its boundary images, not its
+    ``complex``; a ChainComplex is validated (InvariantViolation if not one).
     """
-    c = complex_.complex if isinstance(complex_, EmbeddedComplex) else complex_
-    c.validate()
-    ranks = [linalg.rank(c.boundary_or_zero(n)) for n in range(c.top_degree + 2)]
-    numbers = tuple(
-        c.dim(n) - ranks[n] - ranks[n + 1] for n in range(c.top_degree + 1)
-    )
+    if isinstance(complex_, ChainComplex):
+        complex_.validate()
+        matrices = complex_.boundaries
+    else:
+        matrices = complex_.images
+    field = complex_.field
+    ranks = [linalg.rank(m) for m in matrices] + [0]
+    numbers = tuple(m.ncols - ranks[n] - ranks[n + 1] for n, m in enumerate(matrices))
     reps = None
     if representatives:
         reps = tuple(
-            SparseMatrix.from_columns(
-                c.field, c.dim(n), linalg.kernel_basis(c.boundary_or_zero(n))
-            )
-            for n in range(c.top_degree + 1)
+            SparseMatrix.from_columns(field, m.ncols, linalg.kernel_basis(m)) for m in matrices
         )
-    return HomologySummary(c.field.name, numbers, reps)
+    return HomologySummary(field.name, numbers, reps)
 
 
 def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: int) -> int:
     """Rank of H_n(source) -> H_n(target) induced by inclusion.
 
-    Both complexes must be embedded in chains on the same labels; the
-    source degree-n chain space must lie inside the target one.
+    Both complexes must be embedded in chains on the same labels, and the
+    source cycles (the kernel of its images) must lie in the target (checked);
+    their rank is taken modulo the target's images, in the labels.
     """
     if source.labels is not target.labels and source.labels != target.labels:
         raise ValueError("complexes are not embedded in chains on the same labels")
-    cycles = linalg.kernel_basis(source.complex.boundary_or_zero(n))
+    cycles = linalg.kernel_basis(source.images[n]) if n < len(source.images) else []
     if not cycles:
         return 0
-    cycle_matrix = SparseMatrix.from_columns(
-        source.complex.field, source.complex.dim(n), cycles
-    )
-    in_ambient = source.embeddings[n] @ cycle_matrix
-    emb_t = target.embeddings[n]
-    in_target = linalg.solve_matrix(emb_t, in_ambient)
-    if in_target is None:
+    cycle_matrix = SparseMatrix.from_columns(source.field, source.dims[n], cycles)
+    in_labels = source.embeddings[n] @ cycle_matrix
+    if not linalg.columns_in_span(target.embeddings[n], in_labels):
         raise InvariantViolation(
             f"degree-{n} cycles do not lie in the target subcomplex"
         )
-    boundaries = target.complex.boundary_or_zero(n + 1)
-    return linalg.image_rank_modulo(in_target.columns(), boundaries, target.complex.field)
+    top = len(target.images) - 1
+    up = target.images[n + 1] if n < top else SparseMatrix.zeros(target.field, 0, 0)
+    return linalg.image_rank_modulo(in_labels.columns(), up, target.field)
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,10 @@ class QuotientComplex:
     representatives[n] lists, in increasing order, the ambient basis indices
     whose cosets form the quotient basis; echelons[n] is the echelon of the
     degree-n subspace, keyed by largest index, and the representatives are
-    exactly the indices that are not its keys.
+    exactly the indices that are not its keys.  ``complex``, the quotient
+    chain complex, projects the ambient boundaries of the representatives.
     """
 
-    complex: ChainComplex
     representatives: tuple[tuple[int, ...], ...]
     ambient: ChainComplex
     echelons: tuple[linalg.Echelon, ...] = dataclasses.field(repr=False, compare=False)
@@ -161,6 +160,22 @@ class QuotientComplex:
         return {
             bisect_left(reps, i): v for i, v in self.echelons[n].reduce(vector).items()
         }
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        ambient, reps = self.ambient, self.representatives
+        dims = tuple(map(len, reps))
+        boundaries = [SparseMatrix.zeros(ambient.field, 0, dims[0])] if dims else []
+        for n in range(1, len(dims)):
+            images = ambient.boundaries[n].columns()
+            cols = [self.project_vector(n - 1, images[j]) for j in reps[n]]
+            boundaries.append(SparseMatrix.from_columns(ambient.field, dims[n - 1], cols))
+        labels = None
+        if ambient.labels is not None:
+            labels = tuple(tuple(level[j] for j in r) for level, r in zip(ambient.labels, reps))
+        result = ChainComplex(ambient.field, dims, tuple(boundaries), labels=labels)
+        result.validate()
+        return result
 
 
 def quotient_complex(
@@ -196,31 +211,7 @@ def quotient_complex(
         tuple(i for i in range(ambient.dim(n)) if i not in echelons[n].rows)
         for n in range(top + 1)
     )
-    # project_vector reads only the representatives and the echelons, so the
-    # boundaries below are projected through it before the complex exists
-    quotient = QuotientComplex(
-        ChainComplex(field, (), (), labels=()),
-        representatives,
-        ambient,
-        tuple(echelons),
-    )
-    dims = tuple(len(reps) for reps in representatives)
-    if not dims:
-        return quotient
-    boundaries = [SparseMatrix.zeros(field, 0, dims[0])]
-    for n in range(1, top + 1):
-        images = ambient.boundaries[n].columns()
-        cols = [quotient.project_vector(n - 1, images[j]) for j in representatives[n]]
-        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], cols))
-    labels = None
-    if ambient.labels is not None:
-        labels = tuple(
-            tuple(ambient.labels[n][j] for j in representatives[n])
-            for n in range(top + 1)
-        )
-    result = ChainComplex(field, dims, tuple(boundaries), labels=labels)
-    result.validate()
-    return dataclasses.replace(quotient, complex=result)
+    return QuotientComplex(representatives, ambient, tuple(echelons))
 
 
 def quotient_map_surjective(
@@ -235,14 +226,9 @@ def quotient_map_surjective(
     top = by_inf.ambient.top_degree
     field = by_inf.ambient.field
     for n in range(top + 1):
-        cols = [
-            by_sup.project_vector(n, {j: field.one})
-            for j in by_inf.representatives[n]
-        ]
-        matrix = SparseMatrix.from_columns(
-            field, by_sup.complex.dim(n), cols
-        )
-        if linalg.rank(matrix) != by_sup.complex.dim(n):
+        dim = len(by_sup.representatives[n])
+        cols = [by_sup.project_vector(n, {j: field.one}) for j in by_inf.representatives[n]]
+        if linalg.rank(SparseMatrix.from_columns(field, dim, cols)) != dim:
             return False
     return True
 
@@ -271,12 +257,9 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> Quoti
 
     Inf and Sup enter only as embeddings, which ``quotient_complex`` checks.
     """
-    labels, span, boundary = chains._edge_chains(h, field, ambient)
-    dims = [len(level) for level in labels]
-    inf, _ = largest_inside(field, dims, span, boundary)
-    sup, _ = smallest_containing(field, dims, span, boundary)
-    by_sup = quotient_complex(ambient, sup)
-    by_inf = quotient_complex(ambient, inf)
+    inf, sup = _inf_and_sup(h, field, ambient)
+    by_sup = quotient_complex(ambient, sup.embeddings)
+    by_inf = quotient_complex(ambient, inf.embeddings)
     return QuotientPairReport(
         betti(by_sup.complex).betti,
         betti(by_inf.complex).betti,
@@ -321,27 +304,27 @@ def four_term_sequence(
     3 take the dims and Betti numbers of Sup and Inf, built from the edges
     and their faces.  The maps are surjections when Inf lies in Sup and the
     lower edges lie in Inf, both checked, and all identities exactly when
-    h is simplicial.  The closure obeys the vertex cap (``ambient_complex``).
+    h is simplicial.  The closure obeys the vertex cap (``ambient_complex``),
+    and the last stage is the span of the lower edges inside it.
     """
-    if not h.edges:
-        b = betti(empty_complex(field)).betti
-        return FourTermReport(((),) * 4, (b,) * 4, (True, True, True), True)
     ambient = ambient_complex(h, "closure", field=field, cap=cap)
-    lower = lower_associated(h)
     inf, sup = _inf_and_sup(h, field, None)
-    top, levels = ambient.top_degree, lower.levels()
+    lower_edges = lower_associated(h).edges
+    span = [[k for k, e in enumerate(level) if e in lower_edges] for level in ambient.labels]
+    columns = [b.columns() for b in ambient.boundaries]
+    lower = _embedded(largest_inside, (ambient.labels, span, columns), field)
+    top = ambient.top_degree
 
     def padded(values) -> tuple[int, ...]:
         return tuple(values) + (0,) * (top + 1 - len(values))
 
-    stage_dims = tuple(padded(c.dims) for c in (ambient, sup.complex, inf.complex))
-    stage_dims += (tuple(len(levels.get(n + 1, ())) for n in range(top + 1)),)
-    lower_complex = ambient_complex(lower, field=field, cap=cap)
-    stage_betti = tuple(padded(betti(c).betti) for c in (ambient, sup, inf, lower_complex))
+    stages = (ambient, sup, inf, lower)
+    stage_dims = tuple(padded(c.dims) for c in stages)
+    stage_betti = tuple(padded(betti(c).betti) for c in stages)
 
     def units(n: int) -> SparseMatrix:
         index = {e: k for k, e in enumerate(inf.labels[n])}
-        columns = [{index[e]: field.one} for e in levels.get(n + 1, ())]
+        columns = [{index[ambient.labels[n][k]]: field.one} for k in span[n]]
         return SparseMatrix.from_columns(field, len(index), columns)
 
     degrees = range(len(inf.labels))

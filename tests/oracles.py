@@ -371,7 +371,12 @@ def closure_embedded(h, kind="inf", field=QQ):
         boundaries.append(linalg.solve_matrix(embeddings[n - 1], image))
     sub = ChainComplex(field, dims, tuple(boundaries))
     sub.validate()
-    return EmbeddedComplex(ambient.labels, sub, tuple(embeddings))
+    return EmbeddedComplex(
+        field,
+        ambient.labels,
+        tuple(embeddings),
+        tuple(ambient.boundaries[n] @ embeddings[n] for n in range(top + 1)),
+    )
 
 
 def _reversed_complex(c):

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperhomology import chains, homology, suites
+from hyperhomology import chains, homology, linalg, suites
 from hyperhomology.cli import main
-from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
+from hyperhomology.chains import ChainComplex, ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.homology import (
@@ -154,6 +154,13 @@ def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
     assert main(["quotient-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["betti_equal"]
     assert calls == [True, False]
+    # four-term: one build for the closure ambient, one for Inf and Sup; the
+    # last stage (empty here: MIXED has no vertex) is read off the closure
+    calls.clear()
+    assert main(["four-term", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["stage_dims"][3] == results["stage_betti"][3] == [0, 0, 0]
+    assert calls == [True, True]
 
 
 def test_structural_suite_builds_inf_and_sup_together(monkeypatch):
@@ -363,6 +370,75 @@ def test_cli_four_term_builds_no_quotient(monkeypatch, tmp_path, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["surjective"] == [True, True, True]
     assert results["stage_dims"] == [[3, 3, 1], [2, 3, 1], [0, 0, 0], [0, 0, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(small_edge_sets(), punched_closures()),
+    st.sampled_from([QQ, PrimeField(7), PrimeField(2)]),
+    st.sampled_from(["inf", "sup"]),
+)
+def test_betti_through_the_images_matches_the_restriction(h, field, kind):
+    embedded = (inf_complex if kind == "inf" else sup_complex)(h, field=field)
+    fast = betti(embedded, representatives=True)
+    assert "complex" not in vars(embedded)  # the restriction was not solved for
+    restricted = betti(embedded.complex, representatives=True)
+    assert fast.betti == restricted.betti == betti(closure_embedded(h, kind, field)).betti
+    for n, reps in enumerate(fast.cycle_representatives):
+        embedding = embedded.embeddings[n]
+        assert embedding @ reps == embedding @ restricted.cycle_representatives[n]
+
+
+def test_cli_inf_sup_reports_solve_no_restriction(monkeypatch, tmp_path, capsys):
+    # the boundary images of Inf and Sup carry their ranks and cycles: no
+    # report without --dump-matrices solves for internal boundaries, and
+    # quasi-check and homology --kind inf|sup validate no ChainComplex
+    path = tmp_path / "h.json"
+    edges = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [2, 3], [0, 1, 2], [1, 2, 3]]
+    path.write_text(json.dumps({"vertices": [0, 1, 2, 3], "edges": edges}))
+    commands = [["quasi-check"], ["homology", "--kind", "inf"], ["homology", "--kind", "sup"]]
+
+    def payloads(argvs):
+        out = []
+        for argv in argvs:
+            for field in ("Q", "7", "2"):
+                assert main(argv + [str(path), "--field", field]) == 0
+                report = json.loads(capsys.readouterr().out)
+                report.pop("timing_seconds")
+                out.append(report)
+        return out
+
+    expected = payloads(commands + [["four-term"]])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an internal boundary was solved for or validated")
+
+    monkeypatch.setattr(linalg, "solve_matrix", refuse)
+    assert payloads(commands + [["four-term"]]) == expected
+    monkeypatch.setattr(ChainComplex, "validate", refuse)
+    assert payloads(commands) == expected[: 3 * len(commands)]
+
+
+def test_an_inf_image_outside_the_edges_fails_the_check(monkeypatch, tmp_path, capsys):
+    # a triangle of sides plus an edge (3, 4) without its vertices: Inf has
+    # the triangle's cycle in degree 1, with image zero; the mutation moves
+    # that image onto a vertex of (3, 4), which is not an edge
+    build = chains.largest_inside
+
+    def leaky(field, dims, span, boundary):
+        embeddings, images = build(field, dims, span, boundary)
+        images = list(images)
+        outside = min(set(range(dims[0])) - set(span[0]))
+        columns = [{**col, outside: field.one} for col in images[1].columns()]
+        images[1] = SparseMatrix.from_columns(field, dims[0], columns)
+        return embeddings, tuple(images)
+
+    monkeypatch.setattr(chains, "largest_inside", leaky)
+    path = tmp_path / "h.json"
+    edges = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [3, 4]]
+    path.write_text(json.dumps({"vertices": [0, 1, 2, 3, 4], "edges": edges}))
+    assert main(["quasi-check", str(path)]) == 4
+    assert "boundary does not stay inside the subcomplex at degree 1" in capsys.readouterr().err
 
 
 def test_hodge_laplacian_examples():
