@@ -24,15 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
-from .errors import InvariantViolation, ResourceCapError
+from .errors import InvariantViolation, check_cap
 from .fields import QQ
 from .hypergraphs import Edge, Hypergraph, delta_closure
 from .linalg import SparseMatrix
-
-DEFAULT_SIMPLEX_CAP = 16
 
 
 def face(edge: Edge, i: int) -> Edge:
@@ -155,46 +153,40 @@ def _check_square_zero(n: int, lower, upper: list[dict[int, int]], labels) -> No
         raise _not_a_complex(n, nonzero, labels)
 
 
-def _check_closure_cap(size: int, cap: int) -> None:
+def _check_closure_cap(size: int) -> None:
     """Raise ResourceCapError when the closure of a size-vertex edge, the
-    full simplex on its vertices, exceeds the cap."""
-    if size > cap:
-        raise ResourceCapError(f"closure of a {size}-vertex edge exceeds the cap of {cap}")
+    full simplex on its vertices, exceeds the simplex cap."""
+    check_cap(size, "simplex", f"closure of a {size}-vertex edge")
 
 
 def ambient_complex(
     h: Hypergraph,
     mode: str = "closure",
     *,
-    vertices: Iterable[int] | None = None,
     max_degree: int | None = None,
     field=QQ,
-    cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> ChainComplex:
     """Chain complex of the deletion closure or of a full simplex.
 
     closure mode uses the closure of h; full_simplex mode spans all subsets
-    of the given vertex set up to max_degree.  Both cap the vertex count
-    before building anything: the closure of a k-vertex edge is the full
-    simplex on its k vertices, so there the cap bounds the largest edge.
-    Either way the complex is the edge-chain complex of a deletion-closed
-    hypergraph, on its sorted levels, and comes back validated: d d = 0 was
-    checked over Z on every edge.
+    of the vertex set of h up to max_degree.  Both check the simplex cap
+    (``errors.check_cap``) before building anything: the closure of a
+    k-vertex edge is the full simplex on its k vertices, so there the cap
+    bounds the largest edge.  Either way the complex is the edge-chain
+    complex of a deletion-closed hypergraph, on its sorted levels, and comes
+    back validated: d d = 0 was checked over Z on every edge.
     """
     if mode == "closure":
-        _check_closure_cap(h.max_cardinality(), cap)
+        _check_closure_cap(h.max_cardinality())
         closed = delta_closure(h)
     elif mode == "full_simplex":
         if h.directed:
             raise ValueError("full simplex ambient applies to unordered hypergraphs")
-        vs = set(h.vertices if vertices is None else vertices)
-        if not {v for e in h.edges for v in e} <= vs:
-            raise ValueError("ambient vertices must cover the hypergraph support")
-        if len(vs) > cap:
-            raise ResourceCapError(f"full simplex on {len(vs)} vertices exceeds the cap of {cap}")
+        vs = sorted(h.vertices)
+        check_cap(len(vs), "simplex", f"full simplex on {len(vs)} vertices")
         degree = max_degree if max_degree is not None else max(h.max_cardinality() - 1, 0)
-        faces = (f for k in range(1, degree + 2) for f in combinations(sorted(vs), k))
-        closed = Hypergraph(frozenset(vs), frozenset(faces))
+        faces = (f for k in range(1, degree + 2) for f in combinations(vs, k))
+        closed = Hypergraph(h.vertices, frozenset(faces))
     else:
         raise ValueError(f"unknown ambient mode {mode!r}")
     labels, _, boundary = _edge_chains(closed, field, None)
@@ -256,9 +248,10 @@ def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
     checked over Z on every edge e, through the faces of its faces.
     """
     levels = h.levels()
-    top = h.max_cardinality() if ambient is None else len(ambient.labels)
+    top = max(h.max_cardinality(), len(ambient.labels) if ambient else 0)
     edges = [levels.get(n + 1, ()) for n in range(top)]
     labels = [list(level) for level in (edges if ambient is None else ambient.labels)]
+    labels += [[] for _ in range(top - len(labels))]  # an edge above the ambient is missing
     missing = "extend" if ambient is None else "error"
     span, boundary, lower = [], [], {}
     for n, level in enumerate(labels):

@@ -1,21 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 parse/config error, 3 resource cap exceeded,
-4 failed theorem or invariant check.  Caps can be overridden with the
-environment variables HYPERHOMOLOGY_SIMPLEX_CAP (vertex cap for full-simplex
-ambients and for the largest edge of a closure ambient, which is the full
-simplex on that edge) and HYPERHOMOLOGY_VERTEX_CAP (permutation search cap).
+4 failed theorem or invariant check.  The size caps are read from their
+environment variables where they are checked (``errors.check_cap``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import bundles
-from .chains import DEFAULT_SIMPLEX_CAP, ambient_complex, inf_complex, sup_complex
+from .chains import ambient_complex, inf_complex, sup_complex
 from .errors import (
     InvariantViolation,
     ParseError,
@@ -24,7 +21,7 @@ from .errors import (
 )
 from .fields import field_by_name
 from .filtration import build_filtration, persistent_betti
-from .groups import DEFAULT_VERTEX_CAP, aut_group, aut_isom, isom_group
+from .groups import aut_group, aut_isom, isom_group
 from .homology import betti, four_term_sequence, quotient_pair_check, verify_quasi_iso_theta
 from .hypergraphs import (
     associated_independence,
@@ -42,14 +39,6 @@ from .jsonio import (
     timed_report,
 )
 from .suites import run_all
-
-
-def _simplex_cap() -> int:
-    return int(os.environ.get("HYPERHOMOLOGY_SIMPLEX_CAP", DEFAULT_SIMPLEX_CAP))
-
-
-def _vertex_cap() -> int:
-    return int(os.environ.get("HYPERHOMOLOGY_VERTEX_CAP", DEFAULT_VERTEX_CAP))
 
 
 def _add_out(parser):
@@ -215,7 +204,7 @@ def _run_homology(args) -> Report:
 
     def work():
         if args.kind == "ambient":
-            complex_ = ambient_complex(h, "closure", field=field, cap=_simplex_cap())
+            complex_ = ambient_complex(h, "closure", field=field)
         else:
             complex_ = (inf_complex if args.kind == "inf" else sup_complex)(h, field=field)
         summary = betti(complex_)
@@ -260,7 +249,7 @@ def _run_four_term(args) -> Report:
     return timed_report(
         "four-term",
         {"input": args.input, "field": args.field},
-        lambda: four_term_sequence(h, field=field, cap=_simplex_cap()).as_dict(),
+        lambda: four_term_sequence(h, field=field).as_dict(),
     )
 
 
@@ -271,13 +260,7 @@ def _run_quotient(args) -> Report:
     field = field_by_name(args.field)
 
     def work():
-        ambient = ambient_complex(
-            h,
-            "full_simplex",
-            max_degree=args.max_degree,
-            field=field,
-            cap=_simplex_cap(),
-        )
+        ambient = ambient_complex(h, "full_simplex", max_degree=args.max_degree, field=field)
         return quotient_pair_check(h, ambient, field=field).as_dict()
 
     report = timed_report(
@@ -301,9 +284,7 @@ def _run_persist(args) -> Report:
     def work():
         steps = build_filtration(sample, args.n_max)
         all_pairs = args.all_pairs or args.barcode
-        table = persistent_betti(
-            steps, degrees, args.kind, all_pairs=all_pairs, field=field, cap=_simplex_cap()
-        )
+        table = persistent_betti(steps, degrees, args.kind, all_pairs=all_pairs, field=field)
         payload = {
             "kind": table.kind,
             "radii": [float(r) for r in table.step_radii],
@@ -332,8 +313,7 @@ def _run_aut(args) -> Report:
     h = parse_hypergraph(args.input)
 
     def work():
-        cap = _vertex_cap()
-        action = aut_group(h, cap)
+        action = aut_group(h)
         return {
             "homeo_order": action.homeo.order,
             "stab_order": action.stab.order,
@@ -348,11 +328,10 @@ def _run_isom(args) -> Report:
     sample = parse_point_sample(args.points)
 
     def work():
-        cap = _vertex_cap()
         if not args.hypergraph:
-            return {"isom_order": isom_group(sample, cap, args.tolerance).order}
+            return {"isom_order": isom_group(sample, tolerance=args.tolerance).order}
         h = parse_hypergraph(args.hypergraph)
-        report = aut_isom(h, sample, cap, args.tolerance).as_dict()
+        report = aut_isom(h, sample, tolerance=args.tolerance).as_dict()
         return {"isom_order": report["isom_order"], "aut_isom": report}
 
     return timed_report(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .chains import DEFAULT_SIMPLEX_CAP, ChainComplex, ambient_complex
+from .chains import ChainComplex, ambient_complex
 from .chains import _check_closure_cap, _check_square_zero, _edge_chains, _in_field
 from .chains import _integer_columns, largest_inside, smallest_containing
 from .errors import InvariantViolation
@@ -310,13 +310,12 @@ def persistent_betti(
     *,
     all_pairs: bool = False,
     field=QQ,
-    cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> PersistentBettiTable:
     """Ranks of H_n(step_i) -> H_n(step_j) along the inclusion order.
 
     kind selects the Inf or the Sup complex of each step; both nest along
     the filtration, and the maps are induced by chain inclusion.  The
-    largest edge of the final step obeys the closure cap (see
+    largest edge of the final step obeys the simplex cap of a closure (see
     ``ambient_complex``), checked before any simplex is listed.  When every
     step's edges already span a subcomplex, both kinds are that span, and
     no closure ambient is built.
@@ -336,11 +335,11 @@ def persistent_betti(
                 raise ValueError("steps must be nested increasingly")
     if not steps:
         raise ValueError("empty filtration")
-    _check_closure_cap(flag.top if flag else steps[-1].hypergraph.max_cardinality(), cap)
+    _check_closure_cap(flag.top if flag else steps[-1].hypergraph.max_cardinality())
     levels = flag.levels() if flag else _hypergraph_levels([s.hypergraph for s in steps])
     basis = _simplex_basis(levels, field)
     if basis is None:
-        ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field, cap=cap)
+        ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field)
         basis = _echelon_basis(ambient, [s.hypergraph for s in steps], kind)
     births, columns = basis
     bars = _bars(births, columns, field)

@@ -1,15 +1,16 @@
 """Symmetry groups of hypergraphs and metric samples over finite vertex sets.
 
-Every group is found by one backtracking search over vertex maps, capped by
-default at 10 vertices.  It prunes candidate images by vertex profiles and
-checks each edge as soon as its last vertex is assigned.  The vertices are
-assigned in an order that completes as many edges as early as it can (the
-first step of graph automorphism search in McKay, "Practical graph
-isomorphism", 1981), so that edges are checked early whatever the labels.
-The isometry group runs the same search on the complete graph, whose order
-is the id order, so each pairwise distance is compared when its later point
-is assigned; the distances are looked up in a table built once per sample,
-as one small int per class of equal exact distances.  Groups are listed element by element, but closure and
+Every group is found by one backtracking search over vertex maps, bounded
+by the vertex cap (``errors.check_cap``).  It prunes candidate images by
+vertex profiles and checks each edge as soon as its last vertex is
+assigned.  The vertices are assigned in an order that completes as many
+edges as early as it can (the first step of graph automorphism search in
+McKay, "Practical graph isomorphism", 1981), so that edges are checked
+early whatever the labels.  The isometry group runs the same search on the
+complete graph, whose order is the id order, so each pairwise distance is
+compared when its later point is assigned; the distances are looked up in
+a table built once per sample, as one small int per class of equal exact
+distances.  Groups are listed element by element, but closure and
 normality are checked on greedy generators, computed once per group, not
 on all pairs of elements.  The edge action of the automorphism group is
 faithful, so automorphisms are stored as permutations of the (sorted) edge
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import ResourceCapError
+from .errors import check_cap
 from .hypergraphs import (
     Edge,
     Hypergraph,
@@ -35,8 +36,6 @@ from .hypergraphs import (
     project,
 )
 from .metrics import MetricPointSample
-
-DEFAULT_VERTEX_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -236,17 +235,14 @@ def _search_order(domain: Sequence[int], edges) -> list[int]:
     return order
 
 
-def _search_vertex_maps(h, predicate, cap: int) -> list[Permutation]:
+def _search_vertex_maps(h, predicate) -> list[Permutation]:
     """All vertex permutations passing the per-edge predicate.
 
     Backtracking over images with profile pruning, in ``_search_order``;
     each edge is checked as soon as its last vertex is assigned.
     """
     domain = tuple(sorted(h.vertices))
-    if len(domain) > cap:
-        raise ResourceCapError(
-            f"vertex set of size {len(domain)} exceeds the cap of {cap}"
-        )
+    check_cap(len(domain), "vertex", f"vertex set of size {len(domain)}")
     profiles = _vertex_profiles(h)
     candidates = {
         v: [w for w in domain if profiles[w] == profiles[v]] for v in domain
@@ -282,7 +278,7 @@ def _search_vertex_maps(h, predicate, cap: int) -> list[Permutation]:
     return found
 
 
-def homeo_group(h, cap: int = DEFAULT_VERTEX_CAP) -> PermutationGroup:
+def homeo_group(h) -> PermutationGroup:
     """All vertex bijections mapping every edge onto an edge of h."""
     edges = h.edges
 
@@ -294,12 +290,12 @@ def homeo_group(h, cap: int = DEFAULT_VERTEX_CAP) -> PermutationGroup:
             return tuple(sorted(assignment[v] for v in e)) in edges
 
     domain = tuple(sorted(h.vertices))
-    group = PermutationGroup(domain, tuple(_search_vertex_maps(h, keeps, cap)))
+    group = PermutationGroup(domain, tuple(_search_vertex_maps(h, keeps)))
     group.verify()
     return group
 
 
-def stab_group(h, cap: int = DEFAULT_VERTEX_CAP) -> PermutationGroup:
+def stab_group(h) -> PermutationGroup:
     """Vertex bijections fixing every edge (setwise; exactly if directed)."""
     if h.directed:
         def fixes(e, assignment):
@@ -309,7 +305,7 @@ def stab_group(h, cap: int = DEFAULT_VERTEX_CAP) -> PermutationGroup:
             return tuple(sorted(assignment[v] for v in e)) == e
 
     domain = tuple(sorted(h.vertices))
-    group = PermutationGroup(domain, tuple(_search_vertex_maps(h, fixes, cap)))
+    group = PermutationGroup(domain, tuple(_search_vertex_maps(h, fixes)))
     group.verify()
     return group
 
@@ -362,10 +358,10 @@ def edge_action(h, perm: Permutation) -> tuple[int, ...]:
     return _edge_action_map(h)(perm)
 
 
-def aut_group(h, cap: int = DEFAULT_VERTEX_CAP) -> EdgeActionGroup:
+def aut_group(h) -> EdgeActionGroup:
     """The induced faithful action on edges: one element per Homeo/Stab coset."""
-    homeo = homeo_group(h, cap)
-    stab = stab_group(h, cap)
+    homeo = homeo_group(h)
+    stab = stab_group(h)
     if not stab.is_normal_in(homeo):
         raise AssertionError("stabilizer is not normal in the homeomorphism group")
     act = _edge_action_map(h)
@@ -386,7 +382,7 @@ def aut_group(h, cap: int = DEFAULT_VERTEX_CAP) -> EdgeActionGroup:
     )
 
 
-def pi_surjection_check(h: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
+def pi_surjection_check(h: Hypergraph) -> bool:
     """Does every projected automorphism lift to the hyperdigraph?
 
     Requires a sigma-invariant input.  Checked exhaustively: each edge
@@ -396,8 +392,8 @@ def pi_surjection_check(h: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
     if not is_sigma_invariant(h):
         raise ValueError("pi surjectivity requires a sigma-invariant hyperdigraph")
     flat = project(h)
-    down = aut_group(flat, cap)
-    homeo_up = homeo_group(h, cap)
+    down = aut_group(flat)
+    homeo_up = homeo_group(h)
     act = _edge_action_map(flat)
     induced = {act(perm) for perm in homeo_up.elements}
     return all(a in induced for a in down.elements)
@@ -428,9 +424,7 @@ class SubgroupReport:
         }
 
 
-def subgroup_identities(
-    h: Hypergraph, ambient: Iterable[int], cap: int = DEFAULT_VERTEX_CAP
-) -> SubgroupReport:
+def subgroup_identities(h: Hypergraph, ambient: Iterable[int]) -> SubgroupReport:
     """Compare the symmetry groups of h with those of its derived hypergraphs.
 
     All groups are taken as subgroups of the permutations of the ambient
@@ -453,9 +447,9 @@ def subgroup_identities(
         "lower_independence": lower_associated_independence(base, amb),
     }
     with_aut = ("h", "max", "min", "closure", "independence")
-    auts = {name: aut_group(derived[name], cap) for name in with_aut}
+    auts = {name: aut_group(derived[name]) for name in with_aut}
     groups = {
-        name: auts[name].homeo if name in auts else homeo_group(g, cap)
+        name: auts[name].homeo if name in auts else homeo_group(g)
         for name, g in derived.items()
     }
     orders = {name: grp.order for name, grp in groups.items()}
@@ -472,9 +466,7 @@ def subgroup_identities(
     )
 
 
-def isom_group(
-    sample: MetricPointSample, cap: int = DEFAULT_VERTEX_CAP, tolerance=0
-) -> PermutationGroup:
+def isom_group(sample: MetricPointSample, *, tolerance=0) -> PermutationGroup:
     """Distance-preserving bijections of a finite metric sample.
 
     The vertex-map search runs on the complete graph over the sample, whose
@@ -486,9 +478,10 @@ def isom_group(
     non-zero tolerance (for float-valued metrics) it holds the keys as
     floats, and two distances match when they differ by at most it.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     ids = tuple(sorted(sample.ids))
-    if len(ids) > cap:
-        raise ResourceCapError(f"sample of size {len(ids)} exceeds the cap of {cap}")
+    check_cap(len(ids), "vertex", f"sample of size {len(ids)}")
     table = {}
     classes: dict = {}
     for (a, b), key in sample.metric.pair_keys(ids).items():
@@ -505,7 +498,7 @@ def isom_group(
             return table[pair] == table[assignment[a], assignment[b]]
 
     complete = Hypergraph(frozenset(ids), frozenset(combinations(ids, 2)))
-    group = PermutationGroup(ids, tuple(_search_vertex_maps(complete, preserves, cap)))
+    group = PermutationGroup(ids, tuple(_search_vertex_maps(complete, preserves)))
     group.verify()
     return group
 
@@ -533,15 +526,15 @@ class IsometricAutReport:
 def aut_isom(
     h: Hypergraph,
     sample: MetricPointSample,
-    cap: int = DEFAULT_VERTEX_CAP,
+    *,
     tolerance=0,
 ) -> IsometricAutReport:
     """Isometric automorphisms: Isom(h) modulo the stabilizer inside it."""
     if set(h.vertices) != set(sample.ids):
         raise ValueError("hypergraph vertices must match the sample points")
-    isom = isom_group(sample, cap, tolerance)
-    homeo = homeo_group(h, cap)
-    stab = stab_group(h, cap)
+    isom = isom_group(sample, tolerance=tolerance)
+    homeo = homeo_group(h)
+    stab = stab_group(h)
     isom_imgs = isom.element_set()
     isom_h = PermutationGroup(
         homeo.domain,

@@ -25,7 +25,6 @@ from typing import Sequence
 from . import linalg
 from .chains import (
     ChainComplex,
-    DEFAULT_SIMPLEX_CAP,
     EmbeddedComplex,
     _embedded,
     _inf_and_sup,
@@ -290,9 +289,7 @@ class FourTermReport:
         }
 
 
-def four_term_sequence(
-    h: Hypergraph, field=QQ, *, cap: int = DEFAULT_SIMPLEX_CAP
-) -> FourTermReport:
+def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     """The four-stage surjective sequence over the closure of h.
 
     The stages are cochains on the closure C, two quotients of them, and
@@ -304,10 +301,10 @@ def four_term_sequence(
     3 take the dims and Betti numbers of Sup and Inf, built from the edges
     and their faces.  The maps are surjections when Inf lies in Sup and the
     lower edges lie in Inf, both checked, and all identities exactly when
-    h is simplicial.  The closure obeys the vertex cap (``ambient_complex``),
+    h is simplicial.  The closure obeys the simplex cap (``ambient_complex``),
     and the last stage is the span of the lower edges inside it.
     """
-    ambient = ambient_complex(h, "closure", field=field, cap=cap)
+    ambient = ambient_complex(h, "closure", field=field)
     inf, sup = _inf_and_sup(h, field, None)
     lower_edges = lower_associated(h).edges
     span = [[k for k, e in enumerate(level) if e in lower_edges] for level in ambient.labels]

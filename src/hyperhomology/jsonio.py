@@ -31,13 +31,21 @@ from .metrics import (
 SCHEMA_TAG = "hyperhomology-report/1"
 
 
+def _read(source) -> tuple[str, str]:
+    """The text of a path, text or open file, and where it came from.  A
+    string is a path only when it names an existing file; a string refused
+    as a file name (too long, say) is text."""
+    try:
+        is_path = isinstance(source, Path) or isinstance(source, str) and Path(source).is_file()
+    except OSError:
+        is_path = False
+    if is_path:
+        return Path(source).read_text(), str(source)
+    return (source if isinstance(source, str) else source.read()), "<input>"
+
+
 def _load_json(source) -> Any:
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        text = Path(source).read_text()
-        where = str(source)
-    else:
-        text = source if isinstance(source, str) else source.read()
-        where = "<input>"
+    text, where = _read(source)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -123,10 +131,7 @@ def parse_point_sample(source, *, kind: str | None = None) -> MetricPointSample:
         kind is None and isinstance(source, (str, Path)) and str(source).endswith(".csv")
     )
     if is_csv:
-        if isinstance(source, (str, Path)) and Path(source).exists():
-            text = Path(source).read_text()
-        else:
-            text = source if isinstance(source, str) else source.read()
+        text, _ = _read(source)
         ids, rows = [], []
         for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
             if not row or row[0].lstrip().startswith("#"):

@@ -45,6 +45,7 @@ from .hypergraphs import (
     project,
     sheet_counts_ok,
 )
+from .jsonio import hypergraph_to_json
 from .metrics import PiValue, circle_sample, euclidean_sample, evenly_spaced_circle_sample, hard_sphere
 
 
@@ -137,11 +138,6 @@ def random_euclidean_sample(rng: random.Random, count: int, dim: int = 2):
             return euclidean_sample(rows)
 
 
-def _edge_dump(h) -> dict:
-    kind = "directed_edges" if h.directed else "edges"
-    return {"vertices": sorted(h.vertices), kind: [list(e) for e in h.sorted_edges()]}
-
-
 def group_tables_suite() -> SuiteResult:
     """Fixed four-vertex fixtures with known (|Homeo|, |Stab|, |Aut|)."""
     result = SuiteResult("group_tables")
@@ -171,7 +167,7 @@ def quasi_iso_suite(
         report = verify_quasi_iso_theta(h)
         result.checks += 1
         if not report.is_iso:
-            result.fail({"instance": _edge_dump(h), "report": report.as_dict()})
+            result.fail({"instance": hypergraph_to_json(h), "report": report.as_dict()})
     return result
 
 
@@ -202,7 +198,7 @@ def simplicial_identity_suite(seed: int, count: int = 50) -> SuiteResult:
         if not (same_rep and four.all_identity):
             result.fail(
                 {
-                    "instance": _edge_dump(h),
+                    "instance": hypergraph_to_json(h),
                     "same_representation": same_rep,
                     "four_term_identity": four.all_identity,
                 }
@@ -220,7 +216,7 @@ def quotient_suite(seed: int, count: int = 30) -> SuiteResult:
         report = quotient_pair_check(h, ambient)
         result.checks += 1
         if not (report.betti_equal and report.q_surjective):
-            result.fail({"instance": _edge_dump(h), "report": report.as_dict()})
+            result.fail({"instance": hypergraph_to_json(h), "report": report.as_dict()})
     return result
 
 
@@ -243,7 +239,7 @@ def covering_suite(seed: int, count: int = 50) -> SuiteResult:
                 h.level(max(len(e) for e in up.edges))
             )
         if not ok:
-            result.fail({"instance": _edge_dump(h)})
+            result.fail({"instance": hypergraph_to_json(h)})
     return result
 
 
@@ -356,7 +352,7 @@ def laplacian_suite(seed: int, count: int = 50) -> SuiteResult:
         for n, expected in enumerate(numbers):
             _, harmonic = hodge_laplacian(embedded.complex, n)
             if harmonic != expected:
-                result.fail({"instance": _edge_dump(h), "degree": n})
+                result.fail({"instance": hypergraph_to_json(h), "degree": n})
                 break
     return result
 
@@ -424,7 +420,7 @@ def structural_suite(seed: int, fuzz_elements: int = 1000) -> SuiteResult:
             and betti(sup).betti == betti(padded_sup).betti
         )
         if not same:
-            result.fail({"instance": _edge_dump(h), "case": "ambient independence"})
+            result.fail({"instance": hypergraph_to_json(h), "case": "ambient independence"})
         closure_amb.validate()
         simplex_amb.validate()
 
@@ -442,7 +438,7 @@ def structural_suite(seed: int, fuzz_elements: int = 1000) -> SuiteResult:
         total += len(closed.edges)
         result.checks += 1
         if not delta_identity_check(table):
-            result.fail({"instance": _edge_dump(h), "case": "delta identity"})
+            result.fail({"instance": hypergraph_to_json(h), "case": "delta identity"})
         # a corrupted face entry must be detected
         corruptible = sorted(e for e in table if len(e) >= 3)
         if corruptible:
@@ -452,7 +448,7 @@ def structural_suite(seed: int, fuzz_elements: int = 1000) -> SuiteResult:
             broken[e] = tuple([faces[1]] + faces[1:])
             result.checks += 1
             if delta_identity_check(broken):
-                result.fail({"instance": _edge_dump(h), "case": "corruption missed"})
+                result.fail({"instance": hypergraph_to_json(h), "case": "corruption missed"})
     result.details["fuzzed_elements"] = total
     return result
 

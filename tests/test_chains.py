@@ -150,13 +150,16 @@ def test_ambient_complex_sizes():
     assert ambient_complex(hypergraph([], vertices=[0]), "closure").dims == ()
 
 
-def test_full_simplex_cap():
+def test_full_simplex_cap(monkeypatch):
     h = hypergraph([], vertices=range(17))
     with pytest.raises(ResourceCapError, match="on 17 vertices exceeds the cap of 16"):
         ambient_complex(h, "full_simplex", max_degree=2)
-    with pytest.raises(ResourceCapError):
-        ambient_complex(hypergraph([[0, 1]], vertices=range(4)), "full_simplex", cap=3)
-    assert ambient_complex(h, "full_simplex", max_degree=0, cap=17).dims == (17,)
+    monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", "3")
+    with pytest.raises(ResourceCapError) as raised:
+        ambient_complex(hypergraph([[0, 1]], vertices=range(4)), "full_simplex")
+    assert str(raised.value) == "full simplex on 4 vertices exceeds the cap of 3"
+    monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", "17")
+    assert ambient_complex(h, "full_simplex", max_degree=0).dims == (17,)
 
 
 def test_closure_cap_applies_to_the_largest_edge(monkeypatch):
@@ -167,10 +170,45 @@ def test_closure_cap_applies_to_the_largest_edge(monkeypatch):
     for h in (hypergraph([range(17), [20, 21]]), hyperdigraph([range(16, -1, -1)])):
         with pytest.raises(ResourceCapError):
             ambient_complex(h, "closure")
+    monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", "3")
     with pytest.raises(ResourceCapError):
-        ambient_complex(hypergraph([[0, 1, 2, 3]]), "closure", cap=3)
-    monkeypatch.undo()
-    assert ambient_complex(hypergraph([[0, 1, 2]]), "closure", cap=3).dims == (3, 3, 1)
+        ambient_complex(hypergraph([[0, 1, 2, 3]]), "closure")
+    monkeypatch.setattr(chains, "delta_closure", delta_closure)
+    assert ambient_complex(hypergraph([[0, 1, 2]]), "closure").dims == (3, 3, 1)
+
+
+def test_library_calls_obey_the_simplex_cap_variable(monkeypatch):
+    from hyperhomology.filtration import FiltrationStep, persistent_betti
+    from hyperhomology.homology import four_term_sequence
+
+    tetra = hypergraph([[0, 1, 2, 3]])
+    steps = [FiltrationStep(0, 2, 1, tetra)]
+    assert ambient_complex(tetra).dims == (4, 6, 4, 1)
+    monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", "3")
+    closure = "^closure of a 4-vertex edge exceeds the cap of 3$"
+    for call in (
+        lambda: ambient_complex(tetra),
+        lambda: four_term_sequence(tetra),
+        lambda: persistent_betti(steps, [0]),
+    ):
+        with pytest.raises(ResourceCapError, match=closure):
+            call()
+    with pytest.raises(ResourceCapError, match="^full simplex on 4 vertices exceeds the cap of 3$"):
+        ambient_complex(tetra, "full_simplex")
+    assert ambient_complex(hypergraph([[0, 1, 2]]), "full_simplex").dims == (3, 3, 1)
+
+
+def test_an_ambient_below_the_top_edge_is_rejected():
+    from hyperhomology.homology import betti
+
+    h = hypergraph([[0, 1], [1, 2], [0, 1, 2], [2, 3]])
+    for max_degree in (0, 1):
+        ambient = ambient_complex(h, "full_simplex", max_degree=max_degree)
+        for build in (inf_complex, sup_complex):
+            with pytest.raises(ValueError, match="is missing from the ambient basis"):
+                build(h, ambient=ambient)
+    ambient = ambient_complex(h, "full_simplex", max_degree=2)
+    assert betti(inf_complex(h, ambient=ambient)).betti == (0, 0, 0)
 
 
 def test_inf_sup_example_dimensions():
@@ -237,11 +275,6 @@ def test_delta_identity_rejects_malformed_table():
     del table[(0, 1)]
     with pytest.raises(ValueError):
         delta_identity_check(table)
-
-
-def test_full_simplex_mode_requires_cover():
-    with pytest.raises(ValueError):
-        ambient_complex(hypergraph([[0, 9]]), "full_simplex", vertices=[0, 1])
 
 
 def test_inf_inside_span_inside_sup():

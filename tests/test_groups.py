@@ -136,13 +136,40 @@ def test_subgroup_identities_examples():
     assert report.all_ok
 
 
-def test_vertex_cap():
+def test_vertex_cap(monkeypatch):
     big = hypergraph([], vertices=range(11))
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match="^vertex set of size 11 exceeds the cap of 10$"):
         homeo_group(big)
-    homeo_group(hypergraph([], vertices=range(4)), cap=4)
-    with pytest.raises(ResourceCapError):
-        homeo_group(hypergraph([], vertices=range(5)), cap=4)
+    monkeypatch.setenv("HYPERHOMOLOGY_VERTEX_CAP", "4")
+    homeo_group(hypergraph([], vertices=range(4)))
+    with pytest.raises(ResourceCapError, match="^vertex set of size 5 exceeds the cap of 4$"):
+        homeo_group(hypergraph([], vertices=range(5)))
+
+
+def test_library_calls_obey_the_vertex_cap_variable(monkeypatch):
+    five = hypergraph([[0, 1]], vertices=range(5))
+    square = euclidean_sample([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert homeo_group(five).order == 12
+    assert isom_group(square).order == 8
+    monkeypatch.setenv("HYPERHOMOLOGY_VERTEX_CAP", "4")
+    for call in (homeo_group, stab_group, aut_group):
+        with pytest.raises(ResourceCapError, match="^vertex set of size 5 exceeds the cap of 4$"):
+            call(five)
+    assert isom_group(square).order == 8
+    monkeypatch.setenv("HYPERHOMOLOGY_VERTEX_CAP", "3")
+    with pytest.raises(ResourceCapError, match="^sample of size 4 exceeds the cap of 3$"):
+        isom_group(square)
+
+
+def test_isom_group_takes_tolerance_by_keyword_only():
+    square = euclidean_sample([(0, 0), (1, 0), (1, 1), (0, 1)])
+    with pytest.raises(TypeError):
+        isom_group(square, 10)
+    with pytest.raises(TypeError):
+        aut_isom(hypergraph([[0, 1]], vertices=range(4)), square, 10)
+    for tolerance in (-1, float("nan")):
+        with pytest.raises(ValueError, match="^tolerance must be >= 0"):
+            isom_group(square, tolerance=tolerance)
 
 
 def test_isom_group_examples():
@@ -276,12 +303,12 @@ def test_search_order_checks_edges_early(monkeypatch, labels, edges, order, most
     calls = []
     search = groups._search_vertex_maps
 
-    def counted_search(h, predicate, cap):
+    def counted_search(h, predicate):
         def counted(*args):
             calls.append(args)
             return predicate(*args)
 
-        return search(h, counted, cap)
+        return search(h, counted)
 
     monkeypatch.setattr(groups, "_search_vertex_maps", counted_search)
     assert homeo_group(_relabelled(labels, edges)).order == order

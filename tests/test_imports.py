@@ -165,3 +165,57 @@ def test_no_true_division_in_exact_modules(name):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert not divisions, f"{name} divides with '/' on lines {divisions}"
+
+
+def _trees():
+    for path in MODULES + [PACKAGE / "__init__.py"]:
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_function_takes_a_cap():
+    """A cap is read from its environment variable where it is checked
+    (``errors.check_cap``), not passed down through the signatures."""
+    capped = [
+        f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, FUNCTIONS)
+        for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if a.arg == "cap"
+    ]
+    assert not capped, f"functions with a cap parameter: {capped}"
+
+
+def test_only_errors_reads_the_environment():
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        if path.name != "errors.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+    ]
+    assert not readers, f"the environment is read outside errors.py: {readers}"
+
+
+def test_resource_cap_errors_come_from_check_cap():
+    def raised(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ResourceCapError"
+        ]
+
+    outside = []
+    for path, tree in _trees():
+        inside = [
+            line
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "check_cap"
+            for line in raised(node)
+        ]
+        if path.name != "errors.py":
+            inside = []
+        outside += [f"{path.name}:{line}" for line in raised(tree) if line not in inside]
+    assert not outside, f"ResourceCapError raised outside errors.check_cap: {outside}"

@@ -84,6 +84,29 @@ def test_parse_point_sample_json_kinds():
         parse_point_sample('{"nope": 1}')
 
 
+def test_parsers_read_long_text_and_paths(tmp_path):
+    # text longer than a file name may be (255 bytes on most systems)
+    path_graph = {"edges": [[v, v + 1] for v in range(199)]}
+    text = json.dumps(path_graph)
+    assert len(text) > 255
+    h = parse_hypergraph(text)
+    assert len(h.vertices) == 200 and len(h.edges) == 199
+    path = tmp_path / "path.json"
+    path.write_text(text)
+    assert parse_hypergraph(path) == parse_hypergraph(str(path)) == h
+    rows = "".join(f"{i},{i},{2 * i}\n" for i in range(300))
+    assert len(rows) > 255
+    sample = parse_point_sample(rows, kind="csv")
+    assert sample.ids == tuple(range(300))
+    assert sample.metric.distance_sq(0, 299) == 5 * 299**2
+    csv_path = tmp_path / "line.csv"
+    csv_path.write_text(rows)
+    assert parse_point_sample(str(csv_path)).ids == sample.ids
+    matrix = json.dumps({"distance_matrix": [[abs(i - j) for j in range(60)] for i in range(60)]})
+    assert len(matrix) > 255
+    assert parse_point_sample(matrix).ids == tuple(range(60))
+
+
 def write_fixture(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -444,3 +467,45 @@ def test_cli_persist_cap_exits_before_listing_simplices(
     assert captured.out == ""
     expected = f"resource cap: closure of a {size}-vertex edge exceeds the cap of {size - 1}"
     assert captured.err.strip() == expected
+
+
+@pytest.mark.parametrize("max_degree", ["0", "-1"])
+def test_cli_quotient_check_rejects_an_ambient_below_the_top_edge(
+    tmp_path, capsys, max_degree
+):
+    path = write_fixture(tmp_path, "h.json", {"edges": [[0, 1], [1, 2], [0, 1, 2], [2, 3]]})
+    assert main(["quotient-check", path, "--max-degree", max_degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: edge (0, 1) is missing from the ambient basis"
+    assert main(["quotient-check", path, "--max-degree", "2"]) == 0
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_cli_isom_rejects_a_bad_tolerance(tmp_path, capsys, tolerance):
+    pts = tmp_path / "square.csv"
+    pts.write_text("0,0,0\n1,1,0\n2,1,1\n3,0,1\n")
+    assert main(["isom", str(pts), "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"error: tolerance must be >= 0, got {float(tolerance)!r}"
+    assert captured.err.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "variable, argv",
+    [
+        ("HYPERHOMOLOGY_SIMPLEX_CAP", ["homology", "--kind", "ambient"]),
+        ("HYPERHOMOLOGY_SIMPLEX_CAP", ["four-term"]),
+        ("HYPERHOMOLOGY_VERTEX_CAP", ["aut"]),
+    ],
+)
+def test_cli_a_cap_that_is_no_integer_is_a_config_error(
+    tmp_path, capsys, monkeypatch, variable, argv
+):
+    path = write_fixture(tmp_path, "h.json", {"edges": [[0, 1, 2]]})
+    monkeypatch.setenv(variable, "x")
+    assert main([*argv, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {variable} must be an integer, got 'x'"
