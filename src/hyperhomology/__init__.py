@@ -66,7 +66,6 @@ from .homology import (
     induced_homology_rank,
     invariant_dimension,
     quotient_complex,
-    quotient_map_surjective,
     quotient_pair_check,
     sigma_action,
     verify_quasi_iso_theta,

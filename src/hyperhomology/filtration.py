@@ -8,8 +8,9 @@ Betti numbers are the exact ranks of the homology maps induced by the
 chain-level inclusions of the embedded (Inf or Sup) complexes, which nest
 into one filtered chain complex.  ``persistent_betti`` builds a basis of it
 in which every vector has a birth step (the simplices, when every step is
-simplicial), runs one column reduction (with clearing) on the boundaries in
-that basis, and reads every Betti number, rank and bar off the bars: a bar
+simplicial), runs the package's one column reduction with clearing
+(``linalg.pivots``) on the boundaries in that basis, and reads every Betti
+number, rank and bar off the bars: a bar
 is a class born at one step that dies at a later one, and the rank of
 H_n(step i) -> H_n(step j) counts the degree-n bars alive from i through j.
 """
@@ -28,7 +29,7 @@ from .chains import _integer_columns, largest_inside, smallest_containing
 from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
-from .linalg import Echelon, SparseMatrix
+from .linalg import Echelon, SparseMatrix, pivots
 from .metrics import CircleMetric, MetricPointSample, PiValue, half_distances_by_key, midpoint
 
 
@@ -228,8 +229,7 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
         embeddings, _ = build(field, ambient.dims, span, boundary)
         for n, embedding in enumerate(embeddings):
             for col in embedding.columns():
-                key = echelons[n].add(col)
-                if key is not None:
+                if (key := echelons[n].add(col)) is not None:
                     keys[n].append(key)
                     births[n].append(k)
             if echelons[n].dimension != embedding.ncols:
@@ -258,29 +258,21 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
 
 
 def _bars(births: list, columns: list, field) -> list[tuple[int, int, int | None]]:
-    """(degree, born, dies) of every bar of positive length.
-
-    columns[n][j] is the boundary of degree-n basis vector j in the
-    positions of degree n - 1, both ordered by birth.  Degrees are reduced
-    from the top down, so that a vector already known to pair with a
-    vector one degree up is a cycle and its column is skipped (clearing).
-    """
+    """(degree, born, dies) of every bar of positive length, by degree from
+    the top down.  columns[n][j] is the boundary of degree-n basis vector j
+    in the positions of degree n - 1, both ordered by birth, so ``pivots``
+    pairs each key with the column that kills it; a position that neither
+    is a key one degree up nor adds a row is a class that never dies."""
+    found = pivots(columns, field, clear=True) + [{}]
     bars = []
-    paired: dict[int, int] = {}  # position in degree n -> birth of its killer
     for n in range(len(births) - 1, -1, -1):
-        echelon = Echelon(field)
-        below: dict[int, int] = {}
+        killers, added = found[n + 1], set(found[n].values())
         for j, born in enumerate(births[n]):
-            if j in paired:
-                if paired[j] > born:
-                    bars.append((n, born, paired[j]))
-                continue
-            key = echelon.add(columns[n][j]) if n else None
-            if key is None:
+            if j in killers:
+                if (dies := births[n + 1][killers[j]]) > born:
+                    bars.append((n, born, dies))
+            elif j not in added:
                 bars.append((n, born, None))
-            else:
-                below[key] = born
-        paired = below
     return bars
 
 
@@ -345,12 +337,8 @@ def persistent_betti(
     bars = _bars(births, columns, field)
 
     count = len(steps)
-    ranks = [
-        _alive(bars, n, count) for n in range(max(len(births), max(degrees, default=-1) + 1))
-    ]
-    betti_by_step = tuple(
-        tuple(ranks[n][i][i] for n in range(len(births))) for i in range(count)
-    )
+    ranks = [_alive(bars, n, count) for n in range(max(len(births), max(degrees, default=-1) + 1))]
+    betti_by_step = tuple(tuple(r[i][i] for r in ranks[: len(births)]) for i in range(count))
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count) if all_pairs or j == i + 1]
     entries = []
     for d in degrees:

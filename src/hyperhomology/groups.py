@@ -19,6 +19,7 @@ list together with one vertex-level representative each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -478,8 +479,8 @@ def isom_group(sample: MetricPointSample, *, tolerance=0) -> PermutationGroup:
     non-zero tolerance (for float-valued metrics) it holds the keys as
     floats, and two distances match when they differ by at most it.
     """
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance!r}")
     ids = tuple(sorted(sample.ids))
     check_cap(len(ids), "vertex", f"sample of size {len(ids)}")
     table = {}

@@ -1,17 +1,17 @@
 """Homology of embedded chain complexes and the verified identities.
 
-Everything here is exact: Betti numbers come from ranks over Q (or Z/p),
-induced ranks from cycles modulo boundaries (an embedded complex gives both
-through its boundary images, in its edge labels), and quotient complexes
-carry explicit coset-representative bases.  Each
-degree of a quotient is eliminated once, into an echelon of the subspace
-keyed by largest index.  The representatives are the basis indices that
-are not keys: exactly the indices i whose unit vector lies outside the
-subspace plus the unit vectors below i.  A vector's quotient coordinates
-are its normal form in that echelon.
+Everything here is exact.  Every Betti number comes from one top-down
+reduction over Q (or Z/p), ``linalg.pivots``: of a chain complex's
+boundaries with clearing, of an embedded complex's boundary images (in its
+edge labels) without, and of an ambient's boundaries modulo Inf or Sup for
+the quotients by them.  Induced ranks are cycles modulo boundaries.
 
-The four-stage sequence builds no quotient: its middle stages are the
-duals of the Sup and Inf complexes, whose dims and Betti numbers it reads.
+``quotient_complex`` gives explicit coset-representative bases.  Each
+degree is eliminated once, into an echelon of the subspace keyed by largest
+index; the representatives are the indices that are not keys, and a
+vector's quotient coordinates are its normal form in that echelon.
+``quotient_pair_check`` and the four-stage sequence build no quotient; the
+latter's middle stages are the duals of the Sup and Inf complexes.
 """
 
 from __future__ import annotations
@@ -59,23 +59,29 @@ class HomologySummary:
 def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = False) -> HomologySummary:
     """Exact Betti numbers: dim_n - rank B_n - rank B_{n+1}.
 
-    An embedded complex is read through its boundary images, not its
-    ``complex``; a ChainComplex is validated (InvariantViolation if not one).
+    A ChainComplex is validated (InvariantViolation if not one) and reduced
+    with clearing.  An embedded complex is read through its boundary images,
+    whose label coordinates do not index its basis: no clearing there.
     """
-    if isinstance(complex_, ChainComplex):
+    chain = isinstance(complex_, ChainComplex)
+    if chain:
         complex_.validate()
-        matrices = complex_.boundaries
-    else:
-        matrices = complex_.images
+    matrices = complex_.boundaries if chain else complex_.images
     field = complex_.field
-    ranks = [linalg.rank(m) for m in matrices] + [0]
-    numbers = tuple(m.ncols - ranks[n] - ranks[n + 1] for n, m in enumerate(matrices))
+    found = linalg.pivots([m.columns() for m in matrices], field, clear=chain)
+    numbers = _betti_numbers([m.ncols for m in matrices], found)
     reps = None
     if representatives:
         reps = tuple(
             SparseMatrix.from_columns(field, m.ncols, linalg.kernel_basis(m)) for m in matrices
         )
     return HomologySummary(field.name, numbers, reps)
+
+
+def _betti_numbers(dims, found: list[dict]) -> tuple[int, ...]:
+    """dims[n] - r_n - r_{n+1}, where r_n counts the keys of ``pivots`` in degree n."""
+    ranks = [len(keys) for keys in found] + [0]
+    return tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(dims))
 
 
 def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: int) -> int:
@@ -93,9 +99,7 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
     cycle_matrix = SparseMatrix.from_columns(source.field, source.dims[n], cycles)
     in_labels = source.embeddings[n] @ cycle_matrix
     if not linalg.columns_in_span(target.embeddings[n], in_labels):
-        raise InvariantViolation(
-            f"degree-{n} cycles do not lie in the target subcomplex"
-        )
+        raise InvariantViolation(f"degree-{n} cycles do not lie in the target subcomplex")
     top = len(target.images) - 1
     up = target.images[n + 1] if n < top else SparseMatrix.zeros(target.field, 0, 0)
     return linalg.image_rank_modulo(in_labels.columns(), up, target.field)
@@ -128,9 +132,7 @@ def verify_quasi_iso_theta(h: Hypergraph, field=QQ) -> QuasiIsoReport:
     b_inf = betti(inf).betti
     b_sup = betti(sup).betti
     ranks = tuple(induced_homology_rank(inf, sup, n) for n in range(len(inf.labels)))
-    is_iso = all(
-        bi == bs == r for bi, bs, r in zip(b_inf, b_sup, ranks)
-    )
+    is_iso = all(bi == bs == r for bi, bs, r in zip(b_inf, b_sup, ranks))
     return QuasiIsoReport(b_inf, b_sup, ranks, is_iso)
 
 
@@ -213,25 +215,6 @@ def quotient_complex(
     return QuotientComplex(representatives, ambient, tuple(echelons))
 
 
-def quotient_map_surjective(
-    by_inf: QuotientComplex, by_sup: QuotientComplex
-) -> bool:
-    """Verify per degree that the canonical map (C mod Inf) -> (C mod Sup)
-    hits everything.
-
-    The map sends a coset x + Inf to x + Sup; it is well defined because
-    Inf sits inside Sup, and this check computes its rank honestly.
-    """
-    top = by_inf.ambient.top_degree
-    field = by_inf.ambient.field
-    for n in range(top + 1):
-        dim = len(by_sup.representatives[n])
-        cols = [by_sup.project_vector(n, {j: field.one}) for j in by_inf.representatives[n]]
-        if linalg.rank(SparseMatrix.from_columns(field, dim, cols)) != dim:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class QuotientPairReport:
     betti_by_sup: tuple[int, ...]
@@ -254,16 +237,26 @@ class QuotientPairReport:
 def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> QuotientPairReport:
     """Compare homology of ambient/Sup and ambient/Inf for the edge span of h.
 
-    Inf and Sup enter only as embeddings, which ``quotient_complex`` checks.
+    No quotient is built: over a field, b_n(C/W) = dim C_n - dim W_n - r_n
+    - r_{n+1}, r_n the rank of the ambient boundary columns modulo W_{n-1},
+    found with clearing as ``_inf_and_sup`` certifies W boundary-closed.
+    The map C/Inf -> C/Sup, x + Inf to x + Sup, is defined exactly when Inf
+    lies in Sup, and it is then onto: that is the surjectivity flag.
     """
     inf, sup = _inf_and_sup(h, field, ambient)
-    by_sup = quotient_complex(ambient, sup.embeddings)
-    by_inf = quotient_complex(ambient, inf.embeddings)
-    return QuotientPairReport(
-        betti(by_sup.complex).betti,
-        betti(by_inf.complex).betti,
-        quotient_map_surjective(by_inf, by_sup),
-    )
+    columns = [b.columns() for b in ambient.boundaries]
+
+    def quotient_betti(sub: EmbeddedComplex) -> tuple[int, ...]:
+        modulo = [m.columns() for m in sub.embeddings]
+        found = linalg.pivots(columns, field, clear=True, modulo=modulo)
+        return _betti_numbers([c - w for c, w in zip(ambient.dims, sub.dims)], found)
+
+    return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inf_in_sup(inf, sup))
+
+
+def _inf_in_sup(inf: EmbeddedComplex, sup: EmbeddedComplex) -> bool:
+    """Whether Inf lies in Sup in every degree, both on the same labels."""
+    return all(map(linalg.columns_in_span, sup.embeddings, inf.embeddings))
 
 
 @dataclass(frozen=True)
@@ -324,10 +317,8 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
         columns = [{index[ambient.labels[n][k]]: field.one} for k in span[n]]
         return SparseMatrix.from_columns(field, len(index), columns)
 
-    degrees = range(len(inf.labels))
-    inf_in_sup = all(linalg.columns_in_span(sup.embeddings[n], inf.embeddings[n]) for n in degrees)
-    lower_in_inf = all(linalg.columns_in_span(inf.embeddings[n], units(n)) for n in degrees)
-    surjective = (True, inf_in_sup, lower_in_inf)
+    lower_in_inf = all(linalg.columns_in_span(e, units(n)) for n, e in enumerate(inf.embeddings))
+    surjective = (True, _inf_in_sup(inf, sup), lower_in_inf)
     all_identity = len(set(stage_dims)) == 1 and all(surjective)
     if all_identity != is_simplicial(h):
         raise InvariantViolation(

@@ -47,11 +47,13 @@ def _read(source) -> tuple[str, str]:
 def _load_json(source) -> Any:
     text, where = _read(source)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_not_a_number)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _not_a_number(constant: str):
+    raise ParseError(f"{constant} is not a finite JSON number")
 
 
 def parse_hypergraph(source) -> Hypergraph:
@@ -105,7 +107,7 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def emit_hypergraph(h: Hypergraph, path=None) -> str:
-    text = json.dumps(hypergraph_to_json(h), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(hypergraph_to_json(h), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -204,7 +206,7 @@ class Report:
     def to_json(self) -> str:
         body = self.payload()
         body["timing_seconds"] = self.timing_seconds
-        return json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
+        return json.dumps(body, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n"
 
 
 def _json_default(value):

@@ -9,6 +9,8 @@ incremental echelon of sparse vectors keyed by their largest index, fed the
 columns left to right.  Kernels and solves tag column j with -1 at index
 j - ncols, below every row index, so a row keyed by a tag records a column
 dependency and a right-hand side reduced to tags alone records its solution.
+Every Betti number, of a complex or a quotient, and every persistence bar is
+read from one top-down reduction of boundary columns with clearing, ``pivots``.
 Each routine reads ``field.characteristic`` once: when it is a prime p, an
 int loop reduces mod p and inverts with ``pow(x, -1, p)``.  A deliberately
 naive dense elimination in the test suite is the independent oracle.
@@ -358,6 +360,23 @@ def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:
     """True iff every column of probe lies in the column span of basis."""
     reducer = _echelon_of(basis.field, basis.columns())
     return all(reducer.contains(col) for col in probe.columns())
+
+
+def pivots(columns: Sequence, field, *, clear: bool, modulo: Sequence | None = None) -> list[dict]:
+    """Per degree, {key: position} of each boundary column that adds a row
+    to its degree's echelon (seeded with the columns of modulo[n-1]), from
+    the top degree down, each degree left to right.  With clear, the columns
+    index the basis one degree down and modulo is boundary-closed, so a
+    position that is a key one degree up reduces to zero and is skipped
+    (Chen-Kerber clearing)."""
+    found: list[dict] = [{} for _ in columns]
+    for n in range(len(columns) - 1, 0, -1):
+        echelon = _echelon_of(field, modulo[n - 1] if modulo else ())
+        skip = found[n + 1] if clear and n + 1 < len(columns) else {}
+        for j, col in enumerate(columns[n]):
+            if j not in skip and (key := echelon.add(col)) is not None:
+                found[n][key] = j
+    return found
 
 
 def image_rank_modulo(vectors: Iterable[dict], modulo: SparseMatrix, field) -> int:

@@ -4,8 +4,10 @@ Everything here is deliberately textbook and self-contained: dense
 list-of-list matrices over fractions.Fraction (or over Z/p, as ints reduced
 with ``%`` and inverted with ``pow(x, -1, p)``), first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
-package's linear algebra, except three oracles that check a construction
-rather than an elimination.  ``closure_embedded`` builds the Inf or Sup
+package's linear algebra, except four oracles that check a construction
+rather than an elimination.  ``quotient_map_surjective`` ranks the map
+C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
+``closure_embedded`` builds the Inf or Sup
 complex the old way, inside the whole deletion-closure ambient.
 ``pairwise_persistence`` computes persistence the slow way, through the
 package's per-step embedded complexes and one induced-rank problem per
@@ -88,12 +90,12 @@ def simplicial_boundary_dense(simplices_by_dim, dim):
     """Dense boundary matrix of a simplicial complex, rebuilt from scratch.
 
     Faces are obtained by deleting one vertex of the sorted simplex; the
-    sign alternates with the deleted position.
+    sign alternates with the deleted position.  The entries are ints.
     """
     domain = simplices_by_dim.get(dim, [])
     codomain = simplices_by_dim.get(dim - 1, [])
     index = {s: i for i, s in enumerate(codomain)}
-    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
+    matrix = [[0] * len(domain) for _ in codomain]
     for j, simplex in enumerate(domain):
         sign = 1
         for drop in range(len(simplex)):
@@ -103,10 +105,11 @@ def simplicial_boundary_dense(simplices_by_dim, dim):
     return matrix
 
 
-def simplicial_betti(edges):
+def simplicial_betti(edges, p=None):
     """Betti numbers of a simplicial complex given as a set of sorted tuples.
 
-    Independent route: dense boundaries + dense ranks over Fraction.
+    Independent route: dense boundaries + dense ranks over Fraction, or over
+    Z/p when a prime p is given.
     """
     by_dim = {}
     for e in edges:
@@ -119,9 +122,9 @@ def simplicial_betti(edges):
     betti = []
     for dim in range(top + 1):
         n_here = len(by_dim.get(dim, []))
-        rank_down = dense_rank(simplicial_boundary_dense(by_dim, dim)) if dim >= 1 else 0
+        rank_down = dense_rank(simplicial_boundary_dense(by_dim, dim), p) if dim >= 1 else 0
         rank_up = (
-            dense_rank(simplicial_boundary_dense(by_dim, dim + 1))
+            dense_rank(simplicial_boundary_dense(by_dim, dim + 1), p)
             if dim + 1 <= top
             else 0
         )
@@ -273,6 +276,21 @@ def quotient_coordinates(sub_columns, reps, vector):
     dim = len(vector)
     x = dense_solve(list(sub_columns) + [_unit(i, dim) for i in reps], vector)
     return x[len(sub_columns):]
+
+
+def quotient_map_surjective(by_inf, by_sup):
+    """Whether the map (C mod Inf) -> (C mod Sup), x + Inf to x + Sup, hits
+    everything in every degree, given the ``quotient_complex`` of one
+    ambient by each: the dense rank of the C/Inf coset representatives in
+    the C/Sup quotient coordinates."""
+    field = by_inf.ambient.field
+    pairs = enumerate(zip(by_inf.representatives, by_sup.representatives))
+    for n, (inf_reps, sup_reps) in pairs:
+        columns = [by_sup.project_vector(n, {j: field.one}) for j in inf_reps]
+        rows = [[col.get(i, 0) for col in columns] for i in range(len(sup_reps))]
+        if dense_rank(rows, field.characteristic) != len(sup_reps):
+            return False
+    return True
 
 
 def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=QQ):

@@ -167,7 +167,7 @@ def test_isom_group_takes_tolerance_by_keyword_only():
         isom_group(square, 10)
     with pytest.raises(TypeError):
         aut_isom(hypergraph([[0, 1]], vertices=range(4)), square, 10)
-    for tolerance in (-1, float("nan")):
+    for tolerance in (-1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^tolerance must be >= 0"):
             isom_group(square, tolerance=tolerance)
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperhomology import chains, homology, linalg, suites
 from hyperhomology.cli import main
@@ -16,7 +16,6 @@ from hyperhomology.homology import (
     induced_homology_rank,
     invariant_dimension,
     quotient_complex,
-    quotient_map_surjective,
     quotient_pair_check,
     sigma_action,
     verify_quasi_iso_theta,
@@ -33,9 +32,11 @@ from hyperhomology.suites import random_hyperdigraph, random_hypergraph
 
 from oracles import (
     closure_embedded,
+    dense_rank,
     fixed_subspace_dimension,
     four_term_by_cochain_quotients,
     quotient_coordinates,
+    quotient_map_surjective,
     quotient_representatives,
     simplicial_betti,
     sparse_to_dense,
@@ -239,13 +240,14 @@ def test_quotient_dimension_example():
 
 
 @st.composite
-def full_simplex_instances(draw):
+def full_simplex_instances(draw, fields=(QQ,)):
     n_vertices = draw(st.integers(1, 6))
     edge = st.sets(st.integers(0, n_vertices - 1), min_size=1, max_size=4)
     edges = draw(st.lists(edge, max_size=8))
     h = hypergraph(edges, vertices=range(n_vertices))
     max_degree = draw(st.integers(max(h.max_cardinality() - 1, 0), 3))
-    return h, ambient_complex(h, "full_simplex", max_degree=max_degree)
+    field = draw(st.sampled_from(fields))
+    return h, ambient_complex(h, "full_simplex", max_degree=max_degree, field=field)
 
 
 def dense_columns(matrix):
@@ -275,6 +277,28 @@ def test_quotient_matches_dense_oracle(instance):
             assert dense_columns(q.complex.boundaries[n]) == expected
 
 
+def dense_betti(c: ChainComplex) -> tuple[int, ...]:
+    """Betti numbers of a chain complex from dense ranks of its boundaries."""
+    p = c.field.characteristic
+    ranks = [
+        dense_rank([[col.get(i, 0) for col in b.columns()] for i in range(b.nrows)], p)
+        for b in c.boundaries
+    ] + [0]
+    return tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(c.dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_simplex_instances((QQ, PrimeField(2), PrimeField(7))))
+def test_quotient_pair_check_matches_the_quotient_complexes(instance):
+    h, ambient = instance
+    report = quotient_pair_check(h, ambient, field=ambient.field)
+    by_inf = quotient_complex(ambient, inf_complex(h, ambient.field, ambient).embeddings)
+    by_sup = quotient_complex(ambient, sup_complex(h, ambient.field, ambient).embeddings)
+    assert report.betti_by_sup == dense_betti(by_sup.complex)
+    assert report.betti_by_inf == dense_betti(by_inf.complex)
+    assert report.q_surjective == quotient_map_surjective(by_inf, by_sup)
+
+
 def test_quotient_rejects_non_subcomplex():
     c = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
     bad = [
@@ -300,6 +324,7 @@ def test_quotient_map_direction():
     by_inf = quotient_complex(ambient, inf.embeddings)
     by_sup = quotient_complex(ambient, sup.embeddings)
     assert quotient_map_surjective(by_inf, by_sup)
+    assert quotient_pair_check(MIXED, ambient).q_surjective
 
 
 def test_four_term_simplicial_identity():
@@ -370,6 +395,20 @@ def test_cli_four_term_builds_no_quotient(monkeypatch, tmp_path, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["surjective"] == [True, True, True]
     assert results["stage_dims"] == [[3, 3, 1], [2, 3, 1], [0, 0, 0], [0, 0, 0]]
+
+
+def test_cli_quotient_check_builds_no_quotient(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient-check built a quotient complex")
+
+    monkeypatch.setattr(homology, "quotient_complex", refuse)
+    monkeypatch.setattr(homology, "QuotientComplex", refuse)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
+    assert main(["quotient-check", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["betti_ambient_mod_sup"] == results["betti_ambient_mod_inf"] == [1, 0, 0]
+    assert results["q_surjective"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -501,11 +540,27 @@ def test_invariant_dimension_against_fixed_subspace_oracle():
         )
 
 
-def test_simplicial_homology_matches_oracle():
-    rng = random.Random(5)
-    for _ in range(10):
-        h = delta_closure(random_hypergraph(rng, max_vertices=6, max_card=4))
-        expected = simplicial_betti(h.edges)
-        assert betti(ambient_complex(h, "closure")).betti == expected
-        assert betti(inf_complex(h)).betti == expected
-        assert betti(sup_complex(h)).betti == expected
+@st.composite
+def closures(draw):
+    """The deletion closure of up to ten edges on at most 7 vertices."""
+    n = draw(st.integers(1, 7))
+    edge = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+    return delta_closure(hypergraph(draw(st.lists(edge, max_size=10)), vertices=range(n)))
+
+
+RP2 = delta_closure(hypergraph([
+    [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+    [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5],
+]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closures(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+@example(RP2, PrimeField(2))  # torsion: b_1 = b_2 = 1 over Z/2 only
+@example(RP2, QQ)
+def test_simplicial_homology_matches_oracle(h, field):
+    """Closures are reduced with clearing, Inf and Sup without it."""
+    expected = simplicial_betti(h.edges, field.characteristic)
+    assert betti(ambient_complex(h, "closure", field=field)).betti == expected
+    assert betti(inf_complex(h, field=field)).betti == expected
+    assert betti(sup_complex(h, field=field)).betti == expected

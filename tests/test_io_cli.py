@@ -481,15 +481,29 @@ def test_cli_quotient_check_rejects_an_ambient_below_the_top_edge(
     assert main(["quotient-check", path, "--max-degree", "2"]) == 0
 
 
-@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 def test_cli_isom_rejects_a_bad_tolerance(tmp_path, capsys, tolerance):
     pts = tmp_path / "square.csv"
     pts.write_text("0,0,0\n1,1,0\n2,1,1\n3,0,1\n")
     assert main(["isom", str(pts), "--tolerance", tolerance]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = f"error: tolerance must be >= 0, got {float(tolerance)!r}"
+    expected = f"error: tolerance must be >= 0 and finite, got {float(tolerance)!r}"
     assert captured.err.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "sample",
+    ['{"distance_matrix": [[0, Infinity], [Infinity, 0]]}', '{"circle_angles": [0, NaN, 1]}'],
+)
+def test_cli_refuses_a_non_finite_json_number(tmp_path, capsys, sample):
+    # json.loads reads these constants as floats; a report could not hold them
+    path = tmp_path / "sample.json"
+    path.write_text(sample)
+    assert main(["persist", str(path), "--n-max", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("is not a finite JSON number")
 
 
 @pytest.mark.parametrize(
