@@ -8,6 +8,7 @@ environment variables where they are checked (``errors.check_cap``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -62,7 +63,13 @@ def _parse_ambient(text, h):
         raise ParseError(f"bad ambient vertex list {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on the first call and shared after it.
+
+    Sharing is safe because parsing leaves the parser unchanged: no option
+    appends to a list or has a mutable default.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperhomology",
         description="Exact embedded homology, filtrations and symmetry groups "
@@ -396,14 +403,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        if args.command == "persist" and args.format == "csv":
+            text = report.results["csv"]
+            if args.out == "-":
+                sys.stdout.write(text)
+            else:
+                Path(args.out).write_text(text)
+        else:
+            _write_report(report, args.out)
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
@@ -415,17 +426,6 @@ def main(argv=None) -> int:
         if detail is not None:
             print(f"counterexample: {detail}", file=sys.stderr)
         return 4
-
-    if args.command == "persist" and args.format == "csv":
-        text = report.results["csv"]
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        return 0
-
-    _write_report(report, args.out)
     return 0
 
 

@@ -133,11 +133,13 @@ def delta_closure(h):
     """Smallest edge set containing h that is closed under vertex deletion.
 
     Unordered edges contribute all nonempty subsets, directed edges all
-    nonempty subsequences.
+    nonempty subsequences.  Longest edges go first, so an edge already in
+    the closure is skipped: its subedges are there too.
     """
     closed: set[Edge] = set()
-    for e in h.edges:
-        closed.update(subedges(e))
+    for e in sorted(h.edges, key=len, reverse=True):
+        if e not in closed:
+            closed.update(subedges(e))
     return Hypergraph(h.vertices, frozenset(closed), h.directed)
 
 

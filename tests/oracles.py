@@ -142,6 +142,16 @@ def powerset_closure(edges):
     return out
 
 
+def subsequence_closure(edges):
+    """All nonempty subsequences of the given directed edges, one bit mask
+    of positions at a time."""
+    out = set()
+    for e in edges:
+        for mask in range(1, 2 ** len(e)):
+            out.add(tuple(v for i, v in enumerate(e) if mask >> i & 1))
+    return out
+
+
 def superset_closure(edges, ambient):
     """All supersets within ambient of the given edges, by brute force."""
     ambient = sorted(ambient)

@@ -20,7 +20,7 @@ from hyperhomology.hypergraphs import (
     vertex_map_image,
 )
 
-from oracles import powerset_closure, superset_closure
+from oracles import powerset_closure, subsequence_closure, superset_closure
 
 
 def edge_strategy():
@@ -178,6 +178,18 @@ def test_closure_is_idempotent_extensive(h):
     assert h.edges <= closed.edges
     assert delta_closure(closed).edges == closed.edges
     assert is_simplicial(closed)
+
+
+def digraph_strategy():
+    edge = st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(tuple)
+    return st.sets(edge, max_size=10).map(hyperdigraph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hypergraph_strategy(), digraph_strategy())
+def test_delta_closure_against_bruteforce(h, d):
+    assert delta_closure(h).edges == powerset_closure(h.edges)
+    assert delta_closure(d).edges == subsequence_closure(d.edges)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -523,3 +524,88 @@ def test_cli_a_cap_that_is_no_integer_is_a_config_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"error: {variable} must be an integer, got 'x'"
+
+
+@pytest.mark.parametrize("command", ["embed-bound", "persist"])
+def test_cli_an_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    pts = tmp_path / "line.csv"
+    pts.write_text("id,x\n0,0\n1,1\n2,3\n")
+    if command == "embed-bound":
+        argv, out = ["embed-bound", "--t", "2", "--k", "3"], "x.json"
+    else:  # the CSV report is written apart from the JSON ones
+        argv, out = ["persist", str(pts), "--n-max", "2"], "x.csv"
+    assert main([*argv, "--out", str(tmp_path / "missing_dir" / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_calls_stay_independent_when_the_parser_is_reused(tmp_path, capsys):
+    path = write_fixture(tmp_path, "path.json", {"edges": [[0, 1], [1, 2]]})
+    assert main(["homology", "--kind", "sup", path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["kind"] == "sup"
+    assert main(["homology", path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["kind"] == "inf"
+    pts = tmp_path / "line.csv"
+    pts.write_text("id,x\n0,0\n1,1\n2,3\n")
+    persist = ["persist", str(pts), "--n-max", "2", "--format", "json"]
+    assert main([*persist, "--barcode"]) == 0
+    assert "barcode" in json.loads(capsys.readouterr().out)["results"]
+    assert main(persist) == 0
+    assert "barcode" not in json.loads(capsys.readouterr().out)["results"]
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--kind", "bogus", path])
+    assert exc.value.code == 2
+
+
+def _all_actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _all_actions(sub)
+
+
+def test_cli_parser_keeps_no_state_from_a_call():
+    # sharing one parser is safe only while parsing cannot change it
+    actions = list(_all_actions(cli.build_parser()))
+    assert any(a.dest == "barcode" for a in actions)
+    for action in actions:
+        assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
+        assert not isinstance(action.default, (list, dict, set))
+
+
+def test_cli_builds_its_parser_on_the_first_call_only(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    argv = ["embed-bound", "--t", "2", "--k", "3"]
+    assert main(argv) == 0
+    assert "hyperhomology" in built
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import hyperhomology.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=30
+    )
+    assert proc.stdout.strip() == "0"
