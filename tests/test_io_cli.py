@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -161,6 +162,30 @@ def test_cli_dump_matrices_match_the_recorded_files(tmp_path, capsys, field):
     capsys.readouterr()
     expected = {f.name: f.read_text() for f in (GOLDEN_DUMPS / field).iterdir()}
     assert {f.name: f.read_text() for f in out.iterdir()} == expected
+
+
+GOLDEN = GOLDEN_DUMPS.parent
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("persist_report.json", ["--format", "json"]),
+        ("persist_barcode.json", ["--format", "json", "--barcode"]),
+        ("persist_table.csv", ["--format", "csv"]),
+    ],
+)
+def test_cli_persist_reports_match_the_recorded_files(monkeypatch, capsys, name, options):
+    # coordinates over 3, 7, 8 and 10^20, a rational distance (5) and the
+    # two near-coincident pairs of the filtration tests: every radius,
+    # representative and CSV float is compared as text; the reports were
+    # recorded with their timing_seconds line removed
+    monkeypatch.chdir(GOLDEN)
+    assert main(["persist", "persist_points.csv", "--n-max", "3", *options]) == 0
+    out = capsys.readouterr().out
+    if name.endswith(".json"):
+        out = re.sub(r',\n  "timing_seconds": [^\n]*', "", out)
+    assert out == (GOLDEN / name).read_bytes().decode()  # the CSV ends rows in \r\n
 
 
 RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
