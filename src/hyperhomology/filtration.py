@@ -30,7 +30,7 @@ from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
 from .linalg import Echelon, SparseMatrix, pivots
-from .metrics import CircleMetric, MetricPointSample, PiValue, half_distances_by_key, midpoint
+from .metrics import CircleMetric, MetricPointSample, PiValue, midpoint
 
 
 class _PairSteps:
@@ -96,8 +96,7 @@ def build_filtration(sample: MetricPointSample, n_max: int) -> tuple[FiltrationS
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     ids = sorted(sample.ids)
-    keys = sample.metric.pair_keys(ids)
-    radius_of = half_distances_by_key(sample, keys)
+    keys, radius_of = sample.metric.half_distances(ids)
     order = sorted(radius_of, reverse=True)
     step_of = {key: k for k, key in enumerate(order, start=1)}
     step: dict = {i: {} for i in ids}
@@ -148,9 +147,9 @@ class PersistentBettiTable:
 
     def csv_rows(self) -> list[list]:
         rows = [["degree", "r_i", "r_j", "beta_i", "beta_j", "rank"]]
+        radii = [float(r) for r in self.step_radii]
         for d, i, j, r in self.entries:
-            radii = float(self.step_radii[i]), float(self.step_radii[j])
-            rows.append([d, *radii, self.rank(d, i, i), self.rank(d, j, j), r])
+            rows.append([d, radii[i], radii[j], self.rank(d, i, i), self.rank(d, j, j), r])
         return rows
 
     def barcode(self) -> list[dict]:

@@ -274,7 +274,10 @@ def _search_vertex_maps(h, predicate) -> list[Permutation]:
             del assignment[v]
             used.discard(w)
 
-    backtrack(0)
+    try:
+        backtrack(0)
+    finally:
+        del backtrack  # it refers to itself through its cell: free it without gc
     found.sort(key=lambda p: p.images)
     return found
 

@@ -2,8 +2,9 @@
 
 Three metric kinds are supported:
 
-* Euclidean coordinates with rational entries -- comparisons run on exact
-  squared distances, so no radius is ever misclassified;
+* Euclidean coordinates with rational entries -- comparisons run on an
+  integer grid (the coordinates times their common denominator L), on the
+  int squared distances L^2 d^2, so no radius is ever misclassified;
 * an explicit symmetric matrix of rational dissimilarities (the triangle
   inequality is deliberately not enforced);
 * arc length on the unit circle, either with angles that are exact
@@ -86,9 +87,9 @@ class PiValue:
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None."""
-    if value < 0:
-        raise ValueError("negative value")
     num, den = value.numerator, value.denominator
+    if num < 0:
+        raise ValueError("negative value")
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
@@ -98,9 +99,12 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 def exact_sqrt(square) -> "Fraction | SqrtValue":
     """Square root of a non-negative rational: a Fraction when it is rational,
     a :class:`SqrtValue` otherwise."""
-    square = Fraction(square)
-    root = rational_sqrt(square)
-    return root if root is not None else SqrtValue(square)
+    square = square if isinstance(square, Fraction) else Fraction(square)
+    if (root := rational_sqrt(square)) is not None:
+        return root
+    value = object.__new__(SqrtValue)  # rational_sqrt has checked it: skip __init__
+    value.square = square
+    return value
 
 
 @total_ordering
@@ -198,7 +202,8 @@ def midpoint(a, b):
 
 
 class EuclideanMetric:
-    """Euclidean metric with exact rational coordinates."""
+    """Euclidean metric with exact rational coordinates, read from ``grid``:
+    each point times ``scale``, the least common denominator of them all."""
 
     kind = "euclidean"
 
@@ -207,13 +212,23 @@ class EuclideanMetric:
         if len(dims) > 1:
             raise ValueError("coordinate dimension mismatch")
         self.coords = coords
-        ids = sorted(coords)
-        for i, j in combinations(ids, 2):
-            if coords[i] == coords[j]:
-                raise ValueError(f"points {i} and {j} coincide")
+        self.scale = math.lcm(*(c.denominator for row in coords.values() for c in row))
+        self.grid = {
+            i: tuple(c.numerator * (self.scale // c.denominator) for c in row)
+            for i, row in coords.items()
+        }
+        at: dict = {}
+        for i in sorted(coords):
+            at.setdefault(self.grid[i], []).append(i)
+        if clashes := [same for same in at.values() if len(same) > 1]:
+            i, j = min(clashes)[:2]  # the first coinciding pair in id order
+            raise ValueError(f"points {i} and {j} coincide")
+
+    def _grid_sq(self, i: int, j: int) -> int:  # scale^2 d(i, j)^2
+        return sum((a - b) ** 2 for a, b in zip(self.grid[i], self.grid[j]))
 
     def distance_sq(self, i: int, j: int) -> Fraction:
-        return sum((a - b) ** 2 for a, b in zip(self.coords[i], self.coords[j]))
+        return Fraction(self._grid_sq(i, j), self.scale**2)
 
     def distance_key(self, i: int, j: int) -> Fraction:
         # exact key: comparisons of squared distances order like distances
@@ -225,11 +240,14 @@ class EuclideanMetric:
             return math.sqrt(float(self.distance_sq(i, j))) > 2.0 * float(radius)
         return self.distance_sq(i, j) > 4 * _square(radius)
 
-    def half_of_key(self, key):
-        return exact_sqrt(key / 4)
-
     def pair_keys(self, ids):
         return {(i, j): self.distance_sq(i, j) for i, j in combinations(ids, 2)}
+
+    def half_distances(self, ids) -> tuple[dict, dict]:
+        """Each pair's int key scale^2 d^2, and each distinct key's half distance."""
+        keys = {(i, j): self._grid_sq(i, j) for i, j in combinations(ids, 2)}
+        square = (2 * self.scale) ** 2
+        return keys, {key: exact_sqrt(Fraction(key, square)) for key in set(keys.values())}
 
 
 class DistanceMatrixMetric:
@@ -270,11 +288,12 @@ class DistanceMatrixMetric:
         # both sides are non-negative, so compare squares
         return self.distance(i, j) ** 2 > 4 * _square(radius)
 
-    def half_of_key(self, key) -> Fraction:
-        return key / 2
-
     def pair_keys(self, ids):
         return {(i, j): self.distance(i, j) for i, j in combinations(ids, 2)}
+
+    def half_distances(self, ids) -> tuple[dict, dict]:
+        keys = self.pair_keys(ids)
+        return keys, {key: key / 2 for key in set(keys.values())}
 
 
 class CircleMetric:
@@ -323,11 +342,13 @@ class CircleMetric:
         _square(radius)  # rejects negative radii
         return float(d) > 2.0 * float(radius)
 
-    def half_of_key(self, key):
-        return PiValue(key) / 2 if self.exact else key / 2.0
-
     def pair_keys(self, ids):
         return {(i, j): self._arc(i, j) for i, j in combinations(ids, 2)}
+
+    def half_distances(self, ids) -> tuple[dict, dict]:
+        keys = self.pair_keys(ids)
+        half = {key: PiValue(key) / 2 if self.exact else key / 2.0 for key in set(keys.values())}
+        return keys, half
 
 
 @dataclass(frozen=True)
@@ -437,16 +458,6 @@ def hard_sphere(sample: MetricPointSample, radius, n_max: int) -> Hypergraph:
     return Hypergraph(frozenset(sample.ids), frozenset(edges))
 
 
-def half_distances_by_key(sample: MetricPointSample, keys: dict) -> dict:
-    """Half distance of each distinct value of the exact pair keys.
-
-    keys is ``sample.metric.pair_keys(...)``; keys order like distances in
-    every metric, so sorting by key sorts the half distances.
-    """
-    half_of_key = sample.metric.half_of_key
-    return {key: half_of_key(key) for key in dict.fromkeys(keys.values())}
-
-
 def critical_radii(sample: MetricPointSample, n_max: int) -> list:
     """Sorted distinct half pairwise distances, as exact values.
 
@@ -457,5 +468,6 @@ def critical_radii(sample: MetricPointSample, n_max: int) -> list:
         raise ValueError("n_max must be at least 1")
     if len(sample) < 2:
         raise ValueError("need at least two points")
-    radii = half_distances_by_key(sample, sample.metric.pair_keys(sorted(sample.ids)))
+    # keys order like distances in every metric
+    _, radii = sample.metric.half_distances(sorted(sample.ids))
     return [radii[key] for key in sorted(radii)]

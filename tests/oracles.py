@@ -15,7 +15,9 @@ pair of steps.  ``four_term_by_cochain_quotients`` builds the four-stage
 sequence as quotients of the closure cochains, with no duality.  The group
 oracles work on permutations of range(n) as plain image tuples, check
 every pair of elements, and walk all n! maps for vertex symmetries and
-isometries.
+isometries.  The point-sample oracles sum squared distances in Fraction
+arithmetic from the raw coordinate rows, with no integer grid, and take
+square roots with the package's ``exact_sqrt``.
 """
 
 from fractions import Fraction
@@ -36,6 +38,7 @@ from hyperhomology.fields import QQ
 from hyperhomology.homology import betti, induced_homology_rank, quotient_complex
 from hyperhomology.hypergraphs import lower_associated
 from hyperhomology.linalg import SparseMatrix
+from hyperhomology.metrics import exact_sqrt
 
 
 def _scalars(rows, p):
@@ -576,3 +579,19 @@ def brute_vertex_maps(h, kind):
         return all(image == edge for edge, image in pairs)
 
     return sorted(images for images in permutations(ids) if keeps(dict(zip(ids, images))))
+
+
+def fraction_half_distances(rows):
+    """Sorted distinct half distances of Euclidean coordinate rows: each
+    squared distance summed in Fraction arithmetic, then exact_sqrt(d^2 / 4)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    squares = {sum((a - b) ** 2 for a, b in zip(p, q)) for p, q in combinations(rows, 2)}
+    return [exact_sqrt(Fraction(square) / 4) for square in sorted(squares)]
+
+
+def first_coinciding_pair(points):
+    """The first pair of ids (i, j), i < j in id order, whose coordinate rows
+    are equal as Fractions, or None; points maps ids to rows."""
+    rows = {i: [Fraction(x) for x in row] for i, row in points.items()}
+    pairs = combinations(sorted(rows), 2)
+    return next(((i, j) for i, j in pairs if rows[i] == rows[j]), None)

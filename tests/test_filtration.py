@@ -151,6 +151,31 @@ def test_near_coincident_radii_get_their_own_steps():
     assert all(a.hypergraph != b.hypergraph for a, b in zip(steps, steps[1:]))
 
 
+# 12 points with 66 distinct distances: 67 steps
+TWELVE = [
+    ("-20/3", "-3/8"), ("15", "27"), ("2", "5"), ("-13/4", "19/8"), ("0", "-7"),
+    ("16/7", "44"), ("35/2", "-30"), ("-12", "-2"), ("26/7", "41/7"), ("0", "-11/2"),
+    ("-38", "-33/8"), ("-23/5", "36/7"),
+]
+
+
+def test_build_filtration_makes_few_fractions(monkeypatch):
+    # the pair keys of a Euclidean sample are ints on its grid: Fractions
+    # are made only for the radii and the representatives, at most 3 a step
+    sample = euclidean_sample([tuple(Fraction(c) for c in row) for row in TWELVE])
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    steps = build_filtration(sample, 3)
+    monkeypatch.undo()
+    assert len(steps) == 67
+    assert len(made) <= 3 * len(steps)
+
+
 @st.composite
 def exact_samples(draw, max_points=7):
     """Small Euclidean, distance-matrix or exact-circle samples."""

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -354,6 +355,27 @@ def test_isom_command_searches_once(monkeypatch, tmp_path, capsys):
     calls.clear()
     assert main(["isom", str(points)]) == 0
     assert len(calls) == 1
+
+
+def test_group_searches_leave_no_cyclic_garbage():
+    # the search state is freed by reference counting alone
+    cycle = hypergraph([[v, (v + 1) % 9] for v in range(9)])
+    square = euclidean_sample([(0, 0), (1, 0), (1, 1), (0, 1)])
+    searches = [
+        lambda: aut_group(cycle),
+        lambda: homeo_group(cycle),
+        lambda: isom_group(square),
+        lambda: isom_group(square, tolerance=1e-3),
+    ]
+    for search in searches:
+        search()  # warm any caches first
+        gc.collect()
+        gc.disable()
+        try:
+            search()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_isom_cap_is_checked_before_the_distance_table(monkeypatch, tmp_path):

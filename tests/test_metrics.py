@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from hyperhomology.filtration import build_filtration
 from hyperhomology.metrics import (
     PiValue,
     SqrtValue,
@@ -17,6 +18,8 @@ from hyperhomology.metrics import (
     midpoint,
     rational_sqrt,
 )
+
+from oracles import first_coinciding_pair, fraction_half_distances
 
 
 def test_pi_value_ordering_and_arithmetic():
@@ -189,3 +192,72 @@ def test_ids_handling():
     assert mapping.ids == (3, 7)
     with pytest.raises(ValueError):
         euclidean_sample([(0,), (1,)], ids=[1, 1])
+
+
+LARGE_PRIMES = (10**9 + 7, 998244353, 2**61 - 1)
+
+# small ints give perfect-square distances; floats convert exactly, with
+# power-of-two denominators of up to 2^1074
+coordinates = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(LARGE_PRIMES)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def euclidean_rows(draw, max_points=6):
+    """Two or more distinct coordinate rows of one dimension, 1 to 3."""
+    row = st.tuples(*[coordinates] * draw(st.integers(1, 3)))
+    exact = lambda r: tuple(Fraction(x) for x in r)  # noqa: E731
+    return draw(st.lists(row, min_size=2, max_size=max_points, unique_by=exact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(euclidean_rows(), st.integers(1, 3))
+@example([(0, 0), (3, 4), (Fraction(1, 3), Fraction(2, 7)), (0.1, Fraction(5, 8))], 2)
+@example([(0, 0), (1, 1), (5, 0), (6, 1 + Fraction(1, 10**20))], 2)
+def test_grid_radii_and_steps_match_the_fraction_oracle(rows, n_max):
+    sample = euclidean_sample(rows)
+    radii = fraction_half_distances(rows)
+    assert critical_radii(sample, n_max) == radii
+    down = radii[::-1]
+    expected = [(down[0], math.inf, down[0] * 2)]
+    expected += [(lo, hi, midpoint(lo, hi)) for hi, lo in zip(down, down[1:])]
+    expected.append((0, down[-1], down[-1] / 2))
+    steps = build_filtration(sample, n_max)
+    assert [(s.lower, s.upper, s.representative) for s in steps] == expected
+    assert all(s.hypergraph == hard_sphere(sample, s.representative, n_max) for s in steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grid_reports_the_first_coinciding_pair(data):
+    pool = data.draw(euclidean_rows(max_points=3))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
+    ids = data.draw(st.permutations(range(len(rows))))
+    points = dict(zip(ids, rows))
+    pair = first_coinciding_pair(points)
+    if pair is None:
+        assert euclidean_sample(points).ids == tuple(sorted(ids))
+    else:
+        with pytest.raises(ValueError, match=f"^points {pair[0]} and {pair[1]} coincide$"):
+            euclidean_sample(points)
+
+
+def test_grid_names_the_first_coinciding_pair_in_id_order():
+    a, b = (0, Fraction(1, 3)), (2, 5)
+    with pytest.raises(ValueError, match="^points 0 and 3 coincide$"):
+        euclidean_sample([a, b, b, a])
+    with pytest.raises(ValueError, match="^points 0 and 2 coincide$"):
+        euclidean_sample([(0.5,), (1,), (Fraction(1, 2),)])
+
+
+def test_euclidean_keys_stay_fractions():
+    # isom --tolerance compares float(key): the keys stay the exact d^2
+    sample = euclidean_sample([(0, Fraction(1, 3)), (Fraction(2, 7), 0.5)])
+    d2 = Fraction(2, 7) ** 2 + Fraction(1, 6) ** 2
+    assert sample.metric.distance_sq(0, 1) == sample.metric.distance_key(0, 1) == d2
+    assert sample.metric.pair_keys([0, 1]) == {(0, 1): d2}
+    assert all(type(k) is Fraction for k in sample.metric.pair_keys([0, 1]).values())
