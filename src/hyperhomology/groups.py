@@ -277,7 +277,7 @@ def _search_vertex_maps(h, predicate) -> list[Permutation]:
     try:
         backtrack(0)
     finally:
-        del backtrack  # it refers to itself through its cell: free it without gc
+        del backtrack  # a cycle through its own closure cell, which only gc would free
     found.sort(key=lambda p: p.images)
     return found
 
