@@ -206,12 +206,15 @@ coordinates = st.one_of(
 )
 
 
+def exact_row(row):
+    return tuple(Fraction(x) for x in row)
+
+
 @st.composite
 def euclidean_rows(draw, max_points=6):
     """Two or more distinct coordinate rows of one dimension, 1 to 3."""
     row = st.tuples(*[coordinates] * draw(st.integers(1, 3)))
-    exact = lambda r: tuple(Fraction(x) for x in r)  # noqa: E731
-    return draw(st.lists(row, min_size=2, max_size=max_points, unique_by=exact))
+    return draw(st.lists(row, min_size=2, max_size=max_points, unique_by=exact_row))
 
 
 @settings(max_examples=100, deadline=None)
