@@ -74,17 +74,6 @@ def _in_field(field, columns: list[dict[int, int]]) -> list[dict]:
     return [{i: s for i, v in col.items() if (s := scalars[v])} for col in columns]
 
 
-def _not_a_complex(n: int, nonzero, labels) -> InvariantViolation:
-    """The failure for a nonzero composite boundary d_n d_{n+1}, certified by
-    the smallest (row, column) position among its nonzero entries."""
-    i, j = min(nonzero)
-    label = labels[n + 1][j] if labels else f"basis column {j}"
-    return InvariantViolation(
-        f"boundary squared is nonzero in degree {n + 1}",
-        certificate={"degree": n + 1, "chain": str(label), "row": i},
-    )
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     """Exact chain complex: per-degree dimensions and boundary matrices.
@@ -122,25 +111,24 @@ class ChainComplex:
     _validated = False
 
     def validate(self) -> None:
-        """Raise InvariantViolation unless every composite boundary is zero.
+        """Raise InvariantViolation unless every composite boundary is zero,
+        read mod the field's characteristic (``_check_square_zero``).
 
         The complex is immutable, so a check that passed is not repeated.
         """
         if self._validated:
             return
+        columns, p = [b.columns() for b in self.boundaries], self.field.characteristic
         for n in range(1, self.top_degree):
-            product = (self.boundaries[n] @ self.boundaries[n + 1]).columns()
-            if any(product):
-                nonzero = [(i, j) for j, col in enumerate(product) for i in col]
-                raise _not_a_complex(n, nonzero, self.labels)
+            _check_square_zero(n, columns[n], columns[n + 1], self.labels, p)
         object.__setattr__(self, "_validated", True)
 
 
-def _check_square_zero(n: int, lower, upper: list[dict[int, int]], labels) -> None:
-    """Raise InvariantViolation unless d_n d_{n+1} = 0 over Z, where upper
-    lists the integer columns of d_{n+1} and lower[k] is column k of d_n:
-    the same check and certificate as ``ChainComplex.validate``.  Over Z it
-    implies d d = 0 over every field."""
+def _check_square_zero(n: int, lower, upper, labels, p: int = 0) -> None:
+    """Raise InvariantViolation unless d_n d_{n+1} = 0: upper lists the columns
+    of d_{n+1}, lower[k] is column k of d_n, and sums are exact, read mod p
+    for a prime p; over Z (p = 0) that implies d d = 0 over every field.  The
+    certificate is the least nonzero (row, column): degree, column label, row."""
     nonzero = []
     for j, col in enumerate(upper):
         acc: dict[int, int] = {}
@@ -148,9 +136,14 @@ def _check_square_zero(n: int, lower, upper: list[dict[int, int]], labels) -> No
             for i, s in lower[k].items():
                 acc[i] = acc.get(i, 0) + t * s
         if any(acc.values()):
-            nonzero += [(i, j) for i, v in acc.items() if v]
+            nonzero += [(i, j) for i, v in acc.items() if (v % p if p else v)]
     if nonzero:
-        raise _not_a_complex(n, nonzero, labels)
+        i, j = min(nonzero)
+        label = labels[n + 1][j] if labels else f"basis column {j}"
+        raise InvariantViolation(
+            f"boundary squared is nonzero in degree {n + 1}",
+            certificate={"degree": n + 1, "chain": str(label), "row": i},
+        )
 
 
 def _check_closure_cap(size: int) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -357,7 +356,10 @@ def emptiness_threshold(sample: MetricPointSample, n: int):
 
     Defined for circle samples only.  Equals half the best achievable
     minimum pairwise arc distance among n points, hence never exceeds
-    pi/n; level 1 never empties, giving +infinity.
+    pi/n; level 1 never empties, giving +infinity.  Level n first appears
+    at the step of its earliest n-subset, read off the flag births of
+    ``build_filtration(sample, n)``, and that step's upper radius is the
+    threshold.
     """
     if not isinstance(sample.metric, CircleMetric):
         raise ValueError("emptiness threshold is defined for circle samples")
@@ -368,10 +370,6 @@ def emptiness_threshold(sample: MetricPointSample, n: int):
     if n > len(sample):
         # no n-subsets at all: empty from radius 0 on
         return PiValue(0) if sample.metric.exact else 0.0
-    best = max(
-        min(sample.metric.distance_key(i, j) for i, j in combinations(subset, 2))
-        for subset in combinations(sorted(sample.ids), n)
-    )
-    if sample.metric.exact:
-        return PiValue(Fraction(best) / 2)
-    return float(best) / 2.0
+    steps = build_filtration(sample, n)
+    *_, level = steps[0]._pairs[0].levels()
+    return steps[min(level.values())].upper

@@ -251,12 +251,12 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> Quoti
         found = linalg.pivots(columns, field, clear=True, modulo=modulo)
         return _betti_numbers([c - w for c, w in zip(ambient.dims, sub.dims)], found)
 
-    return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inf_in_sup(inf, sup))
+    return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inside(inf, sup))
 
 
-def _inf_in_sup(inf: EmbeddedComplex, sup: EmbeddedComplex) -> bool:
-    """Whether Inf lies in Sup in every degree, both on the same labels."""
-    return all(map(linalg.columns_in_span, sup.embeddings, inf.embeddings))
+def _inside(small: EmbeddedComplex, big: EmbeddedComplex) -> bool:
+    """Whether small lies in big in every degree, both on the same labels."""
+    return all(map(linalg.columns_in_span, big.embeddings, small.embeddings))
 
 
 @dataclass(frozen=True)
@@ -291,34 +291,23 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     coboundary-closed subspaces around the cochains that vanish on V.
     These are the annihilators of Sup(V) and Inf(V); over a field C*/W^perp
     is W*, whose cohomology is dual to the homology of W.  So stages 2 and
-    3 take the dims and Betti numbers of Sup and Inf, built from the edges
-    and their faces.  The maps are surjections when Inf lies in Sup and the
-    lower edges lie in Inf, both checked, and all identities exactly when
-    h is simplicial.  The closure obeys the simplex cap (``ambient_complex``),
-    and the last stage is the span of the lower edges inside it.
+    3 take the dims and Betti numbers of Sup and Inf.  The closure obeys
+    the simplex cap (``ambient_complex``); Sup, Inf and the last stage, the
+    span of the lower edges, are built inside it, so all four stages share
+    its labels.  The maps are surjections when Inf lies in Sup and the
+    lower edges lie in Inf, both checked with ``_inside``, and all
+    identities exactly when h is simplicial.
     """
     ambient = ambient_complex(h, "closure", field=field)
-    inf, sup = _inf_and_sup(h, field, None)
+    inf, sup = _inf_and_sup(h, field, ambient)
     lower_edges = lower_associated(h).edges
     span = [[k for k, e in enumerate(level) if e in lower_edges] for level in ambient.labels]
     columns = [b.columns() for b in ambient.boundaries]
     lower = _embedded(largest_inside, (ambient.labels, span, columns), field)
-    top = ambient.top_degree
-
-    def padded(values) -> tuple[int, ...]:
-        return tuple(values) + (0,) * (top + 1 - len(values))
-
     stages = (ambient, sup, inf, lower)
-    stage_dims = tuple(padded(c.dims) for c in stages)
-    stage_betti = tuple(padded(betti(c).betti) for c in stages)
-
-    def units(n: int) -> SparseMatrix:
-        index = {e: k for k, e in enumerate(inf.labels[n])}
-        columns = [{index[ambient.labels[n][k]]: field.one} for k in span[n]]
-        return SparseMatrix.from_columns(field, len(index), columns)
-
-    lower_in_inf = all(linalg.columns_in_span(e, units(n)) for n, e in enumerate(inf.embeddings))
-    surjective = (True, _inf_in_sup(inf, sup), lower_in_inf)
+    stage_dims = tuple(c.dims for c in stages)
+    stage_betti = tuple(betti(c).betti for c in stages)
+    surjective = (True, _inside(inf, sup), _inside(lower, inf))
     all_identity = len(set(stage_dims)) == 1 and all(surjective)
     if all_identity != is_simplicial(h):
         raise InvariantViolation(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -72,12 +73,9 @@ def parse_hypergraph(source) -> Hypergraph:
     raw_edges = data.get("directed_edges" if directed else "edges")
     if raw_edges is None:
         raise ParseError("missing 'edges' (or 'directed_edges') key")
-    vertices = data.get("vertices", [])
-    try:
-        vertices = [int(v) for v in vertices]
-        raw_edges = [[int(v) for v in e] for e in raw_edges]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"vertices must be integers: {exc}") from exc
+    vertices = _list(data.get("vertices", []), "vertices")
+    for e in _list(raw_edges, "edges"):
+        _list(e, "an edge")
     try:
         build = hyperdigraph if directed else hypergraph
         result = build(raw_edges, vertices=vertices)
@@ -113,12 +111,23 @@ def emit_hypergraph(h: Hypergraph, path=None) -> str:
     return text
 
 
-def _rational(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    raise ParseError(f"expected a number, got {value!r}")
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _number(value, kind=Fraction):
+    """A JSON number, or a string holding one, as a finite Fraction or float
+    (kind); a boolean is not a number here."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (str, int, float)):
+            number = kind(value)
+            if kind is Fraction or math.isfinite(number):
+                return number
+    except (OverflowError, ZeroDivisionError):  # 1e400 reads as inf; "1/0"
+        pass
+    raise ParseError(f"expected a finite number, got {value!r}")
 
 
 def parse_point_sample(source, *, kind: str | None = None) -> MetricPointSample:
@@ -156,6 +165,8 @@ def parse_point_sample(source, *, kind: str | None = None) -> MetricPointSample:
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object for a point sample")
     ids = data.get("ids")
+    if ids is not None:
+        _list(ids, "ids")
     keys = [
         k
         for k in ("distance_matrix", "circle_angles", "circle_angles_over_pi")
@@ -167,12 +178,13 @@ def parse_point_sample(source, *, kind: str | None = None) -> MetricPointSample:
             "circle_angles, circle_angles_over_pi"
         )
     try:
+        values = _list(data[keys[0]], keys[0])
         if keys[0] == "distance_matrix":
-            matrix = [[_rational(v) for v in row] for row in data["distance_matrix"]]
+            matrix = [[_number(v) for v in _list(row, "a matrix row")] for row in values]
             return distance_matrix_sample(matrix, ids=ids)
         if keys[0] == "circle_angles":
-            return circle_sample(radians=[float(a) for a in data["circle_angles"]], ids=ids)
-        return circle_sample([_rational(a) for a in data["circle_angles_over_pi"]], ids=ids)
+            return circle_sample(radians=[_number(a, float) for a in values], ids=ids)
+        return circle_sample([_number(a) for a in values], ids=ids)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -17,9 +17,11 @@ oracles work on permutations of range(n) as plain image tuples, check
 every pair of elements, and walk all n! maps for vertex symmetries and
 isometries.  The point-sample oracles sum squared distances in Fraction
 arithmetic from the raw coordinate rows, with no integer grid, and take
-square roots with the package's ``exact_sqrt``.
+square roots with the package's ``exact_sqrt``.  The circle emptiness
+threshold is taken over every n-subset of the sample, with no filtration.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -38,7 +40,7 @@ from hyperhomology.fields import QQ
 from hyperhomology.homology import betti, induced_homology_rank, quotient_complex
 from hyperhomology.hypergraphs import lower_associated
 from hyperhomology.linalg import SparseMatrix
-from hyperhomology.metrics import exact_sqrt
+from hyperhomology.metrics import PiValue, exact_sqrt
 
 
 def _scalars(rows, p):
@@ -595,3 +597,19 @@ def first_coinciding_pair(points):
     rows = {i: [Fraction(x) for x in row] for i, row in points.items()}
     pairs = combinations(sorted(rows), 2)
     return next(((i, j) for i, j in pairs if rows[i] == rows[j]), None)
+
+
+def emptiness_threshold_by_subsets(sample, n):
+    """Half the largest least pairwise arc of an n-subset of a circle
+    sample, over every n-subset: +infinity for n = 1, and 0 when the sample
+    has fewer than n points."""
+    if n == 1:
+        return math.inf
+    metric = sample.metric
+    if n > len(sample):
+        return PiValue(0) if metric.exact else 0.0
+    best = max(
+        min(metric.distance_key(i, j) for i, j in combinations(subset, 2))
+        for subset in combinations(sorted(sample.ids), n)
+    )
+    return PiValue(Fraction(best) / 2) if metric.exact else float(best) / 2.0

@@ -24,7 +24,7 @@ from hyperhomology.metrics import (
     hard_sphere,
 )
 
-from oracles import pairwise_persistence
+from oracles import emptiness_threshold_by_subsets, pairwise_persistence
 
 DEMO = Path(__file__).resolve().parent.parent / "scripts" / "hard_sphere_persistence_demo.py"
 
@@ -135,6 +135,28 @@ def test_emptiness_threshold_float_mode():
     value = emptiness_threshold(sample, 3)
     assert value == pytest.approx(1.0)  # min pairwise arc distance 2.0
     assert value <= math.pi / 3
+
+
+@st.composite
+def circle_samples(draw):
+    """Exact samples at multiples of pi/24, or float samples in radians,
+    some rounded to one decimal so that arcs tie."""
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(0, 47), min_size=1, max_size=7, unique=True))
+        return circle_sample([Fraction(k, 24) for k in ks])
+    angles = st.floats(0, 6.28, allow_nan=False)
+    if draw(st.booleans()):
+        angles = angles.map(lambda a: round(a, 1))
+    return circle_sample(radians=draw(st.lists(angles, min_size=1, max_size=7, unique=True)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(circle_samples())
+def test_emptiness_threshold_matches_the_subset_oracle(sample):
+    for n in range(1, len(sample) + 2):
+        expected = emptiness_threshold_by_subsets(sample, n)
+        value = emptiness_threshold(sample, n)
+        assert value == expected and type(value) is type(expected)
 
 
 def test_threshold_more_points_than_sample():

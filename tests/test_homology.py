@@ -71,26 +71,22 @@ def test_empty_hypergraph_through_all_builders():
     assert q.complex.dims == ()
 
 
+def _tampered(good):
+    """good with 1 added to the entry (0, 0) of d_2: no longer a complex."""
+    extra = SparseMatrix(good.field, good.dims[1], good.dims[2], {(0, 0): good.field.one})
+    boundaries = (good.boundaries[0], good.boundaries[1], good.boundaries[2] + extra)
+    return ChainComplex(good.field, good.dims, boundaries)
+
+
 def test_betti_rejects_broken_complex():
     good = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
-    tampered = good.boundaries[2] + SparseMatrix(
-        QQ, good.dims[1], good.dims[2], {(0, 0): QQ.one}
-    )
-    from hyperhomology.chains import ChainComplex
-
-    broken = ChainComplex(QQ, good.dims, (good.boundaries[0], good.boundaries[1], tampered))
     with pytest.raises(InvariantViolation):
-        betti(broken)
+        betti(_tampered(good))
 
 
 def test_failed_validation_is_never_remembered():
-    from hyperhomology.chains import ChainComplex
-
     good = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
-    tampered = good.boundaries[2] + SparseMatrix(
-        QQ, good.dims[1], good.dims[2], {(0, 0): QQ.one}
-    )
-    broken = ChainComplex(QQ, good.dims, (good.boundaries[0], good.boundaries[1], tampered))
+    broken = _tampered(good)
     for _ in range(3):
         with pytest.raises(InvariantViolation):
             broken.validate()
@@ -98,6 +94,26 @@ def test_failed_validation_is_never_remembered():
             betti(broken)
     good.validate()  # a passed check is remembered without changing equality
     assert good == ChainComplex(QQ, good.dims, good.boundaries, good.labels)
+
+
+def test_validate_over_a_prime_field_reads_sums_mod_p():
+    field = PrimeField(7)
+    closure = ambient_complex(hypergraph([[0, 1, 2]]), "closure", field=field)
+    copy = ChainComplex(field, closure.dims, closure.boundaries, closure.labels)
+    assert not copy._validated
+    # entries 1 and 6: the integer sums of d_1 d_2 are nonzero multiples of 7
+    lower, upper = (b.columns() for b in closure.boundaries[1:])
+    with pytest.raises(InvariantViolation):
+        chains._check_square_zero(1, lower, upper, None)
+    copy.validate()
+    assert copy._validated
+    # the same tampering fails over Z/7 and over Q, with one certificate
+    certificates = []
+    for good in (closure, ambient_complex(hypergraph([[0, 1, 2]]), "closure")):
+        with pytest.raises(InvariantViolation) as failure:
+            _tampered(good).validate()
+        certificates.append(failure.value.certificate)
+    assert certificates[0] == certificates[1] == {"degree": 2, "chain": "basis column 0", "row": 0}
 
 
 def test_betti_representatives_are_cycles():
@@ -155,13 +171,14 @@ def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
     assert main(["quotient-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["betti_equal"]
     assert calls == [True, False]
-    # four-term: one build for the closure ambient, one for Inf and Sup; the
-    # last stage (empty here: MIXED has no vertex) is read off the closure
+    # four-term: one build for the closure ambient, one for Inf and Sup on
+    # its labels; the last stage (empty here: MIXED has no vertex) is read
+    # off the closure
     calls.clear()
     assert main(["four-term", str(path)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["stage_dims"][3] == results["stage_betti"][3] == [0, 0, 0]
-    assert calls == [True, True]
+    assert calls == [True, False]
 
 
 def test_structural_suite_builds_inf_and_sup_together(monkeypatch):

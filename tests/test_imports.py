@@ -198,13 +198,17 @@ def test_only_errors_reads_the_environment():
     assert not readers, f"the environment is read outside errors.py: {readers}"
 
 
-def test_resource_cap_errors_come_from_check_cap():
-    def raised(tree):
+def _calls_outside(name: str, module: str, function: str, text: str = "") -> list[str]:
+    """Where a call to ``name`` whose source holds ``text`` is made outside
+    the function ``function`` of the module file ``module``."""
+
+    def calls(tree):
         return [
             node.lineno
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ResourceCapError"
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+            and text in ast.unparse(node)
         ]
 
     outside = []
@@ -212,10 +216,21 @@ def test_resource_cap_errors_come_from_check_cap():
         inside = [
             line
             for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "check_cap"
-            for line in raised(node)
+            if path.name == module and isinstance(node, ast.FunctionDef) and node.name == function
+            for line in calls(node)
         ]
-        if path.name != "errors.py":
-            inside = []
-        outside += [f"{path.name}:{line}" for line in raised(tree) if line not in inside]
+        outside += [f"{path.name}:{line}" for line in calls(tree) if line not in inside]
+    return outside
+
+
+def test_resource_cap_errors_come_from_check_cap():
+    outside = _calls_outside("ResourceCapError", "errors.py", "check_cap")
     assert not outside, f"ResourceCapError raised outside errors.check_cap: {outside}"
+
+
+def test_square_zero_failures_come_from_check_square_zero():
+    """One routine checks d d = 0 and certifies its failure, for every complex."""
+    outside = _calls_outside(
+        "InvariantViolation", "chains.py", "_check_square_zero", "boundary squared is nonzero"
+    )
+    assert not outside, f"d d != 0 failure built outside chains._check_square_zero: {outside}"

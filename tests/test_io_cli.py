@@ -221,6 +221,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("homology", {"edges": [[0.7, 1], [1, 2]]}, "got 0.7"),
+        ("homology", {"edges": [[True, 1]]}, "got True"),
+        ("homology", {"edges": [["3", 1]]}, "got '3'"),
+        ("homology", {"edges": [[0, 1], 5]}, "an edge must be a JSON list"),
+        ("homology", {"vertices": 5, "edges": [[0, 1]]}, "vertices must be a JSON list"),
+        ("persist", {"distance_matrix": 5}, "distance_matrix must be a JSON list"),
+        ("persist", {"distance_matrix": [1, 2]}, "a matrix row must be a JSON list"),
+        ("persist", {"distance_matrix": [[0, True], [True, 0]]}, "expected a finite number, got True"),
+        ("persist", {"circle_angles": [None, 1]}, "expected a finite number, got None"),
+        ("persist", {"circle_angles": ["nan", 1]}, "expected a finite number"),
+        ("persist", {"circle_angles_over_pi": 3}, "circle_angles_over_pi must be a JSON list"),
+        ("persist", {"circle_angles_over_pi": ["1/0", 1]}, "expected a finite number"),
+        ("persist", {"circle_angles_over_pi": [0, 1], "ids": 7}, "ids must be a JSON list"),
+    ],
+)
+def test_cli_malformed_json_exits_2(tmp_path, capsys, command, data, message):
+    # no traceback and no silent coercion: every one of these is a parse error
+    path = write_fixture(tmp_path, "bad.json", data)
+    assert main([command, path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_quotient_and_four_term(tmp_path, capsys):
     path = write_fixture(
         tmp_path,
