@@ -16,7 +16,7 @@ entries are mapped into the coefficient field.  A closure or full-simplex
 ambient is the edge-chain complex of a hypergraph closed under vertex
 deletion, where every coordinate is an edge; the infimum and supremum
 complexes are found around the edge span of any hypergraph.  Homology reads
-them through the boundary images that their builders return.
+them through their boundary images and one echelon of each subspace.
 """
 
 from __future__ import annotations
@@ -201,8 +201,11 @@ class EmbeddedComplex:
     the coordinates labels[n], and images[n] their boundaries in labels[n-1]:
     embeddings[n-1] times the internal boundary, of the same rank and
     canonical kernel, since the embeddings have independent columns.  The
-    internal chain complex ``complex`` is solved for and validated on first
-    read (matrix dumps, the Hodge Laplacian, the structural checks).
+    echelons of embeddings[n] (``span_echelons``; Sup keeps those of
+    ``smallest_containing``) and of images[n] (``image_echelons``) answer
+    every question about those subspaces, and like the internal chain
+    complex ``complex`` (matrix dumps, the Hodge Laplacian, the structural
+    checks) they are built on first read, outside equality and repr.
     """
 
     field: object
@@ -213,6 +216,14 @@ class EmbeddedComplex:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(e.ncols for e in self.embeddings)
+
+    @cached_property
+    def span_echelons(self) -> tuple[linalg.Echelon, ...]:
+        return tuple(linalg.Echelon(self.field, e.columns()) for e in self.embeddings)
+
+    @cached_property
+    def image_echelons(self) -> tuple[linalg.Echelon, ...]:
+        return tuple(linalg.Echelon(self.field, filter(None, m.columns())) for m in self.images)
 
     @cached_property
     def complex(self) -> ChainComplex:
@@ -285,28 +296,30 @@ def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...
     return tuple(embeddings), tuple(images)
 
 
-def smallest_containing(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:
+def smallest_containing(field, dims, span, boundary) -> tuple[tuple, ...]:
     """Smallest subcomplex containing the span of the given basis vectors.
 
     Arguments as for ``largest_inside``.  Degree n of the result is spanned
     by span[n] and the boundaries of span[n+1]; of these columns, in that
-    order, each one outside the span of the earlier ones is kept.  Returns
-    per degree the embedding matrix and the matrix of the boundaries of its
-    columns, each zero (a kept boundary; the caller ensures d d = 0) or
-    offered as a degree-(n-1) generator, so inside the result by construction.
+    order, each one that adds a row to the degree's echelon is kept.
+    Returns per degree the embedding matrix, the matrix of the boundaries of
+    its columns, each zero (a kept boundary; the caller ensures d d = 0) or
+    offered as a degree-(n-1) generator, so inside the result by
+    construction, and the echelon of its columns.
     """
     top = len(span) - 1
-    embeddings, images = [], []
+    embeddings, images, echelons = [], [], []
     for n, cols in enumerate(span):
         pairs = [({j: field.one}, boundary[n][j]) for j in cols]
         if n < top:
             pairs += [(col, {}) for j in span[n + 1] if (col := boundary[n + 1][j])]
-        stacked = SparseMatrix.from_columns(field, dims[n], [c for c, _ in pairs])
-        kept = [pairs[k] for k in linalg.independent_columns(stacked)]
+        echelon = linalg.Echelon(field)
+        kept = [(c, d) for c, d in pairs if echelon.add(c) is not None]
         embeddings.append(SparseMatrix.from_columns(field, dims[n], [c for c, _ in kept]))
         below = dims[n - 1] if n else 0
         images.append(SparseMatrix.from_columns(field, below, [d for _, d in kept]))
-    return tuple(embeddings), tuple(images)
+        echelons.append(echelon)
+    return tuple(embeddings), tuple(images), tuple(echelons)
 
 
 def _embedded(build, edge_chains, field) -> EmbeddedComplex:
@@ -314,15 +327,18 @@ def _embedded(build, edge_chains, field) -> EmbeddedComplex:
     ``_edge_chains`` of its hypergraph, with the boundary images it returns.
     Those stay inside it: d d = 0 was checked over Z on every edge, so an Inf
     image does once it is supported on the edges, checked here, and a Sup
-    image always does (``smallest_containing``)."""
+    image always does (``smallest_containing``, whose echelons Sup keeps)."""
     labels, span, boundary = edge_chains
-    embeddings, images = build(field, [len(level) for level in labels], span, boundary)
+    embeddings, images, *echelons = build(field, [len(level) for level in labels], span, boundary)
     if build is largest_inside:
         for n in range(1, len(images)):
             inside = set(span[n - 1])
             if not all(i in inside for col in images[n].columns() for i in col):
                 raise _not_inside(n)
-    return EmbeddedComplex(field, labels, embeddings, images)
+    embedded = EmbeddedComplex(field, labels, embeddings, images)
+    if echelons:  # Sup's, stored where the cached_property keeps them
+        vars(embedded)["span_echelons"] = echelons[0]
+    return embedded
 
 
 def inf_complex(

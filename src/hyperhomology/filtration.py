@@ -224,7 +224,7 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
     births: list[list[int]] = [[] for _ in range(top + 1)]
     for k, h in enumerate(hypergraphs):
         _, span, boundary = _edge_chains(h, field, ambient)
-        embeddings, _ = build(field, ambient.dims, span, boundary)
+        embeddings = build(field, ambient.dims, span, boundary)[0]
         for n, embedding in enumerate(embeddings):
             for col in embedding.columns():
                 if (key := echelons[n].add(col)) is not None:
@@ -261,7 +261,7 @@ def _bars(births: list, columns: list, field) -> list[tuple[int, int, int | None
     in the positions of degree n - 1, both ordered by birth, so ``pivots``
     pairs each key with the column that kills it; a position that neither
     is a key one degree up nor adds a row is a class that never dies."""
-    found = pivots(columns, field, clear=True) + [{}]
+    found = pivots(columns, field) + [{}]
     bars = []
     for n in range(len(births) - 1, -1, -1):
         killers, added = found[n + 1], set(found[n].values())

@@ -1,10 +1,11 @@
 """Homology of embedded chain complexes and the verified identities.
 
-Everything here is exact.  Every Betti number comes from one top-down
-reduction over Q (or Z/p), ``linalg.pivots``: of a chain complex's
-boundaries with clearing, of an embedded complex's boundary images (in its
-edge labels) without, and of an ambient's boundaries modulo Inf or Sup for
-the quotients by them.  Induced ranks are cycles modulo boundaries.
+Everything here is exact.  The Betti numbers of a chain complex, and of an
+ambient modulo Inf or Sup (from copies of their span echelons), come from one
+top-down reduction with clearing over Q (or Z/p), ``linalg.pivots``.  An
+embedded complex reads its ranks from its image echelons.  Induced ranks
+count the cycles that extend a copy of the target's image echelon, and
+inclusions are tested in span echelons, so neither rebuilds an echelon.
 
 ``quotient_complex`` gives explicit coset-representative bases.  Each
 degree is eliminated once, into an echelon of the subspace keyed by largest
@@ -60,16 +61,17 @@ def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = F
     """Exact Betti numbers: dim_n - rank B_n - rank B_{n+1}.
 
     A ChainComplex is validated (InvariantViolation if not one) and reduced
-    with clearing.  An embedded complex is read through its boundary images,
-    whose label coordinates do not index its basis: no clearing there.
+    with clearing (``linalg.pivots``).  An embedded complex reads rank B_n as
+    the dimension of its degree-n ``image_echelons``, kept for induced ranks.
     """
-    chain = isinstance(complex_, ChainComplex)
-    if chain:
-        complex_.validate()
-    matrices = complex_.boundaries if chain else complex_.images
     field = complex_.field
-    found = linalg.pivots([m.columns() for m in matrices], field, clear=chain)
-    numbers = _betti_numbers([m.ncols for m in matrices], found)
+    if isinstance(complex_, ChainComplex):
+        complex_.validate()
+        matrices = complex_.boundaries
+        ranks = map(len, linalg.pivots([m.columns() for m in matrices], field))
+    else:
+        matrices, ranks = complex_.images, (e.dimension for e in complex_.image_echelons)
+    numbers = _betti_numbers([m.ncols for m in matrices], ranks)
     reps = None
     if representatives:
         reps = tuple(
@@ -78,31 +80,37 @@ def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = F
     return HomologySummary(field.name, numbers, reps)
 
 
-def _betti_numbers(dims, found: list[dict]) -> tuple[int, ...]:
-    """dims[n] - r_n - r_{n+1}, where r_n counts the keys of ``pivots`` in degree n."""
-    ranks = [len(keys) for keys in found] + [0]
+def _betti_numbers(dims, ranks) -> tuple[int, ...]:
+    """dims[n] - r_n - r_{n+1}, for the boundary ranks r_n of each degree."""
+    ranks = [*ranks, 0]
     return tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(dims))
 
 
 def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: int) -> int:
     """Rank of H_n(source) -> H_n(target) induced by inclusion.
 
-    Both complexes must be embedded in chains on the same labels, and the
-    source cycles (the kernel of its images) must lie in the target (checked);
-    their rank is taken modulo the target's images, in the labels.
+    Both complexes must be embedded in chains on the same labels, over one
+    characteristic, and n must be >= 0 (ValueError otherwise); above the top
+    degree the rank is 0.  The source cycles (the kernel of its images) must
+    lie in the target's span echelon (checked); the rank counts those that
+    add a row to a copy of the echelon of the target's degree-(n+1) images.
     """
     if source.labels is not target.labels and source.labels != target.labels:
         raise ValueError("complexes are not embedded in chains on the same labels")
+    if source.field.characteristic != target.field.characteristic:
+        raise ValueError("complexes are over fields of different characteristic")
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
     cycles = linalg.kernel_basis(source.images[n]) if n < len(source.images) else []
     if not cycles:
         return 0
     cycle_matrix = SparseMatrix.from_columns(source.field, source.dims[n], cycles)
-    in_labels = source.embeddings[n] @ cycle_matrix
-    if not linalg.columns_in_span(target.embeddings[n], in_labels):
+    in_labels = (source.embeddings[n] @ cycle_matrix).columns()
+    if not all(map(target.span_echelons[n].contains, in_labels)):
         raise InvariantViolation(f"degree-{n} cycles do not lie in the target subcomplex")
-    top = len(target.images) - 1
-    up = target.images[n + 1] if n < top else SparseMatrix.zeros(target.field, 0, 0)
-    return linalg.image_rank_modulo(in_labels.columns(), up, target.field)
+    above = target.image_echelons[n + 1 :]
+    up = above[0].copy() if above else linalg.Echelon(target.field)
+    return sum(up.add(col) is not None for col in in_labels)
 
 
 @dataclass(frozen=True)
@@ -238,8 +246,9 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> Quoti
     """Compare homology of ambient/Sup and ambient/Inf for the edge span of h.
 
     No quotient is built: over a field, b_n(C/W) = dim C_n - dim W_n - r_n
-    - r_{n+1}, r_n the rank of the ambient boundary columns modulo W_{n-1},
-    found with clearing as ``_inf_and_sup`` certifies W boundary-closed.
+    - r_{n+1}, r_n the rank of the ambient boundary columns modulo W_{n-1}
+    (a copy of its span echelon), found with clearing as ``_inf_and_sup``
+    certifies W boundary-closed.
     The map C/Inf -> C/Sup, x + Inf to x + Sup, is defined exactly when Inf
     lies in Sup, and it is then onto: that is the surjectivity flag.
     """
@@ -247,16 +256,16 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> Quoti
     columns = [b.columns() for b in ambient.boundaries]
 
     def quotient_betti(sub: EmbeddedComplex) -> tuple[int, ...]:
-        modulo = [m.columns() for m in sub.embeddings]
-        found = linalg.pivots(columns, field, clear=True, modulo=modulo)
-        return _betti_numbers([c - w for c, w in zip(ambient.dims, sub.dims)], found)
+        found = linalg.pivots(columns, field, modulo=sub.span_echelons)
+        return _betti_numbers([c - w for c, w in zip(ambient.dims, sub.dims)], map(len, found))
 
     return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inside(inf, sup))
 
 
 def _inside(small: EmbeddedComplex, big: EmbeddedComplex) -> bool:
     """Whether small lies in big in every degree, both on the same labels."""
-    return all(map(linalg.columns_in_span, big.embeddings, small.embeddings))
+    pairs = zip(big.span_echelons, small.embeddings)
+    return all(echelon.contains(col) for echelon, m in pairs for col in m.columns())
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ incremental echelon of sparse vectors keyed by their largest index, fed the
 columns left to right.  Kernels and solves tag column j with -1 at index
 j - ncols, below every row index, so a row keyed by a tag records a column
 dependency and a right-hand side reduced to tags alone records its solution.
-Every Betti number, of a complex or a quotient, and every persistence bar is
-read from one top-down reduction of boundary columns with clearing, ``pivots``.
+Every Betti number of a chain complex or a quotient, and every persistence
+bar, is read from one top-down reduction with clearing, ``pivots``; an echelon
+kept for a subspace is extended in a ``copy`` that shares its rows.
 Each routine reads ``field.characteristic`` once: when it is a prime p, an
 int loop reduces mod p and inverts with ``pow(x, -1, p)``.  A deliberately
 naive dense elimination in the test suite is the independent oracle.
@@ -158,10 +159,11 @@ class Echelon:
     and ``reduce`` can report a vector's coordinates in it.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, vectors: Iterable[dict] = ()):
         self.field = field
         self.rows: dict[int, dict] = {}
         self._fractions = False  # whether a stored row holds a Fraction
+        _added(self, vectors)
 
     def reduce(self, vector: dict, coefficients: dict | None = None) -> dict:
         """Normal form of vector.  A dict passed as coefficients receives,
@@ -199,6 +201,12 @@ class Echelon:
 
     def contains(self, vector: dict) -> bool:
         return not self.reduce(vector)
+
+    def copy(self) -> "Echelon":
+        """The same rows, to extend apart; ``add`` never changes a stored row."""
+        other = Echelon(self.field)
+        other.rows, other._fractions = dict(self.rows), self._fractions
+        return other
 
     @property
     def dimension(self) -> int:
@@ -289,12 +297,6 @@ def _added(reducer: Echelon, vectors: Iterable[dict]) -> list[int]:
     return [k for k, vec in enumerate(vectors) if reducer.add(vec) is not None]
 
 
-def _echelon_of(field, vectors: Iterable[dict]) -> Echelon:
-    reducer = Echelon(field)
-    _added(reducer, vectors)
-    return reducer
-
-
 def _tagged_echelon(matrix: SparseMatrix) -> Echelon:
     """Echelon of the columns of matrix, column j tagged with -1 at index
     j - ncols.
@@ -306,7 +308,7 @@ def _tagged_echelon(matrix: SparseMatrix) -> Echelon:
     """
     minus_one, shift = matrix.field.from_int(-1), matrix.ncols
     tagged = ({**col, j - shift: minus_one} for j, col in enumerate(matrix.columns()))
-    return _echelon_of(matrix.field, tagged)
+    return Echelon(matrix.field, tagged)
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -358,21 +360,19 @@ def solve(a: SparseMatrix, b: dict) -> dict | None:
 
 def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:
     """True iff every column of probe lies in the column span of basis."""
-    reducer = _echelon_of(basis.field, basis.columns())
-    return all(reducer.contains(col) for col in probe.columns())
+    return all(map(Echelon(basis.field, basis.columns()).contains, probe.columns()))
 
 
-def pivots(columns: Sequence, field, *, clear: bool, modulo: Sequence | None = None) -> list[dict]:
+def pivots(columns: Sequence, field, modulo: Sequence[Echelon] | None = None) -> list[dict]:
     """Per degree, {key: position} of each boundary column that adds a row
-    to its degree's echelon (seeded with the columns of modulo[n-1]), from
-    the top degree down, each degree left to right.  With clear, the columns
-    index the basis one degree down and modulo is boundary-closed, so a
-    position that is a key one degree up reduces to zero and is skipped
-    (Chen-Kerber clearing)."""
+    to its degree's echelon (a copy of modulo[n-1] when given), from the top
+    degree down, each degree left to right.  The columns index the basis one
+    degree down and modulo is boundary-closed, so a position that is a key
+    one degree up reduces to zero and is skipped (Chen-Kerber clearing)."""
     found: list[dict] = [{} for _ in columns]
     for n in range(len(columns) - 1, 0, -1):
-        echelon = _echelon_of(field, modulo[n - 1] if modulo else ())
-        skip = found[n + 1] if clear and n + 1 < len(columns) else {}
+        echelon = modulo[n - 1].copy() if modulo else Echelon(field)
+        skip = found[n + 1] if n + 1 < len(columns) else {}
         for j, col in enumerate(columns[n]):
             if j not in skip and (key := echelon.add(col)) is not None:
                 found[n][key] = j
@@ -382,4 +382,4 @@ def pivots(columns: Sequence, field, *, clear: bool, modulo: Sequence | None = N
 def image_rank_modulo(vectors: Iterable[dict], modulo: SparseMatrix, field) -> int:
     """Rank of a family of vectors in the quotient by the span of ``modulo``:
     how many of them still add a row to the echelon of its columns."""
-    return len(_added(_echelon_of(field, modulo.columns()), vectors))
+    return len(_added(Echelon(field, modulo.columns()), vectors))

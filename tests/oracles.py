@@ -7,14 +7,16 @@ a from-scratch simplicial boundary construction.  Nothing imports the
 package's linear algebra, except four oracles that check a construction
 rather than an elimination.  ``quotient_map_surjective`` ranks the map
 C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
-``closure_embedded`` builds the Inf or Sup
-complex the old way, inside the whole deletion-closure ambient.
-``pairwise_persistence`` computes persistence the slow way, through the
-package's per-step embedded complexes and one induced-rank problem per
-pair of steps.  ``four_term_by_cochain_quotients`` builds the four-stage
-sequence as quotients of the closure cochains, with no duality.  The group
-oracles work on permutations of range(n) as plain image tuples, check
-every pair of elements, and walk all n! maps for vertex symmetries and
+``closure_embedded`` builds the Inf or Sup complex the old way, inside the
+whole deletion-closure ambient.  ``pairwise_persistence`` computes
+persistence the slow way, through the package's per-step embedded complexes
+and one ``induced_homology_rank`` problem per pair of steps.
+``dense_induced_rank`` is the independent check of those induced ranks: it
+reads only an embedded complex's stored embeddings and boundary images and
+eliminates densely.  ``four_term_by_cochain_quotients`` builds the
+four-stage sequence as quotients of the closure cochains, with no duality.
+The group oracles work on permutations of range(n) as plain image tuples,
+check every pair of elements, and walk all n! maps for vertex symmetries and
 isometries.  The point-sample oracles sum squared distances in Fraction
 arithmetic from the raw coordinate rows, with no integer grid, and take
 square roots with the package's ``exact_sqrt``.  The circle emptiness
@@ -361,6 +363,36 @@ def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=Q
     return betti_by_step, entries, bars
 
 
+def _dense_columns(matrix):
+    """The columns of a sparse matrix as dense lists, values as stored."""
+    return [[col.get(i, 0) for i in range(matrix.nrows)] for col in matrix.columns()]
+
+
+def dense_induced_rank(source, target, n, p=None):
+    """Rank of H_n(source) -> H_n(target) for two embedded complexes on the
+    same labels, by dense elimination alone, over Q or over Z/p when a prime
+    p is given: dim(Z_n(source) + B_n(target)) - dim B_n(target), in label
+    coordinates.  The cycles are the ``dense_kernel`` of the source images
+    mapped through its embedding; they must lie in the target's span, checked
+    by ``dense_rank``.  Ranks of vector families are taken as ranks of the
+    matrix with the vectors as rows."""
+    if n >= len(source.images):
+        return 0
+    rows = [list(row) for row in zip(*_dense_columns(source.images[n]))]
+    kernel = dense_kernel(rows, source.images[n].ncols, p)
+    embedding = _dense_columns(source.embeddings[n])
+    width = source.embeddings[n].nrows
+    cycles = [
+        [sum(z[k] * col[i] for k, col in enumerate(embedding)) for i in range(width)]
+        for z in kernel
+    ]
+    span = _dense_columns(target.embeddings[n])
+    if dense_rank(span + cycles, p) != dense_rank(span, p):
+        raise InvariantViolation(f"degree-{n} cycles do not lie in the target subcomplex")
+    up = _dense_columns(target.images[n + 1]) if n + 1 < len(target.images) else []
+    return dense_rank(up + cycles, p) - dense_rank(up, p)
+
+
 def closure_embedded(h, kind="inf", field=QQ):
     """The Inf (or Sup) complex of h built inside its deletion closure.
 
@@ -464,7 +496,7 @@ def four_term_by_cochain_quotients(h, field=QQ):
     ]
     columns = [b.columns() for b in cochains.boundaries]
     inward, _ = largest_inside(field, cochains.dims, complement, columns)
-    outward, _ = smallest_containing(field, cochains.dims, complement, columns)
+    outward = smallest_containing(field, cochains.dims, complement, columns)[0]
     stage2 = quotient_complex(cochains, inward)
     stage3 = quotient_complex(cochains, outward)
 

@@ -26,7 +26,8 @@ from hyperhomology.metrics import (
 
 from oracles import emptiness_threshold_by_subsets, pairwise_persistence
 
-DEMO = Path(__file__).resolve().parent.parent / "scripts" / "hard_sphere_persistence_demo.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DEMO = SCRIPTS / "hard_sphere_persistence_demo.py"
 
 
 def equilateral(side=2):
@@ -336,3 +337,16 @@ def test_demo_script_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "== equilateral triangle: 2 steps" in out
     assert "bar {" in out
+
+
+def test_circle_emptiness_scan_script_runs(monkeypatch, capsys):
+    script = SCRIPTS / "circle_emptiness_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--points", "6", "--max-level", "4"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "6 equally spaced points on the unit circle",
+        "  n      threshold       pi/n   edges just below",
+        "  2      1.570796   1.570796                  3",
+        "  3      1.047198   1.047198                  2",
+        "  4      0.523599   0.785398                 15",
+    ]

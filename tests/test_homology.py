@@ -1,5 +1,8 @@
 import json
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +11,7 @@ from hyperhomology import chains, homology, linalg, suites
 from hyperhomology.cli import main
 from hyperhomology.chains import ChainComplex, ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
-from hyperhomology.fields import QQ, PrimeField
+from hyperhomology.fields import QQ, PrimeField, RationalField
 from hyperhomology.homology import (
     betti,
     four_term_sequence,
@@ -32,6 +35,7 @@ from hyperhomology.suites import random_hyperdigraph, random_hypergraph
 
 from oracles import (
     closure_embedded,
+    dense_induced_rank,
     dense_rank,
     fixed_subspace_dimension,
     four_term_by_cochain_quotients,
@@ -43,6 +47,7 @@ from oracles import (
 )
 
 HOLLOW = hypergraph([[0], [1], [2], [0, 1], [1, 2], [0, 2]])
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 MIXED = hypergraph([[0, 1], [1, 2], [0, 1, 2]])
 
 
@@ -238,6 +243,78 @@ def test_local_coordinates_are_edges_then_faces():
         induced_homology_rank(inf_complex(MIXED), sup_complex(MIXED, ambient=ambient), 1)
 
 
+def test_embedded_echelons_are_kept_outside_equality_and_repr():
+    inf, sup = inf_complex(MIXED), sup_complex(MIXED)
+    # Sup keeps the echelons that chose its columns; Inf builds its own when read
+    assert "span_echelons" in vars(sup) and "span_echelons" not in vars(inf)
+    for embedded in (inf, sup):
+        spans, images = embedded.span_echelons, embedded.image_echelons
+        assert [e.dimension for e in spans] == list(embedded.dims)
+        assert [e.dimension for e in images] == [dense_rank(_dense_vectors(m)) for m in embedded.images]
+        assert embedded.span_echelons is spans and embedded.image_echelons is images
+    fresh = sup_complex(MIXED)
+    del vars(fresh)["span_echelons"]
+    assert fresh == sup and repr(fresh) == repr(sup) and "Echelon" not in repr(sup)
+
+
+def test_induced_homology_rank_refuses_negative_degrees():
+    h = hypergraph([[0, 1], [1, 2], [0, 2], [3, 4], [5]])
+    inf, sup = inf_complex(h), sup_complex(h)
+    assert [induced_homology_rank(inf, sup, n) for n in range(4)] == [1, 1, 0, 0]
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match="non-negative"):
+            induced_homology_rank(inf, sup, n)
+
+
+def test_induced_homology_rank_refuses_mixed_characteristics():
+    # over one field the filled triangle has no homology to map; a Z/7
+    # cycle coefficient 6 (that is, -1) read as the rational 6 made one up
+    h = hypergraph([[0, 1], [1, 2], [0, 2], [0, 1, 2]])
+    assert [induced_homology_rank(inf_complex(h), sup_complex(h), n) for n in range(3)] == [0] * 3
+    with pytest.raises(ValueError, match="characteristic"):
+        induced_homology_rank(inf_complex(h, field=PrimeField(7)), sup_complex(h), 0)
+    # fields are compared by characteristic, not as objects
+    assert induced_homology_rank(inf_complex(h, field=RationalField()), sup_complex(h), 1) == 0
+
+
+def _dense_vectors(matrix):
+    """The columns of a sparse matrix as dense lists."""
+    return [[col.get(i, 0) for i in range(matrix.nrows)] for col in matrix.columns()]
+
+
+def _dense_contains(big, small, p):
+    """Whether the dense vectors small lie in the span of big, by dense ranks."""
+    return dense_rank(big + small, p) == dense_rank(big, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(punched_closures(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+def test_inf_sup_ranks_and_inclusions_match_dense_ranks(h, field):
+    p = field.characteristic or None
+    report = verify_quasi_iso_theta(h, field=field)
+    inf, sup = inf_complex(h, field=field), sup_complex(h, field=field)
+    for betti_row, embedded in ((report.betti_inf, inf), (report.betti_sup, sup)):
+        ranks = [dense_rank(_dense_vectors(m), p) for m in embedded.images] + [0]
+        assert betti_row == tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(embedded.dims))
+    degrees = range(len(inf.labels))
+    assert list(report.induced_ranks) == [dense_induced_rank(inf, sup, n, p) for n in degrees]
+    # four-term and quotient-check test their inclusions inside the closure
+    ambient = ambient_complex(h, "closure", field=field)
+    inf = inf_complex(h, field=field, ambient=ambient)
+    sup = sup_complex(h, field=field, ambient=ambient)
+    inf_in_sup = all(
+        _dense_contains(_dense_vectors(big), _dense_vectors(small), p)
+        for small, big in zip(inf.embeddings, sup.embeddings)
+    )
+    lower = lower_associated(h).edges
+    lower_in_inf = all(
+        _dense_contains(_dense_vectors(big), [[int(e == f) for f in level] for e in level if e in lower], p)
+        for level, big in zip(ambient.labels, inf.embeddings)
+    )
+    assert four_term_sequence(h, field=field).surjective == (True, inf_in_sup, lower_in_inf)
+    assert quotient_pair_check(h, ambient, field=field).q_surjective == inf_in_sup
+
+
 def test_quotient_by_zero_is_identity():
     c = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
     zeros = tuple(SparseMatrix.zeros(QQ, c.dim(n), 0) for n in range(c.top_degree + 1))
@@ -428,6 +505,35 @@ def test_cli_quotient_check_builds_no_quotient(monkeypatch, tmp_path, capsys):
     assert results["q_surjective"]
 
 
+@pytest.mark.parametrize("field", ["Q", "7"])
+def test_cli_embedded_checks_eliminate_each_subspace_once(monkeypatch, tmp_path, capsys, field):
+    # Sup's span echelon comes from smallest_containing, every image echelon
+    # from betti, and the inclusion flags and induced ranks read them: no
+    # command re-eliminates a subspace through these three routines
+    path = tmp_path / "h.json"
+    edges = [[0], [1], [2], [3], [0, 1], [1, 2], [0, 2], [1, 3], [2, 3], [1, 2, 3], [0, 4]]
+    path.write_text(json.dumps({"vertices": [0, 1, 2, 3, 4], "edges": edges}))
+    commands = [[name, str(path), "--field", field] for name in ("quasi-check", "four-term", "quotient-check")]
+
+    def payloads():
+        found = []
+        for argv in commands:
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            found.append(report["results"])
+        return found
+
+    expected = payloads()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subspace was eliminated again")
+
+    for name in ("columns_in_span", "image_rank_modulo", "independent_columns"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert payloads() == expected
+    assert expected[0]["induced_ranks"] == [1, 1, 0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(small_edge_sets(), punched_closures()),
@@ -581,3 +687,13 @@ def test_simplicial_homology_matches_oracle(h, field):
     assert betti(ambient_complex(h, "closure", field=field)).betti == expected
     assert betti(inf_complex(h, field=field)).betti == expected
     assert betti(sup_complex(h, field=field)).betti == expected
+
+
+def test_random_quasi_iso_experiment_script_runs(monkeypatch, capsys):
+    script = SCRIPTS / "random_quasi_iso_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--hypergraphs", "20", "--hyperdigraphs", "10"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "verified 30 instances in" in out
+    assert "all isomorphic" in out
+    assert "Betti profile histogram (top 12):" in out

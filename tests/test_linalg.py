@@ -173,6 +173,23 @@ def test_image_rank_modulo():
     assert linalg.image_rank_modulo(vectors, boundary, QQ) == 1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_echelon_copy_extends_without_changing_the_original(field):
+    original = linalg.Echelon(field)
+    assert original.add({0: 1, 1: 2}) == 1  # over Q the row holds 1/2
+    assert original._fractions == (field is QQ)
+    rows = {key: dict(row) for key, row in original.rows.items()}
+    copy = original.copy()
+    assert copy.rows == original.rows and copy._fractions == original._fractions
+    assert copy.add({1: 1, 2: 3}) == 2
+    assert copy.add({0: 1}) == 0
+    assert copy.add({1: 1}) is None
+    assert copy.dimension == 3 and copy.contains({2: 1})
+    assert original.rows == rows and original.dimension == 1
+    assert original._fractions == (field is QQ)
+    assert not original.contains({2: 1}) and not original.contains({0: 1})
+
+
 def test_coordinate_text_round_trip():
     m = to_sparse(QQ, [[1, 0], [0, -2]], 2)
     text = m.to_coordinate_text()
