@@ -67,7 +67,7 @@ def _integer_columns(
 def _in_field(field, columns: list[dict[int, int]]) -> list[dict]:
     """The integer columns with their entries mapped into the field: the
     same columns when every entry is its own image (always over Q)."""
-    values = set(chain.from_iterable(col.values() for col in columns))
+    values = set(chain.from_iterable(c.values() for c in columns)) if field.characteristic else ()
     scalars = {v: field.from_int(v) for v in values}
     if all(v == s for v, s in scalars.items()):
         return columns
@@ -127,16 +127,31 @@ class ChainComplex:
 def _check_square_zero(n: int, lower, upper, labels, p: int = 0) -> None:
     """Raise InvariantViolation unless d_n d_{n+1} = 0: upper lists the columns
     of d_{n+1}, lower[k] is column k of d_n, and sums are exact, read mod p
-    for a prime p; over Z (p = 0) that implies d d = 0 over every field.  The
-    certificate is the least nonzero (row, column): degree, column label, row."""
+    for a prime p; over Z (p = 0) that implies d d = 0 over every field.  A
+    column whose products are all +1 or -1 passes when both signs hit the same
+    rows.  The certificate is the least nonzero (row, column): degree, column label, row."""
     nonzero = []
     for j, col in enumerate(upper):
+        plus, minus, unit = [], [], True  # the rows of the +1 and of the -1 products
+        for k, t in col.items():
+            same, opposite = (t, -t) if t == 1 or t == -1 else (None, None)
+            for i, s in lower[k].items():
+                if s == same:
+                    plus.append(i)
+                elif s == opposite:
+                    minus.append(i)
+                else:
+                    unit = False  # a product other than +1 and -1: summed below
+                    break
+        plus.sort()
+        minus.sort()
+        if unit and plus == minus:
+            continue
         acc: dict[int, int] = {}
         for k, t in col.items():
             for i, s in lower[k].items():
                 acc[i] = acc.get(i, 0) + t * s
-        if any(acc.values()):
-            nonzero += [(i, j) for i, v in acc.items() if (v % p if p else v)]
+        nonzero += [(i, j) for i, v in acc.items() if (v % p if p else v)]
     if nonzero:
         i, j = min(nonzero)
         label = labels[n + 1][j] if labels else f"basis column {j}"

@@ -8,17 +8,18 @@ Betti numbers are the exact ranks of the homology maps induced by the
 chain-level inclusions of the embedded (Inf or Sup) complexes, which nest
 into one filtered chain complex.  ``persistent_betti`` builds a basis of it
 in which every vector has a birth step (the simplices, when every step is
-simplicial), runs the package's one column reduction with clearing
-(``linalg.pivots``) on the boundaries in that basis, and reads every Betti
-number, rank and bar off the bars: a bar
-is a class born at one step that dies at a later one, and the rank of
-H_n(step i) -> H_n(step j) counts the degree-n bars alive from i through j.
+simplicial), pairs births with deaths by a reduction of the coboundaries
+in that basis, with clearing, and reads every Betti number, rank and bar
+off the bars: a bar is a class born at one step that dies at a later one,
+and the rank of H_n(step i) -> H_n(step j) counts the degree-n bars alive
+from i through j.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -28,8 +29,8 @@ from .chains import _integer_columns, largest_inside, smallest_containing
 from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
-from .linalg import Echelon, SparseMatrix, pivots
-from .metrics import CircleMetric, MetricPointSample, PiValue, midpoint
+from .linalg import Echelon, SparseMatrix, _nonzero
+from .metrics import CircleMetric, MetricPointSample, PiValue, _between
 
 
 class _PairSteps:
@@ -43,13 +44,12 @@ class _PairSteps:
     def levels(self):
         """Per degree, each edge mapped to its step, the latest among its
         pairs; edges in sorted order."""
-        level = {(i,): 0 for i in self.ids}
+        level, step = {(i,): 0 for i in self.ids}, self.step
         for k in range(2, self.top + 1):
             yield level
-            prev, step = level, self.step
-            # the pairs of s are those of its two long faces and its end pair
+            # the pairs of s: its long faces' and its end pair (no name keeps the level below)
             level = {
-                s: max(prev[s[:-1]], prev[s[1:]], step[s[0]][s[-1]])
+                s: max(level[s[:-1]], level[s[1:]], step[s[0]][s[-1]])
                 for s in combinations(self.ids, k)
             }
         yield level
@@ -105,7 +105,7 @@ def build_filtration(sample: MetricPointSample, n_max: int) -> tuple[FiltrationS
     intervals = [(0, math.inf, 1)]
     if radii:
         intervals = [(radii[0], math.inf, radii[0] * 2)]
-        intervals += [(lo, hi, midpoint(lo, hi)) for hi, lo in zip(radii, radii[1:])]
+        intervals += [(lo, hi, _between(lo, hi)) for hi, lo in zip(radii, radii[1:])]
         intervals.append((0, radii[-1], radii[-1] / 2))
     pairs = _PairSteps(ids, step, n_max, len(intervals))
     steps = []
@@ -172,29 +172,39 @@ def _simplex_basis(levels, field) -> tuple[list, list] | None:
     """Filtered basis of simplices, when every step spans a subcomplex.
 
     levels[n] maps each degree-n simplex to its birth step, in sorted order;
-    the basis is ordered by (birth, simplex).  The boundary columns are built
-    over Z, checked there to square to zero and to reach only faces born no
-    later (else None is returned), then mapped into the field.  The span of
+    the basis is ordered by (birth, simplex).  Boundary columns are built over
+    Z, checked there to square to zero and to reach only faces born no later
+    (else None is returned), and returned as field coboundaries.  The span of
     each step is closed under the boundary, hence is its Inf and its Sup.
     """
-    births, columns, labels, lower = [], [], [], None
+    births, columns, labels = [], [], []
     for n, level in enumerate(levels):
         labels.append(sorted(level, key=level.__getitem__))  # stable: (birth, simplex)
-        born = [level[s] for s in labels[n]]
+        born = sorted(level.values())
         if n:
-            below, codomain = births[n - 1], list(labels[n - 1])
-            ints = _integer_columns(labels[n], codomain, "extend")
-            missing = len(codomain) > len(below)
+            below = births[n - 1]  # labels[n - 1] gains any missing face, then is dropped
+            ints = _integer_columns(labels[n], labels[n - 1], "extend")
+            missing = len(labels[n - 1]) > len(below)
             if missing or any(col and below[max(col)] > b for col, b in zip(ints, born)):
                 return None  # a face is missing or born later
             if n >= 2:
-                _check_square_zero(n - 1, lower, ints, labels)
-            columns.append(_in_field(field, ints))
-            lower, labels[n - 1] = ints, None  # only labels[n] may name a failure
-        else:
-            columns.append([{} for _ in born])
+                _check_square_zero(n - 1, columns[-1], ints, labels)
+            columns.append(ints)
+            labels[n - 1] = None  # only labels[n] may name a failure
         births.append(born)
-    return births, columns
+    level = labels = None  # released before the columns are transposed
+    return births, [_in_field(field, _transposed(c, len(b))) for c, b in zip(columns, births)]
+
+
+def _transposed(columns: list, nrows: int) -> list[dict]:
+    """The rows of the columns.  Each column is released once read; the row
+    keys are made first, lest they pin the memory of the released columns."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for j in list(range(len(columns))):
+        col, columns[j] = columns[j], None
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
 
 
 def _hypergraph_levels(hypergraphs: Sequence) -> list[dict]:
@@ -233,7 +243,7 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
             if echelons[n].dimension != embedding.ncols:
                 message = f"embedded complexes are not nested at step {k}, degree {n}"
                 raise InvariantViolation(message)
-    columns = [[{} for _ in births[0]]]
+    columns = []  # of degrees 1 to top
     for n in range(1, top + 1):
         basis = [echelons[n].rows[key] for key in keys[n]]
         images = ambient.boundaries[n] @ SparseMatrix.from_columns(field, ambient.dim(n), basis)
@@ -248,29 +258,34 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
                 raise InvariantViolation(message)
             level.append(column)
         columns.append(level)
-    dims = tuple(len(b) for b in births)
-    rows = (dims[n - 1] if n else 0 for n in range(len(dims)))
-    matrices = tuple(SparseMatrix.from_columns(field, r, c) for r, c in zip(rows, columns))
-    ChainComplex(field, dims, matrices).validate()
-    return births, columns
+    for n in range(1, top):
+        _check_square_zero(n, columns[n - 1], columns[n], None, field.characteristic)
+    return births, [_transposed(c, len(b)) for c, b in zip(columns, births)]
 
 
-def _bars(births: list, columns: list, field) -> list[tuple[int, int, int | None]]:
+def _bars(births: list, coboundaries: list, field) -> list[tuple[int, int, int | None]]:
     """(degree, born, dies) of every bar of positive length, by degree from
-    the top down.  columns[n][j] is the boundary of degree-n basis vector j
-    in the positions of degree n - 1, both ordered by birth, so ``pivots``
-    pairs each key with the column that kills it; a position that neither
-    is a key one degree up nor adds a row is a class that never dies."""
-    found = pivots(columns, field) + [{}]
-    bars = []
-    for n in range(len(births) - 1, -1, -1):
-        killers, added = found[n + 1], set(found[n].values())
-        for j, born in enumerate(births[n]):
-            if j in killers:
-                if (dies := births[n + 1][killers[j]]) > born:
-                    bars.append((n, born, dies))
-            elif j not in added:
-                bars.append((n, born, None))
+    the top down, each degree by position.  coboundaries[n][i] is the
+    coboundary of degree-n basis vector i in degree n + 1, all ordered by
+    birth.  From degree 0 up, each degree's columns are reduced last to
+    first, each only until its least index is no earlier column's pivot j,
+    the death of the class born with the column (de Silva, Morozov and
+    Vejdemo-Johansson 2011); a pivot one degree down reduces to zero and is
+    skipped (clearing, as in Ripser), and a column reduced to zero never dies."""
+    p, bars, cleared = field.characteristic, [], {}
+    for n, (born, up) in enumerate(zip(births, coboundaries + [()])):
+        dies, reduced = list(born), {}  # a cleared position, like a bar of length 0, is no bar
+        for i in range(len(born) - 1, -1, -1):
+            col = up[i] if up and i not in cleared else ()
+            while col and (row := reduced.get(j := min(col))) is not None:
+                factor = field.from_fraction(Fraction(col[j], row[j]))
+                col = _nonzero({c: col.get(c, 0) - factor * row.get(c, 0) for c in col | row}, p)
+            if col:
+                reduced[j], dies[i] = col, births[n + 1][j]
+            elif i not in cleared:
+                dies[i] = None
+        bars = [(n, b, d) for b, d in zip(born, dies) if d != b] + bars
+        cleared = reduced
     return bars
 
 
@@ -331,8 +346,7 @@ def persistent_betti(
     if basis is None:
         ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field)
         basis = _echelon_basis(ambient, [s.hypergraph for s in steps], kind)
-    births, columns = basis
-    bars = _bars(births, columns, field)
+    births, bars = basis[0], _bars(*basis, field)
 
     count = len(steps)
     ranks = [_alive(bars, n, count) for n in range(max(len(births), max(degrees, default=-1) + 1))]

@@ -9,9 +9,10 @@ incremental echelon of sparse vectors keyed by their largest index, fed the
 columns left to right.  Kernels and solves tag column j with -1 at index
 j - ncols, below every row index, so a row keyed by a tag records a column
 dependency and a right-hand side reduced to tags alone records its solution.
-Every Betti number of a chain complex or a quotient, and every persistence
-bar, is read from one top-down reduction with clearing, ``pivots``; an echelon
-kept for a subspace is extended in a ``copy`` that shares its rows.
+Every Betti number of a chain complex or a quotient is read from one
+top-down reduction with clearing, ``pivots``, and ``filtration`` pairs bars
+by the dual reduction of coboundaries; an echelon kept for a subspace is
+extended in a ``copy`` that shares its rows.
 Each routine reads ``field.characteristic`` once: when it is a prime p, an
 int loop reduces mod p and inverts with ``pow(x, -1, p)``.  A deliberately
 naive dense elimination in the test suite is the independent oracle.

@@ -189,6 +189,21 @@ def midpoint(a, b):
     low, high = _square(a), _square(b)
     if not low < high:
         raise ValueError("midpoint needs a < b")
+    return _dyadic_above(low, high)
+
+
+def _between(a, b):
+    """``midpoint`` of two half distances of one sample, known to satisfy
+    a < b, without its checks: a square root's square is read off it."""
+    if a.__class__ is not SqrtValue and b.__class__ is not SqrtValue:
+        return midpoint(a, b)
+    low = a.square if a.__class__ is SqrtValue else a * a
+    return _dyadic_above(low, b.square if b.__class__ is SqrtValue else b * b)
+
+
+def _dyadic_above(low: Fraction, high: Fraction) -> Fraction:
+    """The dyadic rational of least denominator whose square exceeds low,
+    for low < high; its square is below high."""
     low_num, low_den = low.as_integer_ratio()
     high_num, high_den = high.as_integer_ratio()
     scale = 1

@@ -5,12 +5,15 @@ list-of-list matrices over fractions.Fraction (or over Z/p, as ints reduced
 with ``%`` and inverted with ``pow(x, -1, p)``), first-nonzero pivoting, and
 a from-scratch simplicial boundary construction.  Nothing imports the
 package's linear algebra, except four oracles that check a construction
-rather than an elimination.  ``quotient_map_surjective`` ranks the map
+rather than an elimination, and ``homology_bars``, which checks one
+reduction against another.  ``quotient_map_surjective`` ranks the map
 C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
 ``closure_embedded`` builds the Inf or Sup complex the old way, inside the
 whole deletion-closure ambient.  ``pairwise_persistence`` computes
 persistence the slow way, through the package's per-step embedded complexes
-and one ``induced_homology_rank`` problem per pair of steps.
+and one ``induced_homology_rank`` problem per pair of steps, and
+``homology_bars`` pairs a filtered basis by the homology reduction
+(``linalg.pivots``) that the package's cohomology reduction replaced.
 ``dense_induced_rank`` is the independent check of those induced ranks: it
 reads only an embedded complex's stored embeddings and boundary images and
 eliminates densely.  ``four_term_by_cochain_quotients`` builds the
@@ -361,6 +364,26 @@ def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=Q
                     alive_to_dies - alive_past
                 )
     return betti_by_step, entries, bars
+
+
+def homology_bars(births, columns, field):
+    """(degree, born, dies) of every bar of positive length, by degree from
+    the top down, by the homology reduction.  columns[n][j] is the boundary
+    of degree-n basis vector j in the positions of degree n - 1, both
+    ordered by birth, so ``linalg.pivots`` pairs each key with the column
+    that kills it; a position that neither is a key one degree up nor adds a
+    row is a class that never dies."""
+    found = linalg.pivots(columns, field) + [{}]
+    bars = []
+    for n in range(len(births) - 1, -1, -1):
+        killers, added = found[n + 1], set(found[n].values())
+        for j, born in enumerate(births[n]):
+            if j in killers:
+                if (dies := births[n + 1][killers[j]]) > born:
+                    bars.append((n, born, dies))
+            elif j not in added:
+                bars.append((n, born, None))
+    return bars
 
 
 def _dense_columns(matrix):

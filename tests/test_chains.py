@@ -108,6 +108,49 @@ def test_broken_face_signs_fail_the_integer_check(monkeypatch, field, mode):
     assert failure.value.certificate == expected
 
 
+def _least_nonzero(lower, upper):
+    """The least (row, column) at which the product of the columns is
+    nonzero, from the dense matrices."""
+    nrows = 1 + max((i for col in lower for i in col), default=0)
+    left = sparse_to_dense(SparseMatrix.from_columns(QQ, nrows, lower))
+    right = sparse_to_dense(SparseMatrix.from_columns(QQ, len(lower), upper))
+    return min(
+        (i, j)
+        for i, row in enumerate(left)
+        for j in range(len(upper))
+        if sum(a * right[k][j] for k, a in enumerate(row))
+    )
+
+
+def test_a_flipped_sign_fails_with_the_least_nonzero_certificate():
+    closure = ambient_complex(hypergraph([range(5)]), "closure")
+    lower, upper = (b.columns() for b in closure.boundaries[2:4])
+    for j, col in enumerate(upper):
+        for k in col:
+            flipped = [dict(c) for c in upper]
+            flipped[j][k] = -col[k]
+            with pytest.raises(InvariantViolation) as failure:
+                chains._check_square_zero(2, lower, flipped, closure.labels)
+            i, column = _least_nonzero(lower, flipped)
+            expected = {"degree": 3, "chain": str(closure.labels[3][column]), "row": i}
+            assert failure.value.certificate == expected
+
+
+def test_entries_other_than_one_and_minus_one_are_summed():
+    # column 1's products are +4 and -1 at row 3; read as one product of each
+    # sign they would cancel.  Column 0's are +2 and -2, and cancel
+    lower, upper = [{3: 2}, {3: -1}], [{0: 1, 1: 2}, {0: 2, 1: 1}]
+    with pytest.raises(InvariantViolation) as failure:
+        chains._check_square_zero(1, lower, upper, None)
+    assert failure.value.certificate == {"degree": 2, "chain": "basis column 1", "row": 3}
+    chains._check_square_zero(1, lower, upper[:1], None)
+    # twice a closure's top boundary still squares to zero, over Z and mod 7
+    closure = ambient_complex(hypergraph([range(4)]), "closure")
+    lower, upper = (b.columns() for b in closure.boundaries[2:4])
+    for p in (0, 7):
+        chains._check_square_zero(2, lower, [{k: 2 * t for k, t in upper[0].items()}], None, p)
+
+
 def test_prime_field_boundaries_hold_residues():
     c = ambient_complex(hypergraph([[0, 1, 2]]), "closure", field=PrimeField(7))
     assert c._validated  # checked over Z while it was built

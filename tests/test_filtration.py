@@ -3,10 +3,12 @@ import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hyperhomology import filtration, linalg
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.filtration import (
     FiltrationStep,
@@ -15,6 +17,7 @@ from hyperhomology.filtration import (
     persistent_betti,
 )
 from hyperhomology.hypergraphs import Hypergraph, is_sigma_invariant, is_simplicial, lift, project
+from hyperhomology.linalg import SparseMatrix
 from hyperhomology.metrics import (
     PiValue,
     circle_sample,
@@ -24,7 +27,7 @@ from hyperhomology.metrics import (
     hard_sphere,
 )
 
-from oracles import emptiness_threshold_by_subsets, pairwise_persistence
+from oracles import emptiness_threshold_by_subsets, homology_bars, pairwise_persistence
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DEMO = SCRIPTS / "hard_sphere_persistence_demo.py"
@@ -329,6 +332,83 @@ def test_non_simplicial_steps_use_the_embedded_complexes():
             {"degree": 0, "born_step": 0, "dies_step": 1},
             {"degree": 0, "born_step": 0, "dies_step": None},
         ]
+
+
+def _boundaries(births, coboundaries, field):
+    """Per degree, the boundary columns whose transposes are the coboundaries
+    of a filtered basis."""
+    columns = [[{} for _ in births[0]]]
+    for n, up in enumerate(coboundaries):
+        matrix = SparseMatrix.from_columns(field, len(births[n + 1]), up)
+        columns.append(matrix.transpose().columns())
+    return columns
+
+
+@st.composite
+def grid_filtrations(draw):
+    """The filtration of a sample on a small integer grid, whose distances
+    tie often, so that many simplices share a birth."""
+    coords = st.integers(0, 3)
+    points = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=7, unique=True))
+    return build_filtration(euclidean_sample(points), draw(st.integers(1, 4)))
+
+
+@st.composite
+def non_simplicial_steps(draw):
+    steps = draw(nested_hypergraph_steps())
+    assume(not all(is_simplicial(s.hypergraph) for s in steps))
+    return steps
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(grid_filtrations(), non_simplicial_steps()),
+    st.sampled_from(["inf", "sup"]),
+    st.sampled_from(FIELDS),
+)
+def test_cohomology_bars_equal_the_homology_bars(steps, kind, field):
+    # the pairs do not depend on the reduction, so neither does the bar list;
+    # non-simplicial steps take their basis from the nested embedded complexes
+    reduce, reduced = filtration._bars, []
+
+    def compared(births, coboundaries, field):
+        bars = reduce(births, coboundaries, field)
+        assert bars == homology_bars(births, _boundaries(births, coboundaries, field), field)
+        reduced.append(bars)
+        return bars
+
+    with mock.patch.object(filtration, "_bars", compared):
+        table = persistent_betti(steps, [0, 1, 2], kind, field=field)
+    assert reduced == [list(table.bars)]
+
+
+class _CountingList(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+def test_cohomology_reduction_clears_the_pivots_of_the_degree_below(field):
+    # a degree-n position whose boundary adds a row to the homology echelon
+    # is a cohomology pivot one degree down: its coboundary is never read
+    sample = euclidean_sample([tuple(Fraction(c) for c in row) for row in TWELVE[:9]])
+    levels = build_filtration(sample, 4)[0]._pairs[0].levels()
+    births, coboundaries = filtration._simplex_basis(levels, field)
+    counted = [_CountingList(up) for up in coboundaries]
+    bars = filtration._bars(births, counted, field)
+    columns = _boundaries(births, coboundaries, field)
+    assert bars == homology_bars(births, columns, field)
+    killers = [len(found) for found in linalg.pivots(columns, field)][: len(counted)]
+    assert all(killers[1:])
+    assert [c.reads for c in counted] == [len(b) - k for b, k in zip(births, killers)]
 
 
 def test_demo_script_runs(monkeypatch, capsys):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hyperhomology.chains import ambient_complex
 from hyperhomology.fields import QQ, PrimeField
+from hyperhomology.hypergraphs import hypergraph
 from hyperhomology import linalg
 from hyperhomology.linalg import SparseMatrix
 
@@ -188,6 +190,20 @@ def test_echelon_copy_extends_without_changing_the_original(field):
     assert original.rows == rows and original.dimension == 1
     assert original._fractions == (field is QQ)
     assert not original.contains({2: 1}) and not original.contains({0: 1})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+def test_pivots_never_reduces_a_key_of_the_degree_above(monkeypatch, field):
+    # clearing: a position that is a key one degree up reduces to zero, so it
+    # is skipped rather than added to its degree's echelon
+    closure = ambient_complex(hypergraph([range(6)]), "closure", field=field)
+    columns = [b.columns() for b in closure.boundaries]
+    add, calls = linalg.Echelon.add, []
+    monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
+    found = linalg.pivots(columns, field)
+    cleared = [len(keys) for keys in found[2:]]
+    assert all(cleared)
+    assert len(calls) == sum(map(len, columns[1:])) - sum(cleared)
 
 
 def test_coordinate_text_round_trip():
