@@ -127,13 +127,12 @@ class ChainComplex:
 def _check_square_zero(n: int, lower, upper, labels, p: int = 0) -> None:
     """Raise InvariantViolation unless d_n d_{n+1} = 0: upper lists the columns
     of d_{n+1}, lower[k] is column k of d_n, and sums are exact, read mod p
-    for a prime p; over Z (p = 0) that implies d d = 0 over every field.  A
-    column whose products are all +1 or -1 passes when both signs hit the same
-    rows.  The certificate is the least nonzero (row, column): degree, column label, row."""
+    for a prime p; over Z (p = 0) that implies d d = 0 over every field.  The
+    certificate is the least nonzero (row, column): degree, column label, row."""
     nonzero = []
     for j, col in enumerate(upper):
-        plus, minus, unit = [], [], True  # the rows of the +1 and of the -1 products
-        for k, t in col.items():
+        plus, minus, unit = [], [], not p  # over Z, a column passes if its +1 and -1 rows agree
+        for k, t in col.items() if unit else ():
             same, opposite = (t, -t) if t == 1 or t == -1 else (None, None)
             for i, s in lower[k].items():
                 if s == same:
@@ -141,8 +140,10 @@ def _check_square_zero(n: int, lower, upper, labels, p: int = 0) -> None:
                 elif s == opposite:
                     minus.append(i)
                 else:
-                    unit = False  # a product other than +1 and -1: summed below
+                    unit = False  # a product other than +1 and -1: the column is summed
                     break
+            if not unit:
+                break
         plus.sort()
         minus.sort()
         if unit and plus == minus:
@@ -201,8 +202,7 @@ def ambient_complex(
     dims = tuple(len(level) for level in labels)
     boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
     for n in range(1, len(dims)):
-        columns = list(boundary[n].values())
-        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], columns))
+        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], list(boundary[n].values())))
     complex_ = ChainComplex(field, dims, tuple(boundaries), labels=labels)
     object.__setattr__(complex_, "_validated", True)
     return complex_

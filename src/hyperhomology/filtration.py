@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -29,8 +28,8 @@ from .chains import _integer_columns, largest_inside, smallest_containing
 from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
-from .linalg import Echelon, SparseMatrix, _nonzero
-from .metrics import CircleMetric, MetricPointSample, PiValue, _between
+from .linalg import Echelon, SparseMatrix, _nonzero, _quotient
+from .metrics import CircleMetric, MetricPointSample, PiValue, midpoint
 
 
 class _PairSteps:
@@ -105,7 +104,7 @@ def build_filtration(sample: MetricPointSample, n_max: int) -> tuple[FiltrationS
     intervals = [(0, math.inf, 1)]
     if radii:
         intervals = [(radii[0], math.inf, radii[0] * 2)]
-        intervals += [(lo, hi, _between(lo, hi)) for hi, lo in zip(radii, radii[1:])]
+        intervals += [(lo, hi, midpoint(lo, hi)) for hi, lo in zip(radii, radii[1:])]
         intervals.append((0, radii[-1], radii[-1] / 2))
     pairs = _PairSteps(ids, step, n_max, len(intervals))
     steps = []
@@ -278,7 +277,7 @@ def _bars(births: list, coboundaries: list, field) -> list[tuple[int, int, int |
         for i in range(len(born) - 1, -1, -1):
             col = up[i] if up and i not in cleared else ()
             while col and (row := reduced.get(j := min(col))) is not None:
-                factor = field.from_fraction(Fraction(col[j], row[j]))
+                factor = col[j] * pow(row[j], -1, p) % p if p else _quotient(col[j], row[j])
                 col = _nonzero({c: col.get(c, 0) - factor * row.get(c, 0) for c in col | row}, p)
             if col:
                 reduced[j], dies[i] = col, births[n + 1][j]

@@ -179,33 +179,19 @@ def midpoint(a, b):
     midpoint has no exact form here, so the dyadic rational of least
     denominator above a is returned, which lies strictly below b.
     """
-    if isinstance(a, PiValue) and isinstance(b, PiValue):
-        return PiValue((a.coeff + b.coeff) / 2)
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return (Fraction(a) + Fraction(b)) / 2
-    exact = (int, Fraction, SqrtValue)
-    if not (isinstance(a, exact) and isinstance(b, exact)):
+    root_a, root_b, rational = a.__class__ is SqrtValue, b.__class__ is SqrtValue, (int, Fraction)
+    if not (root_a or root_b):
+        if isinstance(a, PiValue) and isinstance(b, PiValue):
+            return PiValue((a.coeff + b.coeff) / 2)
+        if isinstance(a, rational) and isinstance(b, rational):
+            return (Fraction(a) + Fraction(b)) / 2
+    if not ((root_a or isinstance(a, rational)) and (root_b or isinstance(b, rational))):
         return (float(a) + float(b)) / 2.0
-    low, high = _square(a), _square(b)
-    if not low < high:
+    # the squares are compared and searched as integer ratios, cheaper than Fractions
+    low_num, low_den = (a.square if root_a else _square(a)).as_integer_ratio()
+    high_num, high_den = (b.square if root_b else _square(b)).as_integer_ratio()
+    if low_num * high_den >= high_num * low_den:
         raise ValueError("midpoint needs a < b")
-    return _dyadic_above(low, high)
-
-
-def _between(a, b):
-    """``midpoint`` of two half distances of one sample, known to satisfy
-    a < b, without its checks: a square root's square is read off it."""
-    if a.__class__ is not SqrtValue and b.__class__ is not SqrtValue:
-        return midpoint(a, b)
-    low = a.square if a.__class__ is SqrtValue else a * a
-    return _dyadic_above(low, b.square if b.__class__ is SqrtValue else b * b)
-
-
-def _dyadic_above(low: Fraction, high: Fraction) -> Fraction:
-    """The dyadic rational of least denominator whose square exceeds low,
-    for low < high; its square is below high."""
-    low_num, low_den = low.as_integer_ratio()
-    high_num, high_den = high.as_integer_ratio()
     scale = 1
     while True:
         # m / scale with m = isqrt(floor(low * scale^2)) + 1 is the least

@@ -144,6 +144,11 @@ def test_entries_other_than_one_and_minus_one_are_summed():
         chains._check_square_zero(1, lower, upper, None)
     assert failure.value.certificate == {"degree": 2, "chain": "basis column 1", "row": 3}
     chains._check_square_zero(1, lower, upper[:1], None)
+    # a column's products +2, -1 and +1 at row 3: its +1 and -1 alone would pass
+    lower.append({3: 1})
+    with pytest.raises(InvariantViolation) as failure:
+        chains._check_square_zero(1, lower, [{0: 1, 1: 1, 2: 1}], None)
+    assert failure.value.certificate == {"degree": 2, "chain": "basis column 0", "row": 3}
     # twice a closure's top boundary still squares to zero, over Z and mod 7
     closure = ambient_complex(hypergraph([range(4)]), "closure")
     lower, upper = (b.columns() for b in closure.boundaries[2:4])

@@ -411,6 +411,26 @@ def test_cohomology_reduction_clears_the_pivots_of_the_degree_below(field):
     assert [c.reads for c in counted] == [len(b) - k for b, k in zip(births, killers)]
 
 
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_rescaled_basis_vectors_give_the_same_bars(field):
+    # basis vector i of degree n times a unit c[n][i] scales coboundary entry
+    # (i, j) by c[n + 1][j] / c[n][i]: the pivots are no longer +1 and -1,
+    # and the pairs are those of the unscaled basis
+    sample = euclidean_sample([tuple(Fraction(c) for c in row) for row in TWELVE[:8]])
+    levels = build_filtration(sample, 3)[0]._pairs[0].levels()
+    births, coboundaries = filtration._simplex_basis(levels, field)
+    units = [[k % 5 + 2 for k in range(len(b))] for b in births]
+    scaled = [
+        [
+            {j: field.from_fraction(Fraction(a * units[n + 1][j], units[n][i])) for j, a in col.items()}
+            for i, col in enumerate(up)
+        ]
+        for n, up in enumerate(coboundaries)
+    ]
+    assert any(v not in (1, -1, 6) for up in scaled for col in up for v in col.values())
+    assert filtration._bars(births, scaled, field) == filtration._bars(births, coboundaries, field)
+
 def test_demo_script_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(DEMO)])
     runpy.run_path(str(DEMO), run_name="__main__")

@@ -55,6 +55,8 @@ def test_midpoint_stays_exact_per_domain():
         Fraction(1, 3)
     )
     assert midpoint(0.5, Fraction(3, 2)) == pytest.approx(1.0)
+    assert midpoint(exact_sqrt(2), 2.0) == pytest.approx((2**0.5 + 2) / 2)
+    assert midpoint(PiValue(Fraction(1, 2)), exact_sqrt(2)) == pytest.approx((math.pi / 2 + 2**0.5) / 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -70,6 +72,10 @@ def test_midpoint_is_the_least_dyadic_above_a_of_smallest_denominator(x, y):
     d = r.denominator
     assert isinstance(r, Fraction) and d & (d - 1) == 0
     assert a < r < b
+    root = a if isinstance(a, SqrtValue) else b
+    for low, high in ((b, a), (root, root)):
+        with pytest.raises(ValueError, match="a < b"):
+            midpoint(low, high)
     # the multiple of 1/d just below r is not above a, and when d > 1 the
     # multiples of 2/d next to r (an odd multiple of 1/d) miss (a, b)
     assert r - Fraction(1, d) <= a
