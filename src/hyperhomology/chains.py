@@ -6,17 +6,17 @@ coordinate position for directed ones) and carries sign (-1)^i, so the
 boundary of a degree-n basis edge is the usual alternating sum over its
 n + 1 faces.
 
-Every complex here is built from the edges of a hypergraph and their faces
-by one builder, ``_edge_chains``.  Its coordinates in degree n are the
-degree-n edges followed by the faces of the degree-(n+1) edges that are
-not edges themselves (or an ambient's labels, when one is given).  The
-boundary columns of the edges are built over the integers and d d e = 0 is
-checked there on every edge (over Z it holds over every field) before the
-entries are mapped into the coefficient field.  A closure or full-simplex
-ambient is the edge-chain complex of a hypergraph closed under vertex
-deletion, where every coordinate is an edge; the infimum and supremum
-complexes are found around the edge span of any hypergraph.  Homology reads
-them through their boundary images and one echelon of each subspace.
+Every complex here is built from the edges of a hypergraph by one builder,
+``_edge_chains``.  With no ambient, its coordinates in degree n are the
+degree-n edges followed by the faces of the degree-(n+1) edges that are not
+edges themselves; the edges' boundary columns are built over the integers,
+where d d e = 0 is checked on every edge (so it holds over every field).
+Inside an ambient a subcomplex has the ambient's differential, so its
+coordinates, columns and d d = 0 certificate are the ambient's.  A closure
+or full-simplex ambient is the edge-chain complex of a hypergraph closed
+under vertex deletion; Inf and Sup are found around the edge span of any
+hypergraph, and homology reads them through their boundary images and one
+echelon of each subspace.
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ def face(edge: Edge, i: int) -> Edge:
     return edge[:i] + edge[i + 1 :]
 
 
-def _integer_columns(
-    edges: Sequence[Edge], codomain: list[Edge], missing: str
-) -> list[dict[int, int]]:
+def _integer_columns(edges: Sequence[Edge], codomain: list[Edge]) -> list[dict[int, int]]:
     """Integer boundary columns of the edges over the codomain labels; a
-    face absent from them is rejected (missing="error") or appended to the
-    codomain list (missing="extend")."""
+    face absent from them is appended to the codomain list."""
     index = {e: k for k, e in enumerate(codomain)}
     columns = []
     for e in edges:
@@ -52,8 +49,6 @@ def _integer_columns(
             f = face(e, i)
             row = index.get(f)
             if row is None:
-                if missing == "error":
-                    raise ValueError(f"face {f} of {e} is not in the degree-{len(f) - 1} basis")
                 index[f] = row = len(codomain)
                 codomain.append(f)
             col[row] = col.get(row, 0) + sign
@@ -178,12 +173,12 @@ def ambient_complex(
     """Chain complex of the deletion closure or of a full simplex.
 
     closure mode uses the closure of h; full_simplex mode spans all subsets
-    of the vertex set of h up to max_degree.  Both check the simplex cap
-    (``errors.check_cap``) before building anything: the closure of a
-    k-vertex edge is the full simplex on its k vertices, so there the cap
-    bounds the largest edge.  Either way the complex is the edge-chain
-    complex of a deletion-closed hypergraph, on its sorted levels, and comes
-    back validated: d d = 0 was checked over Z on every edge.
+    of the vertex set of h up to max_degree (ValueError if negative).  Both
+    check the simplex cap (``errors.check_cap``) before building anything:
+    the closure of a k-vertex edge is the full simplex on its k vertices, so
+    there the cap bounds the largest edge.  Either way the complex is the
+    edge-chain complex of a deletion-closed hypergraph, on its sorted
+    levels, and comes back validated: d d = 0 was checked over Z.
     """
     if mode == "closure":
         _check_closure_cap(h.max_cardinality())
@@ -194,6 +189,8 @@ def ambient_complex(
         vs = sorted(h.vertices)
         check_cap(len(vs), "simplex", f"full simplex on {len(vs)} vertices")
         degree = max_degree if max_degree is not None else max(h.max_cardinality() - 1, 0)
+        if degree < 0:
+            raise ValueError(f"max_degree must be non-negative, got {degree}")
         faces = (f for k in range(1, degree + 2) for f in combinations(vs, k))
         closed = Hypergraph(h.vertices, frozenset(faces))
     else:
@@ -202,7 +199,7 @@ def ambient_complex(
     dims = tuple(len(level) for level in labels)
     boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
     for n in range(1, len(dims)):
-        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], list(boundary[n].values())))
+        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], boundary[n]))
     complex_ = ChainComplex(field, dims, tuple(boundaries), labels=labels)
     object.__setattr__(complex_, "_validated", True)
     return complex_
@@ -260,33 +257,36 @@ def _not_inside(n: int) -> InvariantViolation:
 
 def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
     """Per degree n: labels, the positions of the degree-n edges of h among
-    them, and a map from each such position to its edge's boundary column.
-
-    The labels are the ambient's, or else the degree-n edges followed by the
-    faces of the degree-(n+1) edges that are not edges.  d d e = 0 is
-    checked over Z on every edge e, through the faces of its faces.
+    them, and the labels' boundary columns, read at those positions.  Inside
+    an ambient (ValueError if of another characteristic) these are its own,
+    certified by ``ambient.validate()``; otherwise the labels are the
+    degree-n edges, then the faces of the degree-(n+1) edges that are not
+    edges, and d d e = 0 is checked over Z on every edge e.
     """
     levels = h.levels()
-    top = max(h.max_cardinality(), len(ambient.labels) if ambient else 0)
-    edges = [levels.get(n + 1, ()) for n in range(top)]
-    labels = [list(level) for level in (edges if ambient is None else ambient.labels)]
-    labels += [[] for _ in range(top - len(labels))]  # an edge above the ambient is missing
-    missing = "extend" if ambient is None else "error"
-    span, boundary, lower = [], [], {}
-    for n, level in enumerate(labels):
-        index = {e: k for k, e in enumerate(level)}
-        if absent := [e for e in edges[n] if e not in index]:
+    if ambient is not None:
+        if field.characteristic != ambient.field.characteristic:
+            raise ValueError(f"the ambient is over {ambient.field.name}, not {field.name}")
+        ambient.validate()
+        labels = ambient.labels
+        index = {(n, e): k for n, level in enumerate(labels) for k, e in enumerate(level)}
+        if absent := [e for e in h.sorted_edges() if (len(e) - 1, e) not in index]:
             raise ValueError(f"edge {absent[0]} is missing from the ambient basis")
-        span.append([index[e] for e in edges[n]])
-        columns = _integer_columns(edges[n], labels[n - 1], missing) if n else [{}] * len(span[0])
+        span = [[index[n, e] for e in levels.get(n + 1, ())] for n in range(len(labels))]
+        return labels, span, [b.columns() for b in ambient.boundaries]
+    edges = [levels.get(n + 1, ()) for n in range(h.max_cardinality())]
+    labels = [list(level) for level in edges]
+    boundary, lower = [], {}
+    for n, level in enumerate(edges):
+        columns = _integer_columns(level, labels[n - 1]) if n else [{}] * len(level)
         if n >= 2:  # lower: the boundaries of the degree-(n-1) edges, then of the other faces
             faces = sorted({k for col in columns for k in col} - lower.keys())
             below = [labels[n - 1][k] for k in faces]
-            lower.update(zip(faces, _integer_columns(below, list(labels[n - 2]), "extend")))
+            lower.update(zip(faces, _integer_columns(below, list(labels[n - 2]))))
             _check_square_zero(n - 1, lower, columns, edges)
-        lower = dict(zip(span[n], columns))
-        boundary.append(dict(zip(span[n], _in_field(field, columns))))
-    return tuple(map(tuple, labels)), span, boundary
+        lower = dict(enumerate(columns))
+        boundary.append(_in_field(field, columns))
+    return tuple(map(tuple, labels)), [list(range(len(level))) for level in edges], boundary
 
 
 def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:
@@ -340,9 +340,9 @@ def smallest_containing(field, dims, span, boundary) -> tuple[tuple, ...]:
 def _embedded(build, edge_chains, field) -> EmbeddedComplex:
     """The subcomplex that ``build`` finds around an edge span, given the
     ``_edge_chains`` of its hypergraph, with the boundary images it returns.
-    Those stay inside it: d d = 0 was checked over Z on every edge, so an Inf
-    image does once it is supported on the edges, checked here, and a Sup
-    image always does (``smallest_containing``, whose echelons Sup keeps)."""
+    Those stay inside it: d d = 0 holds on the columns (``_edge_chains``),
+    so an Inf image does once it is supported on the edges, checked here, and
+    a Sup image always does (``smallest_containing``, whose echelons Sup keeps)."""
     labels, span, boundary = edge_chains
     embeddings, images, *echelons = build(field, [len(level) for level in labels], span, boundary)
     if build is largest_inside:
@@ -365,8 +365,8 @@ def inf_complex(
 
     Degreewise the span of the degree-n edges intersected with the boundary
     preimage of the span of the degree-(n-1) edges: a kernel problem on the
-    boundaries of the edges, in the ambient's labels when one is given (the
-    complex does not depend on them).
+    boundaries of the edges, the ambient's columns when one is given (in an
+    ``ambient_complex`` the edges' own, so the complex does not depend on it).
     """
     return _embedded(largest_inside, _edge_chains(h, field, ambient), field)
 

@@ -264,11 +264,14 @@ def _run_quotient(args) -> Report:
     h = parse_hypergraph(args.input)
     if h.directed:
         raise ParseError("quotient-check needs an unordered hypergraph")
+    top = h.max_cardinality() - 1
+    if args.max_degree is not None and args.max_degree < top:
+        raise ParseError(f"--max-degree {args.max_degree} is below the top edge's degree {top}")
     field = field_by_name(args.field)
 
     def work():
         ambient = ambient_complex(h, "full_simplex", max_degree=args.max_degree, field=field)
-        return quotient_pair_check(h, ambient, field=field).as_dict()
+        return quotient_pair_check(h, ambient).as_dict()
 
     report = timed_report(
         "quotient-check", {"input": args.input, "field": args.field}, work

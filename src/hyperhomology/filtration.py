@@ -182,7 +182,7 @@ def _simplex_basis(levels, field) -> tuple[list, list] | None:
         born = sorted(level.values())
         if n:
             below = births[n - 1]  # labels[n - 1] gains any missing face, then is dropped
-            ints = _integer_columns(labels[n], labels[n - 1], "extend")
+            ints = _integer_columns(labels[n], labels[n - 1])
             missing = len(labels[n - 1]) > len(below)
             if missing or any(col and below[max(col)] > b for col, b in zip(ints, born)):
                 return None  # a face is missing or born later

@@ -27,6 +27,7 @@ from . import linalg
 from .chains import (
     ChainComplex,
     EmbeddedComplex,
+    _edge_chains,
     _embedded,
     _inf_and_sup,
     ambient_complex,
@@ -242,8 +243,8 @@ class QuotientPairReport:
         }
 
 
-def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> QuotientPairReport:
-    """Compare homology of ambient/Sup and ambient/Inf for the edge span of h.
+def quotient_pair_check(h: Hypergraph, ambient: ChainComplex) -> QuotientPairReport:
+    """Compare ambient/Sup and ambient/Inf homology for h, over the ambient's field.
 
     No quotient is built: over a field, b_n(C/W) = dim C_n - dim W_n - r_n
     - r_{n+1}, r_n the rank of the ambient boundary columns modulo W_{n-1}
@@ -252,11 +253,11 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex, field=QQ) -> Quoti
     The map C/Inf -> C/Sup, x + Inf to x + Sup, is defined exactly when Inf
     lies in Sup, and it is then onto: that is the surjectivity flag.
     """
-    inf, sup = _inf_and_sup(h, field, ambient)
+    inf, sup = _inf_and_sup(h, ambient.field, ambient)
     columns = [b.columns() for b in ambient.boundaries]
 
     def quotient_betti(sub: EmbeddedComplex) -> tuple[int, ...]:
-        found = linalg.pivots(columns, field, modulo=sub.span_echelons)
+        found = linalg.pivots(columns, ambient.field, modulo=sub.span_echelons)
         return _betti_numbers([c - w for c, w in zip(ambient.dims, sub.dims)], map(len, found))
 
     return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inside(inf, sup))
@@ -309,10 +310,7 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     """
     ambient = ambient_complex(h, "closure", field=field)
     inf, sup = _inf_and_sup(h, field, ambient)
-    lower_edges = lower_associated(h).edges
-    span = [[k for k, e in enumerate(level) if e in lower_edges] for level in ambient.labels]
-    columns = [b.columns() for b in ambient.boundaries]
-    lower = _embedded(largest_inside, (ambient.labels, span, columns), field)
+    lower = _embedded(largest_inside, _edge_chains(lower_associated(h), field, ambient), field)
     stages = (ambient, sup, inf, lower)
     stage_dims = tuple(c.dims for c in stages)
     stage_betti = tuple(betti(c).betti for c in stages)

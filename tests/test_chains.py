@@ -171,7 +171,10 @@ def test_rational_field_boundaries_hold_ints():
 
 
 def test_boundary_missing_face_modes():
-    # a face missing from an ambient is an error; with no ambient it is added
+    # an ambient's boundary is taken as given, here a valid zero one with no
+    # vertices, so both edges are cycles; with no ambient a missing face is added
+    from hyperhomology.homology import betti
+
     h = hypergraph([[0, 1], [1, 2]])
     no_vertices = ChainComplex(
         QQ,
@@ -180,8 +183,9 @@ def test_boundary_missing_face_modes():
         labels=((), ((0, 1), (1, 2))),
     )
     for build in (inf_complex, sup_complex):
-        with pytest.raises(ValueError, match="face"):
-            build(h, ambient=no_vertices)
+        embedded = build(h, ambient=no_vertices)
+        assert embedded.dims == (0, 2)
+        assert betti(embedded).betti == (0, 2)
     labels, span, boundary = chains._edge_chains(h, QQ, None)
     assert set(labels[0]) == {(0,), (1,), (2,)}
     assert span == [[], [0, 1]]
@@ -257,6 +261,12 @@ def test_an_ambient_below_the_top_edge_is_rejected():
                 build(h, ambient=ambient)
     ambient = ambient_complex(h, "full_simplex", max_degree=2)
     assert betti(inf_complex(h, ambient=ambient)).betti == (0, 0, 0)
+
+
+def test_a_negative_max_degree_is_rejected():
+    h = hypergraph([[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="max_degree must be non-negative, got -1"):
+        ambient_complex(h, "full_simplex", max_degree=-1)
 
 
 def test_inf_sup_example_dimensions():

@@ -12,6 +12,7 @@ from hyperhomology.cli import main
 from hyperhomology.chains import ChainComplex, ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ, PrimeField, RationalField
+from hyperhomology.filtration import FiltrationStep, persistent_betti
 from hyperhomology.homology import (
     betti,
     four_term_sequence,
@@ -186,6 +187,57 @@ def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
     assert calls == [True, False]
 
 
+def test_complexes_inside_an_ambient_build_no_boundary_columns(monkeypatch, tmp_path, capsys):
+    # inside an ambient, Inf and Sup read its boundary columns: the only
+    # columns built from faces are the ambient's own
+    calls, build = [], chains._integer_columns
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    def own_calls(h, mode):
+        calls.clear()
+        ambient = ambient_complex(h, mode)
+        count = len(calls)
+        calls.clear()
+        return ambient, count
+
+    monkeypatch.setattr(chains, "_integer_columns", counted)
+    ambient, _ = own_calls(MIXED, "closure")
+    inf_complex(MIXED, ambient=ambient)
+    sup_complex(MIXED, ambient=ambient)
+    assert calls == []
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
+    for command, mode in (("four-term", "closure"), ("quotient-check", "full_simplex")):
+        _, count = own_calls(MIXED, mode)
+        assert main([command, str(path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == count > 0
+    # non-simplicial steps: the closure of the last step, then every step inside it
+    first = hypergraph([[0, 1, 2], [1, 2, 3], [0], [1], [2], [3]])
+    second = hypergraph(sorted(first.edges) + [[0, 1], [1, 2], [0, 2], [2, 3]])
+    steps = [FiltrationStep(1, 2, 1, first), FiltrationStep(0, 1, 0, second)]
+    for kind in ("inf", "sup"):
+        _, count = own_calls(second, "closure")
+        persistent_betti(steps, [0, 1], kind)
+        assert len(calls) == count > 0
+
+
+def test_quotient_pair_check_reads_the_ambient_field():
+    # read over Q, the Z/7 entry 6 (that is, -1) gives betti_by_sup (0, -1, 1)
+    h = hypergraph([[0, 1], [1, 2], [0, 1, 2], [2, 3]])
+    ambient = ambient_complex(h, "full_simplex", field=PrimeField(7))
+    report = quotient_pair_check(h, ambient)
+    assert report.betti_by_sup == report.betti_by_inf == (1, 0, 1)
+    by_sup = quotient_complex(ambient, sup_complex(h, ambient.field, ambient).embeddings)
+    assert report.betti_by_sup == dense_betti(by_sup.complex)
+    for build in (inf_complex, sup_complex, chains._inf_and_sup):
+        with pytest.raises(ValueError, match="the ambient is over Z7, not Q"):
+            build(h, QQ, ambient)
+
+
 def test_structural_suite_builds_inf_and_sup_together(monkeypatch):
     calls, build = [], chains._edge_chains
 
@@ -312,7 +364,7 @@ def test_inf_sup_ranks_and_inclusions_match_dense_ranks(h, field):
         for level, big in zip(ambient.labels, inf.embeddings)
     )
     assert four_term_sequence(h, field=field).surjective == (True, inf_in_sup, lower_in_inf)
-    assert quotient_pair_check(h, ambient, field=field).q_surjective == inf_in_sup
+    assert quotient_pair_check(h, ambient).q_surjective == inf_in_sup
 
 
 def test_quotient_by_zero_is_identity():
@@ -385,7 +437,7 @@ def dense_betti(c: ChainComplex) -> tuple[int, ...]:
 @given(full_simplex_instances((QQ, PrimeField(2), PrimeField(7))))
 def test_quotient_pair_check_matches_the_quotient_complexes(instance):
     h, ambient = instance
-    report = quotient_pair_check(h, ambient, field=ambient.field)
+    report = quotient_pair_check(h, ambient)
     by_inf = quotient_complex(ambient, inf_complex(h, ambient.field, ambient).embeddings)
     by_sup = quotient_complex(ambient, sup_complex(h, ambient.field, ambient).embeddings)
     assert report.betti_by_sup == dense_betti(by_sup.complex)

@@ -234,3 +234,12 @@ def test_square_zero_failures_come_from_check_square_zero():
         "InvariantViolation", "chains.py", "_check_square_zero", "boundary squared is nonzero"
     )
     assert not outside, f"d d != 0 failure built outside chains._check_square_zero: {outside}"
+
+
+def test_boundary_columns_are_built_from_faces_in_two_places():
+    """With no ambient (``chains._edge_chains``) and for a filtration of
+    simplices (``filtration._simplex_basis``); inside an ambient its columns
+    are read, so no path rebuilds them."""
+    outside = set(_calls_outside("_integer_columns", "chains.py", "_edge_chains"))
+    outside &= set(_calls_outside("_integer_columns", "filtration.py", "_simplex_basis"))
+    assert not outside, f"_integer_columns called elsewhere: {sorted(outside)}"

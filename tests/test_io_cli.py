@@ -528,7 +528,8 @@ def test_cli_quotient_check_rejects_an_ambient_below_the_top_edge(
     assert main(["quotient-check", path, "--max-degree", max_degree]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == "error: edge (0, 1) is missing from the ambient basis"
+    expected = f"error: --max-degree {max_degree} is below the top edge's degree 2"
+    assert captured.err.strip() == expected
     assert main(["quotient-check", path, "--max-degree", "2"]) == 0
 
 
