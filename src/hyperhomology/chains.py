@@ -267,6 +267,8 @@ def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
     if ambient is not None:
         if field.characteristic != ambient.field.characteristic:
             raise ValueError(f"the ambient is over {ambient.field.name}, not {field.name}")
+        if ambient.labels is None:
+            raise ValueError("the ambient has no labels, so h's edges cannot be found in it")
         ambient.validate()
         labels = ambient.labels
         index = {(n, e): k for n, level in enumerate(labels) for k, e in enumerate(level)}

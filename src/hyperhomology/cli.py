@@ -32,7 +32,6 @@ from .hypergraphs import (
 )
 from .jsonio import (
     Report,
-    csv_text,
     emit_report,
     hypergraph_to_json,
     parse_hypergraph,
@@ -300,7 +299,7 @@ def _run_persist(args) -> Report:
             "radii": [float(r) for r in table.step_radii],
             "betti_by_step": [list(b) for b in table.betti_by_step],
             "entries": [list(e) for e in table.entries],
-            "csv": csv_text(table.csv_rows()),
+            "csv": table.to_csv(),
         }
         if args.barcode:
             payload["barcode"] = table.barcode()

@@ -143,12 +143,14 @@ class PersistentBettiTable:
         except KeyError:
             raise KeyError(f"no entry for degree {degree}, steps {i}->{j}") from None
 
-    def csv_rows(self) -> list[list]:
-        rows = [["degree", "r_i", "r_j", "beta_i", "beta_j", "rank"]]
-        radii = [float(r) for r in self.step_radii]
-        for d, i, j, r in self.entries:
-            rows.append([d, radii[i], radii[j], self.rank(d, i, i), self.rank(d, j, j), r])
-        return rows
+    def to_csv(self) -> str:
+        """The entries under a header, as ``csv.writer`` writes them (float radii, CRLF)."""
+        radii = [repr(float(r)) for r in self.step_radii]
+        rows = [
+            f"{d},{radii[i]},{radii[j]},{self.rank(d, i, i)},{self.rank(d, j, j)},{r}\r\n"
+            for d, i, j, r in self.entries
+        ]
+        return "degree,r_i,r_j,beta_i,beta_j,rank\r\n" + "".join(rows)
 
     def barcode(self) -> list[dict]:
         """The bars of the table's degrees, by degree, birth and death.

@@ -5,6 +5,8 @@ directed variant using "directed_edges" (coordinate order preserved).
 Point samples: CSV rows "id,x_1,...,x_d" for Euclidean coordinates, or
 JSON with one of "distance_matrix", "circle_angles" (radians) or
 "circle_angles_over_pi" (exact rationals, in units of pi).
+Reports and hypergraphs are written by ``_encode``: byte-identical to
+``json.dumps(indent=2, sort_keys=True)``, it joins lists of scalars in C.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -105,7 +108,7 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def emit_hypergraph(h: Hypergraph, path=None) -> str:
-    text = json.dumps(hypergraph_to_json(h), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _encode(hypergraph_to_json(h), "\n") + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -218,7 +221,7 @@ class Report:
     def to_json(self) -> str:
         body = self.payload()
         body["timing_seconds"] = self.timing_seconds
-        return json.dumps(body, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n"
+        return _encode(body, "\n") + "\n"
 
 
 def _json_default(value):
@@ -229,6 +232,52 @@ def _json_default(value):
     if hasattr(value, "coeff"):  # PiValue
         return float(value)
     raise TypeError(f"not JSON serializable: {value!r}")
+
+
+_CONSTANT = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+_SCALARS |= {bool: _CONSTANT, type(None): _CONSTANT}
+
+
+def _scalar(value) -> str | None:
+    """The JSON text of a str, int, finite float, bool or None; else None."""
+    kind = type(value)
+    if kind not in _SCALARS:  # json tests str, int and float by isinstance
+        kind = next((k for k in (str, int, float) if isinstance(value, k)), None)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return _SCALARS[kind](value) if kind else None
+
+
+def _encode(value, pad: str) -> str:
+    """value as ``json.dumps(value, indent=2, sort_keys=True, default=_json_default,
+    allow_nan=False)`` writes it, errors too; pad (newline, indent) leads later lines."""
+    if (text := _scalar(value)) is not None:
+        return text
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [_key(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if not isinstance(value, (list, tuple)):
+        return _encode(_json_default(value), pad)
+    # one C join for scalars of one exact type, or per row for non-empty rows of them
+    rows = {list, tuple}.issuperset(map(type, value)) and all(value)
+    flat = [x for r in value for x in r] if rows else value
+    kinds = set(map(type, flat))
+    finite = kinds != {float} or all(map(math.isfinite, flat))
+    scalar = len(kinds) == 1 and finite and _SCALARS.get(kinds.pop())
+    if scalar and rows:
+        row = inner + "  "
+        items = ["[" + row + ("," + row).join(map(scalar, r)) + inner + "]" for r in value]
+    else:
+        items = map(scalar, value) if scalar else [_encode(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if value else "[]"
+
+
+def _key(key) -> str:
+    if (text := key if isinstance(key, str) else _scalar(key)) is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
 
 
 def emit_report(report: Report, path=None) -> str:
@@ -244,9 +293,3 @@ def timed_report(command: str, config: dict, worker) -> Report:
     elapsed = time.perf_counter() - start
     return Report(command, config, results, timing_seconds=round(elapsed, 6))
 
-
-def csv_text(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerows(rows)
-    return buffer.getvalue()

@@ -18,6 +18,8 @@ and one ``induced_homology_rank`` problem per pair of steps, and
 reads only an embedded complex's stored embeddings and boundary images and
 eliminates densely.  ``four_term_by_cochain_quotients`` builds the
 four-stage sequence as quotients of the closure cochains, with no duality.
+``persistence_csv`` writes a persistence table's rows of Python values with
+``csv.writer``, as the package did before it formatted its own CSV text.
 The group oracles work on permutations of range(n) as plain image tuples,
 check every pair of elements, and walk all n! maps for vertex symmetries and
 isometries.  The point-sample oracles sum squared distances in Fraction
@@ -26,6 +28,8 @@ square roots with the package's ``exact_sqrt``.  The circle emptiness
 threshold is taken over every n-subset of the sample, with no filtration.
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -364,6 +368,19 @@ def pairwise_persistence(steps, degrees, kind="inf", *, all_pairs=False, field=Q
                     alive_to_dies - alive_past
                 )
     return betti_by_step, entries, bars
+
+
+def persistence_csv(table):
+    """The CSV text of a ``PersistentBettiTable``: a header, then per entry
+    the degree, both step radii as floats, both Betti numbers and the rank,
+    written by ``csv.writer``."""
+    rows = [["degree", "r_i", "r_j", "beta_i", "beta_j", "rank"]]
+    radii = [float(r) for r in table.step_radii]
+    for d, i, j, r in table.entries:
+        rows.append([d, radii[i], radii[j], table.rank(d, i, i), table.rank(d, j, j), r])
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def homology_bars(births, columns, field):

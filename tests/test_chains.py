@@ -192,6 +192,14 @@ def test_boundary_missing_face_modes():
     assert all(len(boundary[1][j]) == 2 for j in span[1])
 
 
+def test_an_ambient_without_labels_is_rejected():
+    h = hypergraph([[0], [1]])
+    unlabelled = ChainComplex(QQ, (2,), (SparseMatrix.zeros(QQ, 0, 2),))
+    for build in (inf_complex, sup_complex):
+        with pytest.raises(ValueError, match="the ambient has no labels"):
+            build(h, ambient=unlabelled)
+
+
 def test_ambient_complex_sizes():
     closure = ambient_complex(hypergraph([[0, 1, 2]]), "closure")
     assert closure.dims == (3, 3, 1)

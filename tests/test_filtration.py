@@ -12,6 +12,7 @@ from hyperhomology import filtration, linalg
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.filtration import (
     FiltrationStep,
+    PersistentBettiTable,
     build_filtration,
     emptiness_threshold,
     persistent_betti,
@@ -24,10 +25,17 @@ from hyperhomology.metrics import (
     distance_matrix_sample,
     euclidean_sample,
     evenly_spaced_circle_sample,
+    SqrtValue,
+    exact_sqrt,
     hard_sphere,
 )
 
-from oracles import emptiness_threshold_by_subsets, homology_bars, pairwise_persistence
+from oracles import (
+    emptiness_threshold_by_subsets,
+    homology_bars,
+    pairwise_persistence,
+    persistence_csv,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DEMO = SCRIPTS / "hard_sphere_persistence_demo.py"
@@ -450,3 +458,41 @@ def test_circle_emptiness_scan_script_runs(monkeypatch, capsys):
         "  3      1.047198   1.047198                  2",
         "  4      0.523599   0.785398                 15",
     ]
+
+
+_RADII = st.one_of(
+    st.fractions(min_value=0, max_value=100),
+    st.fractions(min_value=0, max_value=100).map(exact_sqrt),  # mostly SqrtValue
+    st.fractions(min_value=0, max_value=10).map(PiValue),
+    st.floats(0, 1e6),
+)
+
+
+@st.composite
+def persistence_tables(draw):
+    """Tables as ``persistent_betti`` makes them, of arbitrary content:
+    Betti rows may be shorter than a listed degree, and all pairs of steps
+    may be listed."""
+    count = draw(st.integers(1, 6))
+    radii = tuple(draw(st.lists(_RADII, min_size=count, max_size=count)))
+    rows = st.lists(st.integers(0, 5), max_size=3).map(tuple)
+    betti = tuple(draw(st.lists(rows, min_size=count, max_size=count)))
+    degrees = tuple(draw(st.lists(st.integers(0, 4), max_size=3, unique=True)))
+    all_pairs = draw(st.booleans())
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count) if all_pairs or j == i + 1]
+    entries = tuple((d, i, j, draw(st.integers(0, 5))) for d in degrees for i, j in pairs)
+    return PersistentBettiTable("inf", degrees, radii, betti, entries, ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(persistence_tables())
+def test_csv_text_matches_the_csv_writer_oracle(table):
+    assert table.to_csv() == persistence_csv(table)
+
+
+def test_csv_text_of_a_computed_table_matches_the_oracle():
+    sample = euclidean_sample([(0, 0), (1, 0), (0, 2), (3, 1), (1, 1)])
+    table = persistent_betti(build_filtration(sample, 3), [0, 1, 2, 3], all_pairs=True)
+    assert any(isinstance(r, SqrtValue) for r in table.step_radii)
+    assert any(len(row) < 4 for row in table.betti_by_step)
+    assert table.to_csv() == persistence_csv(table)

@@ -243,3 +243,25 @@ def test_boundary_columns_are_built_from_faces_in_two_places():
     outside = set(_calls_outside("_integer_columns", "chains.py", "_edge_chains"))
     outside &= set(_calls_outside("_integer_columns", "filtration.py", "_simplex_basis"))
     assert not outside, f"_integer_columns called elsewhere: {sorted(outside)}"
+
+
+def test_reports_have_one_emit_path():
+    """``json.dumps`` with ``indent`` runs the pure-Python encoder; reports
+    and hypergraphs are written by ``jsonio._encode`` instead."""
+    indented = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert not indented, f"json.dumps with indent: {indented}"
+    tree = ast.parse((PACKAGE / "jsonio.py").read_text())
+    emitters = {
+        node.name: {getattr(c.func, "id", None) for c in ast.walk(node) if isinstance(c, ast.Call)}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("to_json", "emit_hypergraph")
+    }
+    assert emitters.keys() == {"to_json", "emit_hypergraph"}
+    assert all("_encode" in calls for calls in emitters.values()), emitters

@@ -1,5 +1,7 @@
 import argparse
+import enum
 import json
+import math
 import re
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperhomology import cli
 from hyperhomology.cli import main
@@ -14,10 +17,13 @@ from hyperhomology.errors import ParseError
 from hyperhomology.fields import PrimeField
 from hyperhomology.hypergraphs import hyperdigraph, hypergraph
 from hyperhomology.jsonio import (
+    _encode,
+    _json_default,
     emit_hypergraph,
     parse_hypergraph,
     parse_point_sample,
 )
+from hyperhomology.metrics import PiValue
 from hyperhomology.suites import SuiteResult, group_tables_suite, quasi_iso_suite
 
 
@@ -63,6 +69,63 @@ def test_round_trip_is_stable(tmp_path):
     assert emit_hypergraph(again) == emit_hypergraph(h)
     d = hyperdigraph([(2, 0), (0, 2)])
     assert parse_hypergraph(emit_hypergraph(d)) == d
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+_UNKNOWN = object()
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300])
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FINITE,
+    st.text(),  # non-ASCII and control characters included
+    st.sampled_from(["", "\x00\x1f\u2028", "caf\u00e9 \U0001f600", '"\\/']),
+    st.fractions(),
+    st.sampled_from([_Level.LOW, _Level.HIGH, PiValue(0), PiValue("3/7")]),
+    st.frozensets(st.integers(), max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, _UNKNOWN]),  # errors
+)
+_ROWS = st.one_of(  # the row fast path, and rows that must leave it
+    st.lists(st.lists(st.integers(), min_size=1, max_size=4), max_size=4),
+    st.lists(st.tuples(st.integers() | st.booleans(), st.integers()), max_size=4),
+    st.lists(st.lists(_FINITE, max_size=3), max_size=3),
+    st.lists(st.floats(), min_size=1, max_size=3),  # may hold nan or inf
+    st.lists(st.lists(st.floats(), min_size=1, max_size=2), min_size=1, max_size=2),
+    st.lists(st.lists(st.text(max_size=3) | st.none(), min_size=1, max_size=3), max_size=3),
+)
+
+
+def _containers(children):
+    # keys of mixed kinds fail to sort, and a tuple key is refused
+    odd = st.sampled_from([_Level.LOW, 1.5, True, None, math.nan, (0,)])
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(st.integers() | odd, children, max_size=3),
+    )
+
+
+def _outcome(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_SCALARS | _ROWS, _containers, max_leaves=12))
+def test_encode_matches_json_dumps(value):
+    def dumps(v):
+        return json.dumps(v, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+
+    assert _outcome(lambda v: _encode(v, "\n"), value) == _outcome(dumps, value)
 
 
 def test_parse_point_sample_csv(tmp_path):
