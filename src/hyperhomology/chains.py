@@ -14,8 +14,10 @@ where d d e = 0 is checked on every edge (so it holds over every field).
 Inside an ambient a subcomplex has the ambient's differential, so its
 coordinates, columns and d d = 0 certificate are the ambient's.  A closure
 or full-simplex ambient is the edge-chain complex of a hypergraph closed
-under vertex deletion; Inf and Sup are found around the edge span of any
-hypergraph, and homology reads them through their boundary images and one
+under vertex deletion.  Inf and Sup are found around the edge span of any
+hypergraph from one elimination per degree, of the edges' boundary columns
+outside the edges one degree down: Inf's kernel in that degree, Sup's rows
+one degree down.  Homology reads them through their boundary images and one
 echelon of each subspace.
 """
 
@@ -213,8 +215,8 @@ class EmbeddedComplex:
     the coordinates labels[n], and images[n] their boundaries in labels[n-1]:
     embeddings[n-1] times the internal boundary, of the same rank and
     canonical kernel, since the embeddings have independent columns.  The
-    echelons of embeddings[n] (``span_echelons``; Sup keeps those of
-    ``smallest_containing``) and of images[n] (``image_echelons``) answer
+    echelons of embeddings[n] (``span_echelons``; Sup keeps its unit rows and
+    those of ``_outside_echelon``) and of images[n] (``image_echelons``) answer
     every question about those subspaces, and like the internal chain
     complex ``complex`` (matrix dumps, the Hodge Laplacian, the structural
     checks) they are built on first read, outside equality and repr.
@@ -291,6 +293,43 @@ def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
     return tuple(map(tuple, labels)), [list(range(len(level))) for level in edges], boundary
 
 
+def _outside_echelon(field, span, boundary, n: int) -> tuple[linalg.Echelon, list[int]]:
+    """The tagged echelon of the boundary columns of span[n] (none above the
+    top degree) without their span[n-1] coordinates: Inf's kernel in degree
+    n is its tag-keyed rows, and Sup's rows in degree n - 1 are the unit rows
+    of span[n-1] and its real-keyed rows untagged, as a unit row clears only
+    its own coordinate and tags, below every real index, never change which
+    real key is eliminated."""
+    inside, cols = set(span[n - 1]) if n else (), span[n] if n < len(span) else ()
+    columns = [{i: v for i, v in boundary[n][j].items() if i not in inside} for j in cols]
+    return linalg._tagged_echelon(field, columns)
+
+
+def _inf_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
+    """Degree n of ``largest_inside``, read off ``_outside_echelon`` of degree n."""
+    tagged, cols = (eliminated or _outside_echelon(field, span, boundary, n))[0], span[n]
+    kernel = linalg._kernel(tagged, len(cols))
+    embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
+    down = SparseMatrix.from_columns(field, dims[n - 1] if n else 0, [boundary[n][j] for j in cols])
+    kernel_matrix = SparseMatrix.from_columns(field, len(cols), kernel)
+    return SparseMatrix.from_columns(field, dims[n], embedded), down @ kernel_matrix
+
+
+def _sup_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
+    """Degree n of ``smallest_containing``, read off ``_outside_echelon`` of
+    degree n + 1 with no elimination of its own."""
+    tagged, found = eliminated or _outside_echelon(field, span, boundary, n + 1)
+    echelon, units = linalg.Echelon(field), {j: {j: field.one} for j in span[n]}
+    rows = ((k, row) for k, row in tagged.rows.items() if k >= 0)
+    echelon.rows = units | {k: {c: v for c, v in row.items() if c >= 0} for k, row in rows}
+    fractions = map(linalg._holds_fraction, map(dict.values, echelon.rows.values()))
+    echelon._fractions = tagged._fractions and any(fractions)
+    kept = [*units.values(), *(boundary[n + 1][span[n + 1][k]] for k in found)]
+    images = [boundary[n][j] for j in span[n]] + [{}] * len(found)
+    embedding = SparseMatrix.from_columns(field, dims[n], kept)
+    return embedding, SparseMatrix.from_columns(field, dims[n - 1] if n else 0, images), echelon
+
+
 def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:
     """Largest subcomplex inside the span of the given basis vectors.
 
@@ -300,17 +339,8 @@ def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...
     span[n] outside span[n-1].  Returns per degree the embedding matrix of
     that kernel's canonical basis, and the matrix of their boundaries.
     """
-    embeddings, images = [], []
-    for n, cols in enumerate(span):
-        below, inside = (dims[n - 1], set(span[n - 1])) if n else (0, set())
-        down = [boundary[n][j] for j in cols]
-        outside = [{i: v for i, v in col.items() if i not in inside} for col in down]
-        kernel = linalg.kernel_basis(SparseMatrix.from_columns(field, below, outside))
-        embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
-        embeddings.append(SparseMatrix.from_columns(field, dims[n], embedded))
-        kernel_matrix = SparseMatrix.from_columns(field, len(cols), kernel)
-        images.append(SparseMatrix.from_columns(field, below, down) @ kernel_matrix)
-    return tuple(embeddings), tuple(images)
+    inf = [_inf_degree(field, dims, span, boundary, n) for n in range(len(span))]
+    return tuple(zip(*inf)) or ((), ())
 
 
 def smallest_containing(field, dims, span, boundary) -> tuple[tuple, ...]:
@@ -324,37 +354,23 @@ def smallest_containing(field, dims, span, boundary) -> tuple[tuple, ...]:
     offered as a degree-(n-1) generator, so inside the result by
     construction, and the echelon of its columns.
     """
-    top = len(span) - 1
-    embeddings, images, echelons = [], [], []
-    for n, cols in enumerate(span):
-        pairs = [({j: field.one}, boundary[n][j]) for j in cols]
-        if n < top:
-            pairs += [(col, {}) for j in span[n + 1] if (col := boundary[n + 1][j])]
-        echelon = linalg.Echelon(field)
-        kept = [(c, d) for c, d in pairs if echelon.add(c) is not None]
-        embeddings.append(SparseMatrix.from_columns(field, dims[n], [c for c, _ in kept]))
-        below = dims[n - 1] if n else 0
-        images.append(SparseMatrix.from_columns(field, below, [d for _, d in kept]))
-        echelons.append(echelon)
-    return tuple(embeddings), tuple(images), tuple(echelons)
+    sup = [_sup_degree(field, dims, span, boundary, n) for n in range(len(span))]
+    return tuple(zip(*sup)) or ((), (), ())
 
 
-def _embedded(build, edge_chains, field) -> EmbeddedComplex:
-    """The subcomplex that ``build`` finds around an edge span, given the
-    ``_edge_chains`` of its hypergraph, with the boundary images it returns.
-    Those stay inside it: d d = 0 holds on the columns (``_edge_chains``),
-    so an Inf image does once it is supported on the edges, checked here, and
-    a Sup image always does (``smallest_containing``, whose echelons Sup keeps)."""
-    labels, span, boundary = edge_chains
-    embeddings, images, *echelons = build(field, [len(level) for level in labels], span, boundary)
-    if build is largest_inside:
-        for n in range(1, len(images)):
-            inside = set(span[n - 1])
-            if not all(i in inside for col in images[n].columns() for i in col):
-                raise _not_inside(n)
+def _embedded(field, labels, span, embeddings, images, echelons=None) -> EmbeddedComplex:
+    """The subcomplex that ``largest_inside`` or, with echelons,
+    ``smallest_containing`` found around an edge span.  Its images stay
+    inside it: d d = 0 holds on the columns (``_edge_chains``), so an Inf
+    image does once it is supported on the edges, checked here, and a Sup
+    image always does."""
+    for n in range(1, len(images)) if echelons is None else ():
+        inside = set(span[n - 1])
+        if not all(i in inside for col in images[n].columns() for i in col):
+            raise _not_inside(n)
     embedded = EmbeddedComplex(field, labels, embeddings, images)
-    if echelons:  # Sup's, stored where the cached_property keeps them
-        vars(embedded)["span_echelons"] = echelons[0]
+    if echelons is not None:  # Sup's, stored where the cached_property keeps them
+        vars(embedded)["span_echelons"] = echelons
     return embedded
 
 
@@ -370,7 +386,9 @@ def inf_complex(
     boundaries of the edges, the ambient's columns when one is given (in an
     ``ambient_complex`` the edges' own, so the complex does not depend on it).
     """
-    return _embedded(largest_inside, _edge_chains(h, field, ambient), field)
+    labels, span, boundary = _edge_chains(h, field, ambient)
+    built = largest_inside(field, list(map(len, labels)), span, boundary)
+    return _embedded(field, labels, span, *built)
 
 
 def sup_complex(
@@ -383,16 +401,22 @@ def sup_complex(
     Degreewise the span of the degree-n edges plus the boundaries of the
     degree-(n+1) edges, over a reduced column basis.
     """
-    return _embedded(smallest_containing, _edge_chains(h, field, ambient), field)
+    labels, span, boundary = _edge_chains(h, field, ambient)
+    built = smallest_containing(field, list(map(len, labels)), span, boundary)
+    return _embedded(field, labels, span, *built)
 
 
 def _inf_and_sup(h: Hypergraph, field, ambient) -> tuple[EmbeddedComplex, EmbeddedComplex]:
-    """``inf_complex`` and ``sup_complex`` of h from one ``_edge_chains``."""
-    edge_chains = _edge_chains(h, field, ambient)
-    return (
-        _embedded(largest_inside, edge_chains, field),
-        _embedded(smallest_containing, edge_chains, field),
-    )
+    """``inf_complex`` and ``sup_complex`` of h from one ``_edge_chains``: each
+    ``_outside_echelon`` is read by Inf and Sup one degree down, then dropped."""
+    labels, span, boundary = _edge_chains(h, field, ambient)
+    dims, inf, sup = list(map(len, labels)), [], []
+    for n in range(len(span) + 1):
+        eliminated = _outside_echelon(field, span, boundary, n)
+        inf += [_inf_degree(field, dims, span, boundary, n, eliminated)] if n < len(span) else []
+        sup += [_sup_degree(field, dims, span, boundary, n - 1, eliminated)] if n else []
+    inf, sup = tuple(zip(*inf)) or ((), ()), tuple(zip(*sup)) or ((), (), ())
+    return _embedded(field, labels, span, *inf), _embedded(field, labels, span, *sup)
 
 
 def face_table(closed: Hypergraph) -> dict[Edge, tuple[Edge, ...]]:

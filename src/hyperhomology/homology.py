@@ -310,7 +310,8 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     """
     ambient = ambient_complex(h, "closure", field=field)
     inf, sup = _inf_and_sup(h, field, ambient)
-    lower = _embedded(largest_inside, _edge_chains(lower_associated(h), field, ambient), field)
+    labels, span, boundary = _edge_chains(lower_associated(h), field, ambient)
+    lower = _embedded(field, labels, span, *largest_inside(field, ambient.dims, span, boundary))
     stages = (ambient, sup, inf, lower)
     stage_dims = tuple(c.dims for c in stages)
     stage_betti = tuple(betti(c).betti for c in stages)

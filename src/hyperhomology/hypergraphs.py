@@ -9,7 +9,7 @@ values here are immutable and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from typing import Callable, Iterable, Mapping
 
@@ -17,6 +17,8 @@ Edge = tuple[int, ...]
 
 
 def _check_vertex(v) -> int:
+    """v, unless it is not a non-negative integer.  Callers test the common
+    case, ``v.__class__ is int and v >= 0``, inline and call this otherwise."""
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValueError(f"vertex must be a non-negative integer, got {v!r}")
     return v
@@ -24,7 +26,9 @@ def _check_vertex(v) -> int:
 
 def undirected_edge(vertices: Iterable[int]) -> Edge:
     """Canonical (sorted, duplicate-free) form of an unordered hyperedge."""
-    vs = tuple(sorted(_check_vertex(v) for v in vertices))
+    vs = [v if v.__class__ is int and v >= 0 else _check_vertex(v) for v in vertices]
+    vs.sort()
+    vs = tuple(vs)
     if not vs:
         raise ValueError("hyperedge must be nonempty")
     if len(set(vs)) != len(vs):
@@ -34,7 +38,7 @@ def undirected_edge(vertices: Iterable[int]) -> Edge:
 
 def directed_edge(vertices: Iterable[int]) -> Edge:
     """Validated directed hyperedge; order is preserved."""
-    vs = tuple(_check_vertex(v) for v in vertices)
+    vs = tuple([v if v.__class__ is int and v >= 0 else _check_vertex(v) for v in vertices])
     if not vs:
         raise ValueError("directed hyperedge must be nonempty")
     if len(set(vs)) != len(vs):
@@ -59,9 +63,8 @@ class Hypergraph:
     directed: bool = False
 
     def __post_init__(self):
-        support = {v for e in self.edges for v in e}
-        if not support <= self.vertices:
-            missing = sorted(support - self.vertices)
+        if not self.vertices.issuperset(chain.from_iterable(self.edges)):
+            missing = sorted(set(chain.from_iterable(self.edges)) - self.vertices)
             raise ValueError(f"edges use vertices outside the vertex set: {missing}")
 
     def level(self, n: int) -> tuple[Edge, ...]:
@@ -88,9 +91,8 @@ class Hypergraph:
 
 
 def _build(edges: frozenset[Edge], vertices: Iterable[int], directed: bool) -> Hypergraph:
-    support = {v for e in edges for v in e}
-    support.update(_check_vertex(v) for v in vertices)
-    return Hypergraph(frozenset(support), edges, directed)
+    extra = [v if v.__class__ is int and v >= 0 else _check_vertex(v) for v in vertices]
+    return Hypergraph(frozenset(chain.from_iterable(edges)).union(extra), edges, directed)
 
 
 def hypergraph(edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> Hypergraph:

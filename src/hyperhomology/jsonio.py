@@ -84,13 +84,9 @@ def parse_hypergraph(source) -> Hypergraph:
         result = build(raw_edges, vertices=vertices)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if "vertices" in data:
-        support = {v for e in result.edges for v in e}
-        declared = set(vertices)
-        if not support <= declared:
-            raise ParseError(
-                f"edges reference undeclared vertices: {sorted(support - declared)}"
-            )
+    # the vertex set is the edge support and the declared vertices
+    if "vertices" in data and (undeclared := result.vertices.difference(vertices)):
+        raise ParseError(f"edges reference undeclared vertices: {sorted(undeclared)}")
     if len(result.edges) < len(raw_edges):
         warnings.warn(
             f"{len(raw_edges) - len(result.edges)} duplicate edge(s) dropped",
@@ -260,14 +256,19 @@ def _encode(value, pad: str) -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if not isinstance(value, (list, tuple)):
         return _encode(_json_default(value), pad)
-    # one C join for scalars of one exact type, or per row for non-empty rows of them
+    # one C join for scalars of one exact type, or per row for non-empty rows of
+    # them; rows of ints fill one str.format template, made per row length
     rows = {list, tuple}.issuperset(map(type, value)) and all(value)
     flat = [x for r in value for x in r] if rows else value
     kinds = set(map(type, flat))
     finite = kinds != {float} or all(map(math.isfinite, flat))
     scalar = len(kinds) == 1 and finite and _SCALARS.get(kinds.pop())
-    if scalar and rows:
-        row = inner + "  "
+    row = inner + "  "
+    if scalar is int.__repr__ and rows:
+        lengths = list(map(len, value))
+        templates = {k: "[" + row + ("," + row).join(["{}"] * k) + inner + "]" for k in set(lengths)}
+        items = [("," + inner).join(map(templates.__getitem__, lengths)).format(*flat)]
+    elif scalar and rows:
         items = ["[" + row + ("," + row).join(map(scalar, r)) + inner + "]" for r in value]
     else:
         items = map(scalar, value) if scalar else [_encode(v, inner) for v in value]

@@ -298,18 +298,24 @@ def _added(reducer: Echelon, vectors: Iterable[dict]) -> list[int]:
     return [k for k, vec in enumerate(vectors) if reducer.add(vec) is not None]
 
 
-def _tagged_echelon(matrix: SparseMatrix) -> Echelon:
-    """Echelon of the columns of matrix, column j tagged with -1 at index
-    j - ncols.
+def _tagged_echelon(field, columns: Sequence[dict]) -> tuple[Echelon, list[int]]:
+    """Echelon of the columns, column j tagged with -1 at index j - len(columns),
+    and the positions of the columns that add a row keyed by a real index.
 
-    Every row's tag part t satisfies (row part) = -(matrix @ t).  A column
+    Every row's tag part t satisfies (row part) = -(columns @ t).  A column
     that adds a row keyed by a tag depends on the earlier columns: that row
     is the kernel vector with 1 at the column and support on the earlier
     columns that added rows keyed by real indices (the greedy pivot columns).
     """
-    minus_one, shift = matrix.field.from_int(-1), matrix.ncols
-    tagged = ({**col, j - shift: minus_one} for j, col in enumerate(matrix.columns()))
-    return Echelon(matrix.field, tagged)
+    minus_one, shift, echelon = field.from_int(-1), len(columns), Echelon(field)
+    found = [j for j, col in enumerate(columns) if echelon.add({**col, j - shift: minus_one}) >= 0]
+    return echelon, found
+
+
+def _kernel(echelon: Echelon, ncols: int) -> list[dict]:
+    """The canonical kernel basis of the ncols columns of a ``_tagged_echelon``:
+    its rows keyed by a tag, which were added in tag order, on the columns."""
+    return [{c + ncols: v for c, v in row.items()} for key, row in echelon.rows.items() if key < 0]
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -322,12 +328,7 @@ def kernel_basis(matrix: SparseMatrix) -> list[dict]:
     The basis is canonical: vector k has a 1 at the k-th free column and
     support otherwise only on pivot columns.
     """
-    shift = matrix.ncols
-    rows = _tagged_echelon(matrix).rows
-    return [
-        {c + shift: v for c, v in rows[key].items()}
-        for key in sorted(k for k in rows if k < 0)
-    ]
+    return _kernel(_tagged_echelon(matrix.field, matrix.columns())[0], matrix.ncols)
 
 
 def independent_columns(matrix: SparseMatrix) -> list[int]:
@@ -344,7 +345,7 @@ def solve_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
     """
     if a.nrows != b.nrows:
         raise ValueError("A and B must have matching row counts")
-    reducer, shift, solution = _tagged_echelon(a), a.ncols, []
+    (reducer, _), shift, solution = _tagged_echelon(a.field, a.columns()), a.ncols, []
     for col in b.columns():
         residual = reducer.reduce(col)
         if any(i >= 0 for i in residual):

@@ -9,7 +9,9 @@ rather than an elimination, and ``homology_bars``, which checks one
 reduction against another.  ``quotient_map_surjective`` ranks the map
 C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
 ``closure_embedded`` builds the Inf or Sup complex the old way, inside the
-whole deletion-closure ambient.  ``pairwise_persistence`` computes
+whole deletion-closure ambient, and ``smallest_containing`` is the package's
+former Sup builder: one ``Echelon.add`` per unit and per boundary column,
+with no elimination shared with Inf.  ``pairwise_persistence`` computes
 persistence the slow way, through the package's per-step embedded complexes
 and one ``induced_homology_rank`` problem per pair of steps, and
 ``homology_bars`` pairs a filtered basis by the homology reduction
@@ -41,7 +43,6 @@ from hyperhomology.chains import (
     ambient_complex,
     inf_complex,
     largest_inside,
-    smallest_containing,
     sup_complex,
 )
 from hyperhomology.errors import InvariantViolation
@@ -482,6 +483,31 @@ def closure_embedded(h, kind="inf", field=QQ):
         tuple(embeddings),
         tuple(ambient.boundaries[n] @ embeddings[n] for n in range(top + 1)),
     )
+
+
+def smallest_containing(field, dims, span, boundary):
+    """Smallest subcomplex containing the span of the given basis vectors, as
+    ``chains.smallest_containing`` returns it, with its own echelon per degree.
+
+    Degree n is fed the units of span[n], then the nonzero boundary columns
+    of span[n+1], each through one ``Echelon.add``; the columns that add a
+    row are kept.  Returns per degree the embedding matrix, the matrix of
+    the boundaries of its columns (a unit's, or zero for a kept boundary),
+    and the echelon.
+    """
+    top = len(span) - 1
+    embeddings, images, echelons = [], [], []
+    for n, cols in enumerate(span):
+        pairs = [({j: field.one}, boundary[n][j]) for j in cols]
+        if n < top:
+            pairs += [(col, {}) for j in span[n + 1] if (col := boundary[n + 1][j])]
+        echelon = linalg.Echelon(field)
+        kept = [(c, d) for c, d in pairs if echelon.add(c) is not None]
+        embeddings.append(SparseMatrix.from_columns(field, dims[n], [c for c, _ in kept]))
+        below = dims[n - 1] if n else 0
+        images.append(SparseMatrix.from_columns(field, below, [d for _, d in kept]))
+        echelons.append(echelon)
+    return tuple(embeddings), tuple(images), tuple(echelons)
 
 
 def _reversed_complex(c):

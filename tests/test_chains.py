@@ -1,9 +1,9 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hyperhomology import chains
+from hyperhomology import chains, linalg
 from hyperhomology.chains import (
     ChainComplex,
     ambient_complex,
@@ -17,7 +17,7 @@ from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.hypergraphs import delta_closure, hyperdigraph, hypergraph
 from hyperhomology.linalg import SparseMatrix
 
-from oracles import dense_rank, simplicial_boundary_dense, sparse_to_dense
+from oracles import dense_rank, simplicial_boundary_dense, smallest_containing, sparse_to_dense
 
 
 def test_boundary_signs_on_a_pair():
@@ -368,3 +368,118 @@ def test_inf_inside_span_inside_sup():
             )
             assert linalg.columns_in_span(span, inf.embeddings[n])
             assert linalg.columns_in_span(sup.embeddings[n], span)
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7)]
+
+
+def _typed(rows):
+    """Echelon rows with each value's type, so an int and an equal Fraction differ."""
+    return {k: {c: (v.__class__, v) for c, v in row.items()} for k, row in rows.items()}
+
+
+def _expected_inf(field, dims, span, boundary):
+    """Inf per degree from ``kernel_basis`` of the columns of span[n] with
+    their span[n-1] coordinates dropped: the embedding and the image."""
+    expected = []
+    for n, cols in enumerate(span):
+        below, inside = (dims[n - 1], set(span[n - 1])) if n else (0, set())
+        outside = [{i: v for i, v in boundary[n][j].items() if i not in inside} for j in cols]
+        kernel = linalg.kernel_basis(SparseMatrix.from_columns(field, below, outside))
+        embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
+        down = SparseMatrix.from_columns(field, below, [boundary[n][j] for j in cols])
+        image = down @ SparseMatrix.from_columns(field, len(cols), kernel)
+        expected.append((SparseMatrix.from_columns(field, dims[n], embedded), image))
+    return expected
+
+
+def _assert_reference(field, dims, span, boundary, inf, sup):
+    """inf and sup (embeddings, images[, echelons]) equal the references:
+    ``kernel_basis`` for Inf, the per-column echelon of ``oracles`` for Sup."""
+    assert list(zip(*inf)) == _expected_inf(field, dims, span, boundary)
+    embeddings, images, echelons = smallest_containing(field, dims, span, boundary)
+    assert sup[0] == embeddings and sup[1] == images
+    assert [_typed(e.rows) for e in sup[2]] == [_typed(e.rows) for e in echelons]
+    assert [e._fractions for e in sup[2]] == [e._fractions for e in echelons]
+
+
+@st.composite
+def embedded_cases(draw):
+    """(h, ambient mode or None): a few edges on at most 6 vertices, directed
+    or not, with no ambient, or inside their closure or (undirected only) the
+    full simplex on their vertices."""
+    n = draw(st.integers(1, 6))
+    build = draw(st.sampled_from([hypergraph, hyperdigraph]))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True)
+    h = build(draw(st.lists(edge, min_size=1, max_size=7)), vertices=range(n))
+    modes = [None, "closure"] + ([] if h.directed else ["full_simplex"])
+    return h, draw(st.sampled_from(modes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedded_cases(), st.sampled_from(FIELDS))
+def test_one_elimination_gives_the_reference_inf_and_sup(case, field):
+    # Inf and Sup read one tagged echelon per degree; built together or apart
+    # they equal Inf by kernel_basis and Sup by its own per-column echelon
+    h, mode = case
+    ambient = ambient_complex(h, mode, field=field) if mode else None
+    labels, span, boundary = chains._edge_chains(h, field, ambient)
+    dims = [len(level) for level in labels]
+    together = chains._inf_and_sup(h, field, ambient)
+    apart = inf_complex(h, field, ambient), sup_complex(h, field, ambient)
+    for inf, sup in (together, apart):
+        assert inf.labels == sup.labels == labels
+        sup_parts = sup.embeddings, sup.images, sup.span_echelons
+        _assert_reference(field, dims, span, boundary, (inf.embeddings, inf.images), sup_parts)
+
+
+@st.composite
+def column_families(draw):
+    """(field, dims, span, boundary): integer columns with entries up to 3
+    over random basis positions, with no d d = 0, so Q pivots other than 1
+    leave Fractions in the echelon rows."""
+    field = draw(st.sampled_from(FIELDS))
+    dims = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    span = [sorted(draw(st.sets(st.integers(0, d - 1)))) if d else [] for d in dims]
+    entry = st.integers(-3, 3).map(field.from_int)
+    boundary = [[{}] * dims[0]]
+    for n in range(1, len(dims)):
+        column = st.dictionaries(st.integers(0, dims[n - 1] - 1), entry) if dims[n - 1] else st.just({})
+        columns = draw(st.lists(column, min_size=dims[n], max_size=dims[n]))
+        boundary.append([{i: v for i, v in col.items() if v} for col in columns])
+    return field, dims, span, boundary
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_families())
+@example((QQ, [2, 2], [[], [0, 1]], [[{}, {}], [{0: 1, 1: 2}, {0: 3, 1: 1}]]))  # rows of halves
+def test_builders_match_the_references_on_any_columns(family):
+    field, dims, span, boundary = family
+    inf = chains.largest_inside(field, dims, span, boundary)
+    sup = chains.smallest_containing(field, dims, span, boundary)
+    _assert_reference(field, dims, span, boundary, inf, sup)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("mode", [None, "closure"])
+def test_inf_and_sup_add_each_edge_column_once(monkeypatch, field, mode):
+    # one elimination per degree: one Echelon.add per degree-n edge column,
+    # read by Inf and by Sup one degree down; Sup copies its rows with none
+    h = hypergraph([[0], [1], [2], [3], [0, 1], [1, 2], [0, 2], [1, 3], [1, 2, 3], [0, 4], [0, 1, 2, 3]])
+    ambient = ambient_complex(h, mode, field=field) if mode else None
+    labels, span, boundary = chains._edge_chains(h, field, ambient)
+    dims = [len(level) for level in labels]
+    add, calls = linalg.Echelon.add, []
+    monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
+    chains._inf_and_sup(h, field, ambient)
+    assert len(calls) == sum(map(len, span)) > 0
+    # apart, each builder runs the eliminations it reads and no other
+    for build, read in ((chains.largest_inside, span), (chains.smallest_containing, span[1:])):
+        calls.clear()
+        build(field, dims, span, boundary)
+        assert len(calls) == sum(map(len, read))
+    for n in range(1, len(span)):
+        eliminated = chains._outside_echelon(field, span, boundary, n)
+        calls.clear()
+        chains._sup_degree(field, dims, span, boundary, n - 1, eliminated)
+        assert calls == []

@@ -637,17 +637,17 @@ def test_an_inf_image_outside_the_edges_fails_the_check(monkeypatch, tmp_path, c
     # a triangle of sides plus an edge (3, 4) without its vertices: Inf has
     # the triangle's cycle in degree 1, with image zero; the mutation moves
     # that image onto a vertex of (3, 4), which is not an edge
-    build = chains.largest_inside
+    build = chains._inf_degree
 
-    def leaky(field, dims, span, boundary):
-        embeddings, images = build(field, dims, span, boundary)
-        images = list(images)
-        outside = min(set(range(dims[0])) - set(span[0]))
-        columns = [{**col, outside: field.one} for col in images[1].columns()]
-        images[1] = SparseMatrix.from_columns(field, dims[0], columns)
-        return embeddings, tuple(images)
+    def leaky(field, dims, span, boundary, n, eliminated=None):
+        embedding, image = build(field, dims, span, boundary, n, eliminated)
+        if n == 1:
+            outside = min(set(range(dims[0])) - set(span[0]))
+            columns = [{**col, outside: field.one} for col in image.columns()]
+            image = SparseMatrix.from_columns(field, dims[0], columns)
+        return embedding, image
 
-    monkeypatch.setattr(chains, "largest_inside", leaky)
+    monkeypatch.setattr(chains, "_inf_degree", leaky)
     path = tmp_path / "h.json"
     edges = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [3, 4]]
     path.write_text(json.dumps({"vertices": [0, 1, 2, 3, 4], "edges": edges}))

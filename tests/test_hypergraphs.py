@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -169,6 +170,26 @@ def test_edge_validation():
     with pytest.raises(ValueError):
         hypergraph([[-1]])
     assert hypergraph([[2, 0]]).edges == frozenset({(0, 2)})
+
+
+class _Vertex(int):
+    pass
+
+
+@pytest.mark.parametrize("build", [hypergraph, hyperdigraph])
+@pytest.mark.parametrize("bad", [-1, True, False, 1.0, "1", None])
+def test_a_vertex_other_than_a_non_negative_int_is_named(build, bad):
+    message = re.escape(f"vertex must be a non-negative integer, got {bad!r}")
+    for edges, vertices in (([[0, bad]], ()), ([[0]], [bad])):
+        with pytest.raises(ValueError, match=message):
+            build(edges, vertices=vertices)
+
+
+@pytest.mark.parametrize("build", [hypergraph, hyperdigraph])
+def test_an_int_subclass_is_a_vertex(build):
+    h = build([[_Vertex(2), 0]], vertices=[_Vertex(3)])
+    assert h.vertices == frozenset({0, 2, 3})
+    assert h.edges == frozenset({(0, 2) if build is hypergraph else (2, 0)})
 
 
 @settings(max_examples=80, deadline=None)

@@ -50,6 +50,16 @@ def test_parse_hypergraph_missing_vertex_errors():
         parse_hypergraph('{"vertices": [0, 1], "edges": [[0, 2]]}')
 
 
+def test_parse_hypergraph_names_undeclared_and_bad_vertices():
+    with pytest.raises(ParseError, match=re.escape("edges reference undeclared vertices: [2, 5]")):
+        parse_hypergraph('{"vertices": [0, 1], "edges": [[0, 2], [5, 1], [2]]}')
+    assert parse_hypergraph('{"vertices": [], "edges": []}').vertices == frozenset()
+    with pytest.raises(ParseError, match="vertex must be a non-negative integer, got True"):
+        parse_hypergraph('{"vertices": [0, 1], "edges": [[0, true]]}')
+    with pytest.raises(ParseError, match="vertex must be a non-negative integer, got -3"):
+        parse_hypergraph('{"vertices": [0, -3], "directed_edges": [[0]]}')
+
+
 def test_parse_hypergraph_bad_json_reports_location():
     with pytest.raises(ParseError, match="line"):
         parse_hypergraph('{"edges": [[0, 1],]}')

@@ -259,7 +259,9 @@ def test_kernel_basis_is_the_canonical_kernel(case):
     a = to_sparse(QQ, dense, ncols)
     kernel = linalg.kernel_basis(a)
     assert kernel == expected
-    stored = linalg._tagged_echelon(a).rows.values()
+    echelon, found = linalg._tagged_echelon(QQ, a.columns())
+    assert found == linalg.independent_columns(a)
+    stored = echelon.rows.values()
     assert all(is_q_scalar(v) for vec in [*kernel, *stored] for v in vec.values())
 
 
