@@ -201,7 +201,7 @@ def ambient_complex(
     dims = tuple(len(level) for level in labels)
     boundaries = [SparseMatrix.zeros(field, 0, dims[0])] if dims else []
     for n in range(1, len(dims)):
-        boundaries.append(SparseMatrix.from_columns(field, dims[n - 1], boundary[n]))
+        boundaries.append(SparseMatrix._of(field, dims[n - 1], boundary[n]))
     complex_ = ChainComplex(field, dims, tuple(boundaries), labels=labels)
     object.__setattr__(complex_, "_validated", True)
     return complex_
@@ -213,13 +213,13 @@ class EmbeddedComplex:
 
     embeddings[n] has the internal degree-n basis vectors as columns, in
     the coordinates labels[n], and images[n] their boundaries in labels[n-1]:
-    embeddings[n-1] times the internal boundary, of the same rank and
-    canonical kernel, since the embeddings have independent columns.  The
-    echelons of embeddings[n] (``span_echelons``; Sup keeps its unit rows and
-    those of ``_outside_echelon``) and of images[n] (``image_echelons``) answer
-    every question about those subspaces, and like the internal chain
-    complex ``complex`` (matrix dumps, the Hodge Laplacian, the structural
-    checks) they are built on first read, outside equality and repr.
+    embeddings[n-1] times the internal boundary, of the same rank and (for
+    ``betti(representatives=True)``) canonical kernel, as the embeddings have
+    independent columns.  Echelons of embeddings[n] (``span_echelons``; Sup
+    keeps its unit rows and those of ``_outside_echelon``) and images[n]
+    (``image_echelons``) answer every question about those subspaces; they and
+    the internal chain complex ``complex`` (matrix dumps, the Hodge Laplacian,
+    structural checks) are built on first read, outside equality and repr.
     """
 
     field: object
@@ -310,9 +310,9 @@ def _inf_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
     tagged, cols = (eliminated or _outside_echelon(field, span, boundary, n))[0], span[n]
     kernel = linalg._kernel(tagged, len(cols))
     embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
-    down = SparseMatrix.from_columns(field, dims[n - 1] if n else 0, [boundary[n][j] for j in cols])
-    kernel_matrix = SparseMatrix.from_columns(field, len(cols), kernel)
-    return SparseMatrix.from_columns(field, dims[n], embedded), down @ kernel_matrix
+    down = SparseMatrix._of(field, dims[n - 1] if n else 0, [boundary[n][j] for j in cols])
+    kernel_matrix = SparseMatrix._of(field, len(cols), kernel)
+    return SparseMatrix._of(field, dims[n], embedded), down @ kernel_matrix
 
 
 def _sup_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
@@ -326,8 +326,8 @@ def _sup_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
     echelon._fractions = tagged._fractions and any(fractions)
     kept = [*units.values(), *(boundary[n + 1][span[n + 1][k]] for k in found)]
     images = [boundary[n][j] for j in span[n]] + [{}] * len(found)
-    embedding = SparseMatrix.from_columns(field, dims[n], kept)
-    return embedding, SparseMatrix.from_columns(field, dims[n - 1] if n else 0, images), echelon
+    embedding = SparseMatrix._of(field, dims[n], kept)
+    return embedding, SparseMatrix._of(field, dims[n - 1] if n else 0, images), echelon
 
 
 def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:

@@ -3,9 +3,9 @@
 Everything here is exact.  The Betti numbers of a chain complex, and of an
 ambient modulo Inf or Sup (from copies of their span echelons), come from one
 top-down reduction with clearing over Q (or Z/p), ``linalg.pivots``.  An
-embedded complex reads its ranks from its image echelons.  Induced ranks
-count the cycles that extend a copy of the target's image echelon, and
-inclusions are tested in span echelons, so neither rebuilds an echelon.
+embedded complex reads its ranks from its image echelons.  An induced rank
+counts source basis vectors extending a copy of the target's image echelon,
+less the source's image rank, and inclusions are read off span echelons.
 
 ``quotient_complex`` gives explicit coset-representative bases.  Each
 degree is eliminated once, into an echelon of the subspace keyed by largest
@@ -92,9 +92,11 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
 
     Both complexes must be embedded in chains on the same labels, over one
     characteristic, and n must be >= 0 (ValueError otherwise); above the top
-    degree the rank is 0.  The source cycles (the kernel of its images) must
-    lie in the target's span echelon (checked); the rank counts those that
-    add a row to a copy of the echelon of the target's degree-(n+1) images.
+    degree the rank is 0.  Degree n of the source must lie in the target
+    (``_inside``; InvariantViolation otherwise).  For subcomplexes A of B the
+    rank is dim(A_n + B_n(B)) - dim B_n(B) - rank d(A_n), as Z_n(A) + B_n(B)
+    is the kernel of d on A_n + B_n(B): the source basis vectors that extend
+    a copy of the target's degree-(n+1) image echelon, less its image rank.
     """
     if source.labels is not target.labels and source.labels != target.labels:
         raise ValueError("complexes are not embedded in chains on the same labels")
@@ -102,16 +104,13 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
         raise ValueError("complexes are over fields of different characteristic")
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
-    cycles = linalg.kernel_basis(source.images[n]) if n < len(source.images) else []
-    if not cycles:
+    if n >= len(source.embeddings):
         return 0
-    cycle_matrix = SparseMatrix.from_columns(source.field, source.dims[n], cycles)
-    in_labels = (source.embeddings[n] @ cycle_matrix).columns()
-    if not all(map(target.span_echelons[n].contains, in_labels)):
-        raise InvariantViolation(f"degree-{n} cycles do not lie in the target subcomplex")
-    above = target.image_echelons[n + 1 :]
-    up = above[0].copy() if above else linalg.Echelon(target.field)
-    return sum(up.add(col) is not None for col in in_labels)
+    if not _inside(source, target, n):
+        raise InvariantViolation(f"degree-{n} chains do not lie in the target subcomplex")
+    up = next(iter(target.image_echelons[n + 1 :]), linalg.Echelon(target.field)).copy()
+    added = sum(up.add(col) is not None for col in source.embeddings[n].columns())
+    return added - source.image_echelons[n].dimension
 
 
 @dataclass(frozen=True)
@@ -263,10 +262,10 @@ def quotient_pair_check(h: Hypergraph, ambient: ChainComplex) -> QuotientPairRep
     return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inside(inf, sup))
 
 
-def _inside(small: EmbeddedComplex, big: EmbeddedComplex) -> bool:
-    """Whether small lies in big in every degree, both on the same labels."""
-    pairs = zip(big.span_echelons, small.embeddings)
-    return all(echelon.contains(col) for echelon, m in pairs for col in m.columns())
+def _inside(small: EmbeddedComplex, big: EmbeddedComplex, n: int | None = None) -> bool:
+    """Whether small lies in big in degree n, or every degree, both on the same labels."""
+    degrees = range(len(small.embeddings)) if n is None else (n,)
+    return all(all(map(big.span_echelons[d].contains, small.embeddings[d].columns())) for d in degrees)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class SparseMatrix:
 
     ``columns()`` returns the stored column dicts, which are read-only.  The
     constructor (entries keyed by (row, col)) and ``from_columns`` copy and
-    check their input; results computed here are stored unchecked."""
+    check their input; ``_of`` stores computed and already checked columns."""
 
     __slots__ = ("field", "nrows", "ncols", "_columns")
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hyperhomology import filtration, linalg
+from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.filtration import (
     FiltrationStep,
@@ -17,6 +18,7 @@ from hyperhomology.filtration import (
     emptiness_threshold,
     persistent_betti,
 )
+from hyperhomology.homology import induced_homology_rank
 from hyperhomology.hypergraphs import Hypergraph, is_sigma_invariant, is_simplicial, lift, project
 from hyperhomology.linalg import SparseMatrix
 from hyperhomology.metrics import (
@@ -31,6 +33,7 @@ from hyperhomology.metrics import (
 )
 
 from oracles import (
+    dense_induced_rank,
     emptiness_threshold_by_subsets,
     homology_bars,
     pairwise_persistence,
@@ -303,6 +306,27 @@ def filtrations(draw):
     if draw(st.booleans()):
         return build_filtration(draw(exact_samples()), draw(st.integers(1, 3)))
     return draw(nested_hypergraph_steps())
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_hypergraph_steps(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+def test_induced_ranks_between_steps_match_dense_cycles(steps, field):
+    """Inf(step i) -> Inf(step j) and Sup(step i) -> Sup(step j) in the last
+    step's closure, and Inf -> Sup in closure and full-simplex ambients, as
+    ``dense_induced_rank`` finds them from dense cycles."""
+    p = field.characteristic or None
+    last = steps[-1].hypergraph
+    closure = ambient_complex(last, "closure", field=field)
+    pairs = []
+    for build in (inf_complex, sup_complex):
+        built = [build(s.hypergraph, field=field, ambient=closure) for s in steps]
+        pairs += [(a, b) for i, a in enumerate(built) for b in built[i:]]
+    for ambient in (closure, ambient_complex(last, "full_simplex", field=field)):
+        for h in (s.hypergraph for s in steps):
+            pairs.append((inf_complex(h, field, ambient), sup_complex(h, field, ambient)))
+    for source, target in pairs:
+        for n in range(len(source.dims) + 1):
+            assert induced_homology_rank(source, target, n) == dense_induced_rank(source, target, n, p)
 
 
 @settings(max_examples=60, deadline=None)

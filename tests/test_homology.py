@@ -329,6 +329,39 @@ def test_induced_homology_rank_refuses_mixed_characteristics():
     assert induced_homology_rank(inf_complex(h, field=RationalField()), sup_complex(h), 1) == 0
 
 
+def test_induced_homology_rank_refuses_a_source_outside_the_target():
+    # Sup of the filled triangle holds its three sides, Inf only their cycle,
+    # so Sup is no subcomplex of Inf and no map is induced
+    h = hypergraph([[0, 1], [1, 2], [0, 2], [0, 1, 2]])
+    with pytest.raises(InvariantViolation, match="degree-1"):
+        induced_homology_rank(sup_complex(h), inf_complex(h), 1)
+
+
+def test_quasi_check_counts_ranks_without_a_cycle_basis(monkeypatch, tmp_path, capsys):
+    # the ten triangles of a six-vertex projective plane with only the five
+    # sides at vertex 0, which has degree-2 homology over Z/2 alone, and a
+    # hollow triangle apart
+    def refused(matrix):
+        raise AssertionError("a cycle basis was built")
+
+    monkeypatch.setattr(linalg, "kernel_basis", refused)
+    plane = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1]]
+    plane += [[1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
+    edges = [[v] for v in range(6)] + [[0, k] for k in range(1, 6)] + plane
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"vertices": list(range(9)), "edges": edges + [[6, 7], [7, 8], [6, 8]]}))
+    for field, name, top in (("Q", "Q", 0), ("7", "Z7", 0), ("2", "Z2", 1)):
+        assert main(["quasi-check", str(path), "--field", field]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == {
+            "betti": {"0": 1, "1": 1, "2": top},
+            "betti_inf": [1, 1, top],
+            "betti_sup": [1, 1, top],
+            "field": name,
+            "induced_ranks": [1, 1, top],
+            "inf_sup_iso": True,
+        }
+
+
 def _dense_vectors(matrix):
     """The columns of a sparse matrix as dense lists."""
     return [[col.get(i, 0) for i in range(matrix.nrows)] for col in matrix.columns()]

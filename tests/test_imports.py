@@ -236,6 +236,13 @@ def test_square_zero_failures_come_from_check_square_zero():
     assert not outside, f"d d != 0 failure built outside chains._check_square_zero: {outside}"
 
 
+def test_cycle_bases_are_built_only_for_representatives():
+    """Induced ranks are counted from the echelons Inf and Sup keep, so
+    ``kernel_basis`` serves only ``betti(representatives=True)``."""
+    outside = _calls_outside("kernel_basis", "homology.py", "betti")
+    assert not outside, f"kernel_basis called outside homology.betti: {outside}"
+
+
 def test_boundary_columns_are_built_from_faces_in_two_places():
     """With no ambient (``chains._edge_chains``) and for a filtration of
     simplices (``filtration._simplex_basis``); inside an ambient its columns
