@@ -267,13 +267,10 @@ def _run_quotient(args) -> Report:
     if args.max_degree is not None and args.max_degree < top:
         raise ParseError(f"--max-degree {args.max_degree} is below the top edge's degree {top}")
     field = field_by_name(args.field)
-
-    def work():
-        ambient = ambient_complex(h, "full_simplex", max_degree=args.max_degree, field=field)
-        return quotient_pair_check(h, ambient).as_dict()
-
     report = timed_report(
-        "quotient-check", {"input": args.input, "field": args.field}, work
+        "quotient-check",
+        {"input": args.input, "field": args.field},
+        lambda: quotient_pair_check(h, field, max_degree=args.max_degree).as_dict(),
     )
     if not (report.results["betti_equal"] and report.results["q_surjective"]):
         raise TheoremCheckError("quotient homology mismatch", report.results)

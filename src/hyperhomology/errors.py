@@ -3,8 +3,9 @@
 The CLI maps these onto exit codes: parse/config problems -> 2,
 resource caps -> 3, failed invariant or theorem checks -> 4.  Each cap is
 read where it is checked, from its environment variable when that is set:
-HYPERHOMOLOGY_SIMPLEX_CAP (default 16) bounds a full simplex and the largest
-edge of a closure; HYPERHOMOLOGY_VERTEX_CAP (default 10) a vertex-map search.
+HYPERHOMOLOGY_SIMPLEX_CAP (default 16) bounds the vertices of a full simplex,
+also of the one ``quotient_pair_check`` never builds, and the largest edge of
+a closure; HYPERHOMOLOGY_VERTEX_CAP (default 10) a vertex-map search.
 """
 
 import os

@@ -1,8 +1,7 @@
 """Homology of embedded chain complexes and the verified identities.
 
-Everything here is exact.  The Betti numbers of a chain complex, and of an
-ambient modulo Inf or Sup (from copies of their span echelons), come from one
-top-down reduction with clearing over Q (or Z/p), ``linalg.pivots``.  An
+Everything here is exact.  The Betti numbers of a chain complex come from
+one top-down reduction with clearing over Q (or Z/p), ``linalg.pivots``.  An
 embedded complex reads its ranks from its image echelons.  An induced rank
 counts source basis vectors extending a copy of the target's image echelon,
 less the source's image rank, and inclusions are read off span echelons.
@@ -11,8 +10,9 @@ less the source's image rank, and inclusions are read off span echelons.
 degree is eliminated once, into an echelon of the subspace keyed by largest
 index; the representatives are the indices that are not keys, and a
 vector's quotient coordinates are its normal form in that echelon.
-``quotient_pair_check`` and the four-stage sequence build no quotient; the
-latter's middle stages are the duals of the Sup and Inf complexes.
+``quotient_pair_check`` and the four-stage sequence build no quotient: the
+former reads the long exact sequence of a pair, and the latter's middle
+stages are the duals of the Sup and Inf complexes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Sequence
 
 from . import linalg
@@ -33,7 +34,7 @@ from .chains import (
     ambient_complex,
     largest_inside,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_cap
 from .fields import QQ, RationalField
 from .hypergraphs import (
     Edge,
@@ -69,22 +70,16 @@ def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = F
     if isinstance(complex_, ChainComplex):
         complex_.validate()
         matrices = complex_.boundaries
-        ranks = map(len, linalg.pivots([m.columns() for m in matrices], field))
+        ranks = [*map(len, linalg.pivots([m.columns() for m in matrices], field)), 0]
     else:
-        matrices, ranks = complex_.images, (e.dimension for e in complex_.image_echelons)
-    numbers = _betti_numbers([m.ncols for m in matrices], ranks)
+        matrices, ranks = complex_.images, [e.dimension for e in complex_.image_echelons] + [0]
+    numbers = tuple(m.ncols - ranks[n] - ranks[n + 1] for n, m in enumerate(matrices))
     reps = None
     if representatives:
         reps = tuple(
             SparseMatrix.from_columns(field, m.ncols, linalg.kernel_basis(m)) for m in matrices
         )
     return HomologySummary(field.name, numbers, reps)
-
-
-def _betti_numbers(dims, ranks) -> tuple[int, ...]:
-    """dims[n] - r_n - r_{n+1}, for the boundary ranks r_n of each degree."""
-    ranks = [*ranks, 0]
-    return tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(dims))
 
 
 def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: int) -> int:
@@ -242,22 +237,39 @@ class QuotientPairReport:
         }
 
 
-def quotient_pair_check(h: Hypergraph, ambient: ChainComplex) -> QuotientPairReport:
-    """Compare ambient/Sup and ambient/Inf homology for h, over the ambient's field.
+def quotient_pair_check(h: Hypergraph, field=QQ, *, max_degree: int | None = None) -> QuotientPairReport:
+    """Compare C/Sup and C/Inf homology for h, C the full simplex on its vertices.
 
-    No quotient is built: over a field, b_n(C/W) = dim C_n - dim W_n - r_n
-    - r_{n+1}, r_n the rank of the ambient boundary columns modulo W_{n-1}
-    (a copy of its span echelon), found with clearing as ``_inf_and_sup``
-    certifies W boundary-closed.
+    C, the m-skeleton of the simplex on the N vertices of h (m = max_degree,
+    by default the top edge's degree, at most N - 1), obeys the simplex cap
+    and is never built: b_n(C) is [n = 0] + [n = m] binom(N - 1, m + 1).  The
+    pair (C, W) gives b_n(C/W) = b_n(C) - r_n + b_{n-1}(W) - r_{n-1}, r_n the
+    rank of H_n(W) -> H_n(C): b_m(W) at n = m (no degree m + 1), 1 at 0 = n < m
+    when a 0-chain of W has a nonzero coefficient sum, and 0 otherwise.
     The map C/Inf -> C/Sup, x + Inf to x + Sup, is defined exactly when Inf
     lies in Sup, and it is then onto: that is the surjectivity flag.
     """
-    inf, sup = _inf_and_sup(h, ambient.field, ambient)
-    columns = [b.columns() for b in ambient.boundaries]
+    if h.directed:
+        raise ValueError("full simplex ambient applies to unordered hypergraphs")
+    size, top = len(h.vertices), h.max_cardinality() - 1
+    check_cap(size, "simplex", f"full simplex on {size} vertices")
+    degree = max_degree if max_degree is not None else max(top, 0)
+    if degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {degree}")
+    if degree < top:
+        raise ValueError(f"max_degree {degree} is below the top edge's degree {top}")
+    inf, sup = _inf_and_sup(h, field, None)
+    m = min(degree, size - 1)
+    simplex = [(n == 0) + (n == m) * comb(size - 1, m + 1) for n in range(m + 1)]
 
     def quotient_betti(sub: EmbeddedComplex) -> tuple[int, ...]:
-        found = linalg.pivots(columns, ambient.field, modulo=sub.span_echelons)
-        return _betti_numbers([c - w for c, w in zip(ambient.dims, sub.dims)], map(len, found))
+        b = [*betti(sub).betti, *[0] * (m + 1 - len(sub.labels))]
+        ranks = [0] * m + b[m:]
+        degree_0 = (col for e in sub.embeddings[:1] for col in e.columns())
+        if m > 0 and any(field.from_fraction(sum(col.values())) for col in degree_0):
+            ranks[0] = 1
+        pairs = enumerate(zip(simplex, ranks))
+        return tuple(c - r + (b[n - 1] - ranks[n - 1] if n else 0) for n, (c, r) in pairs)
 
     return QuotientPairReport(quotient_betti(sup), quotient_betti(inf), _inside(inf, sup))
 

@@ -9,8 +9,8 @@ incremental echelon of sparse vectors keyed by their largest index, fed the
 columns left to right.  Kernels and solves tag column j with -1 at index
 j - ncols, below every row index, so a row keyed by a tag records a column
 dependency and a right-hand side reduced to tags alone records its solution.
-Every Betti number of a chain complex or a quotient is read from one
-top-down reduction with clearing, ``pivots``, and ``filtration`` pairs bars
+Every Betti number of a chain complex is read from one top-down
+reduction with clearing, ``pivots``, and ``filtration`` pairs bars
 by the dual reduction of coboundaries; an echelon kept for a subspace is
 extended in a ``copy`` that shares its rows.
 Each routine reads ``field.characteristic`` once: when it is a prime p, an
@@ -365,15 +365,15 @@ def columns_in_span(basis: SparseMatrix, probe: SparseMatrix) -> bool:
     return all(map(Echelon(basis.field, basis.columns()).contains, probe.columns()))
 
 
-def pivots(columns: Sequence, field, modulo: Sequence[Echelon] | None = None) -> list[dict]:
+def pivots(columns: Sequence, field) -> list[dict]:
     """Per degree, {key: position} of each boundary column that adds a row
-    to its degree's echelon (a copy of modulo[n-1] when given), from the top
-    degree down, each degree left to right.  The columns index the basis one
-    degree down and modulo is boundary-closed, so a position that is a key
-    one degree up reduces to zero and is skipped (Chen-Kerber clearing)."""
+    to its degree's echelon, from the top degree down, each degree left to
+    right.  The columns index the basis one degree down, so a position that
+    is a key one degree up reduces to zero and is skipped (Chen-Kerber
+    clearing)."""
     found: list[dict] = [{} for _ in columns]
     for n in range(len(columns) - 1, 0, -1):
-        echelon = modulo[n - 1].copy() if modulo else Echelon(field)
+        echelon = Echelon(field)
         skip = found[n + 1] if n + 1 < len(columns) else {}
         for j, col in enumerate(columns[n]):
             if j not in skip and (key := echelon.add(col)) is not None:

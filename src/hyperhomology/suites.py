@@ -32,6 +32,7 @@ from .homology import (
     four_term_sequence,
     hodge_laplacian,
     invariant_dimension,
+    quotient_complex,
     quotient_pair_check,
     verify_quasi_iso_theta,
 )
@@ -207,15 +208,19 @@ def simplicial_identity_suite(seed: int, count: int = 50) -> SuiteResult:
 
 
 def quotient_suite(seed: int, count: int = 30) -> SuiteResult:
-    """Equal homology of ambient/Sup and ambient/Inf, with q surjective."""
+    """Equal homology of ambient/Sup and ambient/Inf, with q surjective; each
+    Betti row is also read off the quotient complex of the full simplex."""
     result = SuiteResult("quotient_quasi_iso")
     rng = random.Random(seed)
     for _ in range(count):
         h = random_hypergraph(rng, min_vertices=3, max_vertices=6, max_card=4)
+        report = quotient_pair_check(h)
         ambient = ambient_complex(h, "full_simplex")
-        report = quotient_pair_check(h, ambient)
+        inf, sup = _inf_and_sup(h, ambient.field, ambient)
+        quotients = [betti(quotient_complex(ambient, w.embeddings).complex).betti for w in (sup, inf)]
         result.checks += 1
-        if not (report.betti_equal and report.q_surjective):
+        rows = [report.betti_by_sup, report.betti_by_inf]
+        if not (report.betti_equal and report.q_surjective and rows == quotients):
             result.fail({"instance": hypergraph_to_json(h), "report": report.as_dict()})
     return result
 

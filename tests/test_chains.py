@@ -239,7 +239,7 @@ def test_closure_cap_applies_to_the_largest_edge(monkeypatch):
 
 def test_library_calls_obey_the_simplex_cap_variable(monkeypatch):
     from hyperhomology.filtration import FiltrationStep, persistent_betti
-    from hyperhomology.homology import four_term_sequence
+    from hyperhomology.homology import four_term_sequence, quotient_pair_check
 
     tetra = hypergraph([[0, 1, 2, 3]])
     steps = [FiltrationStep(0, 2, 1, tetra)]
@@ -253,13 +253,15 @@ def test_library_calls_obey_the_simplex_cap_variable(monkeypatch):
     ):
         with pytest.raises(ResourceCapError, match=closure):
             call()
-    with pytest.raises(ResourceCapError, match="^full simplex on 4 vertices exceeds the cap of 3$"):
-        ambient_complex(tetra, "full_simplex")
+    full = "^full simplex on 4 vertices exceeds the cap of 3$"
+    for call in (lambda: ambient_complex(tetra, "full_simplex"), lambda: quotient_pair_check(tetra)):
+        with pytest.raises(ResourceCapError, match=full):
+            call()
     assert ambient_complex(hypergraph([[0, 1, 2]]), "full_simplex").dims == (3, 3, 1)
 
 
 def test_an_ambient_below_the_top_edge_is_rejected():
-    from hyperhomology.homology import betti
+    from hyperhomology.homology import betti, quotient_pair_check
 
     h = hypergraph([[0, 1], [1, 2], [0, 1, 2], [2, 3]])
     for max_degree in (0, 1):
@@ -267,14 +269,21 @@ def test_an_ambient_below_the_top_edge_is_rejected():
         for build in (inf_complex, sup_complex):
             with pytest.raises(ValueError, match="is missing from the ambient basis"):
                 build(h, ambient=ambient)
+        # quotient-check's full simplex, never built, is refused the same way
+        with pytest.raises(ValueError, match=f"^max_degree {max_degree} is below the top edge's degree 2$"):
+            quotient_pair_check(h, max_degree=max_degree)
     ambient = ambient_complex(h, "full_simplex", max_degree=2)
     assert betti(inf_complex(h, ambient=ambient)).betti == (0, 0, 0)
 
 
 def test_a_negative_max_degree_is_rejected():
+    from hyperhomology.homology import quotient_pair_check
+
     h = hypergraph([[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="max_degree must be non-negative, got -1"):
         ambient_complex(h, "full_simplex", max_degree=-1)
+    with pytest.raises(ValueError, match="^max_degree must be non-negative, got -1$"):
+        quotient_pair_check(h, max_degree=-1)
 
 
 def test_inf_sup_example_dimensions():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperhomology import chains, homology, linalg, suites
+from hyperhomology import chains, cli, homology, linalg, suites
 from hyperhomology.cli import main
 from hyperhomology.chains import ChainComplex, ambient_complex, inf_complex, sup_complex
 from hyperhomology.errors import InvariantViolation
@@ -172,11 +172,11 @@ def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
     assert main(["quasi-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["inf_sup_iso"]
     assert calls == [True]
-    # quotient-check: one build for the full-simplex ambient, one for Inf and Sup
+    # quotient-check: one build for Inf and Sup, and no ambient
     calls.clear()
     assert main(["quotient-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["betti_equal"]
-    assert calls == [True, False]
+    assert calls == [True]
     # four-term: one build for the closure ambient, one for Inf and Sup on
     # its labels; the last stage (empty here: MIXED has no vertex) is read
     # off the closure
@@ -210,11 +210,10 @@ def test_complexes_inside_an_ambient_build_no_boundary_columns(monkeypatch, tmp_
     assert calls == []
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
-    for command, mode in (("four-term", "closure"), ("quotient-check", "full_simplex")):
-        _, count = own_calls(MIXED, mode)
-        assert main([command, str(path)]) == 0
-        capsys.readouterr()
-        assert len(calls) == count > 0
+    _, count = own_calls(MIXED, "closure")
+    assert main(["four-term", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == count > 0
     # non-simplicial steps: the closure of the last step, then every step inside it
     first = hypergraph([[0, 1, 2], [1, 2, 3], [0], [1], [2], [3]])
     second = hypergraph(sorted(first.edges) + [[0, 1], [1, 2], [0, 2], [2, 3]])
@@ -225,11 +224,31 @@ def test_complexes_inside_an_ambient_build_no_boundary_columns(monkeypatch, tmp_
         assert len(calls) == count > 0
 
 
+def test_quotient_pair_check_builds_no_ambient(monkeypatch, tmp_path, capsys):
+    # C's homology has a closed form, so no full simplex is listed
+    calls, build = [], chains.ambient_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return build(*args, **kwargs)
+
+    for module in (chains, homology, cli):
+        monkeypatch.setattr(module, "ambient_complex", counted)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2, 3], "edges": sorted(MIXED.edges)}))
+    for field in ("Q", "7"):
+        assert main(["quotient-check", str(path), "--field", field, "--max-degree", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["betti_ambient_mod_inf"] == [1, 0, 0, 0]
+    assert calls == []
+    assert quotient_pair_check(hypergraph([list(range(16))])).betti_equal
+    assert calls == []
+
+
 def test_quotient_pair_check_reads_the_ambient_field():
     # read over Q, the Z/7 entry 6 (that is, -1) gives betti_by_sup (0, -1, 1)
     h = hypergraph([[0, 1], [1, 2], [0, 1, 2], [2, 3]])
     ambient = ambient_complex(h, "full_simplex", field=PrimeField(7))
-    report = quotient_pair_check(h, ambient)
+    report = quotient_pair_check(h, field=PrimeField(7))
     assert report.betti_by_sup == report.betti_by_inf == (1, 0, 1)
     by_sup = quotient_complex(ambient, sup_complex(h, ambient.field, ambient).embeddings)
     assert report.betti_by_sup == dense_betti(by_sup.complex)
@@ -383,7 +402,8 @@ def test_inf_sup_ranks_and_inclusions_match_dense_ranks(h, field):
         assert betti_row == tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(embedded.dims))
     degrees = range(len(inf.labels))
     assert list(report.induced_ranks) == [dense_induced_rank(inf, sup, n, p) for n in degrees]
-    # four-term and quotient-check test their inclusions inside the closure
+    # four-term tests its inclusions inside the closure, quotient-check (of
+    # unordered input only) on the local labels
     ambient = ambient_complex(h, "closure", field=field)
     inf = inf_complex(h, field=field, ambient=ambient)
     sup = sup_complex(h, field=field, ambient=ambient)
@@ -397,7 +417,11 @@ def test_inf_sup_ranks_and_inclusions_match_dense_ranks(h, field):
         for level, big in zip(ambient.labels, inf.embeddings)
     )
     assert four_term_sequence(h, field=field).surjective == (True, inf_in_sup, lower_in_inf)
-    assert quotient_pair_check(h, ambient).q_surjective == inf_in_sup
+    if h.directed:
+        with pytest.raises(ValueError, match="unordered hypergraphs"):
+            quotient_pair_check(h, field)
+    else:
+        assert quotient_pair_check(h, field).q_surjective == inf_in_sup
 
 
 def test_quotient_by_zero_is_identity():
@@ -425,8 +449,7 @@ def full_simplex_instances(draw, fields=(QQ,)):
     edges = draw(st.lists(edge, max_size=8))
     h = hypergraph(edges, vertices=range(n_vertices))
     max_degree = draw(st.integers(max(h.max_cardinality() - 1, 0), 3))
-    field = draw(st.sampled_from(fields))
-    return h, ambient_complex(h, "full_simplex", max_degree=max_degree, field=field)
+    return h, draw(st.sampled_from(fields)), max_degree
 
 
 def dense_columns(matrix):
@@ -437,7 +460,8 @@ def dense_columns(matrix):
 @settings(max_examples=40, deadline=None)
 @given(full_simplex_instances())
 def test_quotient_matches_dense_oracle(instance):
-    h, ambient = instance
+    h, field, max_degree = instance
+    ambient = ambient_complex(h, "full_simplex", max_degree=max_degree, field=field)
     for side in (sup_complex, inf_complex):
         embeddings = side(h, ambient=ambient).embeddings
         q = quotient_complex(ambient, embeddings)
@@ -468,9 +492,16 @@ def dense_betti(c: ChainComplex) -> tuple[int, ...]:
 
 @settings(max_examples=60, deadline=None)
 @given(full_simplex_instances((QQ, PrimeField(2), PrimeField(7))))
+@example((hypergraph([]), QQ, None))
+@example((hypergraph([]), PrimeField(7), 2))
+@example((hypergraph([], vertices=range(3)), QQ, None))
+@example((hypergraph([], vertices=range(3)), PrimeField(2), 3))
+@example((hypergraph([[0, 1]], vertices=range(3)), QQ, 3))
 def test_quotient_pair_check_matches_the_quotient_complexes(instance):
-    h, ambient = instance
-    report = quotient_pair_check(h, ambient)
+    # max_degree may pass N - 1, the top degree of the full simplex on N vertices
+    h, field, max_degree = instance
+    ambient = ambient_complex(h, "full_simplex", max_degree=max_degree, field=field)
+    report = quotient_pair_check(h, field, max_degree=max_degree)
     by_inf = quotient_complex(ambient, inf_complex(h, ambient.field, ambient).embeddings)
     by_sup = quotient_complex(ambient, sup_complex(h, ambient.field, ambient).embeddings)
     assert report.betti_by_sup == dense_betti(by_sup.complex)
@@ -490,8 +521,7 @@ def test_quotient_rejects_non_subcomplex():
 
 
 def test_quotient_pair_equal_homology():
-    ambient = ambient_complex(MIXED, "full_simplex", max_degree=2)
-    report = quotient_pair_check(MIXED, ambient)
+    report = quotient_pair_check(MIXED, max_degree=2)
     assert report.betti_equal
     assert report.q_surjective
 
@@ -503,7 +533,7 @@ def test_quotient_map_direction():
     by_inf = quotient_complex(ambient, inf.embeddings)
     by_sup = quotient_complex(ambient, sup.embeddings)
     assert quotient_map_surjective(by_inf, by_sup)
-    assert quotient_pair_check(MIXED, ambient).q_surjective
+    assert quotient_pair_check(MIXED, max_degree=2).q_surjective
 
 
 def test_four_term_simplicial_identity():

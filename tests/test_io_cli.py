@@ -606,6 +606,30 @@ def test_cli_quotient_check_rejects_an_ambient_below_the_top_edge(
     assert main(["quotient-check", path, "--max-degree", "2"]) == 0
 
 
+@pytest.mark.parametrize("edges", [[], [[0, 1]], [list(range(17))]])
+def test_cli_quotient_check_caps_the_full_simplex_on_17_vertices(tmp_path, capsys, edges):
+    # the full simplex C is never built, but the cap still bounds its vertices
+    path = write_fixture(tmp_path, "h.json", {"vertices": list(range(17)), "edges": edges})
+    assert main(["quotient-check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: full simplex on 17 vertices exceeds the cap of 16\n"
+    path = write_fixture(tmp_path, "h.json", {"edges": [list(range(16))]})
+    assert main(["quotient-check", path]) == 0
+    capsys.readouterr()
+
+
+def test_cli_quotient_check_rejects_a_negative_max_degree(tmp_path, capsys):
+    # with no edge the top edge's degree is -1, so only the sign check stops -1
+    path = write_fixture(tmp_path, "h.json", {"vertices": [0, 1, 2], "edges": []})
+    assert main(["quotient-check", path, "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_degree must be non-negative, got -1\n"
+    assert main(["quotient-check", path, "--max-degree", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["betti_ambient_mod_inf"] == [3]
+
+
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 def test_cli_isom_rejects_a_bad_tolerance(tmp_path, capsys, tolerance):
     pts = tmp_path / "square.csv"
