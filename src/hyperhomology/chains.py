@@ -14,18 +14,23 @@ where d d e = 0 is checked on every edge (so it holds over every field).
 Inside an ambient a subcomplex has the ambient's differential, so its
 coordinates, columns and d d = 0 certificate are the ambient's.  A closure
 or full-simplex ambient is the edge-chain complex of a hypergraph closed
-under vertex deletion.  Inf and Sup are found around the edge span of any
-hypergraph from one elimination per degree, of the edges' boundary columns
-outside the edges one degree down: Inf's kernel in that degree, Sup's rows
-one degree down.  Homology reads them through their boundary images and one
-echelon of each subspace.
+under vertex deletion; where only its dims and Betti numbers are read, they
+come from the nerve of the maximal edges (``_closure_homology``), and the
+closure is built only when the nerve would be larger.  Inf and Sup are
+found around the edge span of any hypergraph from one elimination per
+degree, of the edges' boundary columns outside the edges one degree down:
+Inf's kernel in that degree, Sup's rows one degree down.  Homology reads
+them through their boundary images and one echelon of each subspace; the
+image echelons are built from the top degree down, and Sup's skip, by
+clearing, the images that depend on earlier ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
+from math import comb
 from typing import Sequence
 
 from . import linalg
@@ -207,6 +212,81 @@ def ambient_complex(
     return complex_
 
 
+def _betti_numbers(dims, columns, field) -> tuple[int, ...]:
+    """dims[n] - rank d_n - rank d_{n+1}, the ranks read by ``linalg.pivots``
+    from the boundary columns of a chain complex."""
+    ranks = [*map(len, linalg.pivots(columns, field)), 0]
+    return tuple(d - ranks[n] - ranks[n + 1] for n, d in enumerate(dims))
+
+
+def _closure_homology(h: Hypergraph, field) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Dims and Betti numbers of the deletion closure of h, under the simplex
+    cap, read from the nerve of its maximal edges.
+
+    The full simplices on the maximal edges cover the closure, and each
+    nonempty intersection of them is a simplex, so over any field the closure
+    has the homology of the nerve (Borsuk 1948; Bjorner 1995, section 10),
+    and f_k = sum over nerve simplices s of (-1)^(|s|+1) binom(|meet s|, k+1).
+    Directed input (two orderings of one vertex set meet in no simplex), and
+    a nerve larger than the sum of 2^|e| - 1 over the maximal edges e, which
+    bounds the closure's size, fall back to ``ambient_complex``.
+    """
+    top = h.max_cardinality() - 1
+    _check_closure_cap(top + 1)
+    levels = None if h.directed else _nerve(_maximal_edges(h))
+    if levels is None:
+        closure = ambient_complex(h, "closure", field=field)
+        columns = [b.columns() for b in closure.boundaries]
+        return closure.dims, _betti_numbers(closure.dims, columns, field)
+    dims, sign = [0] * (top + 1), 1
+    for level in levels:
+        for _, meet in level:
+            common = meet.bit_count()
+            for k in range(common):
+                dims[k] += sign * comb(common, k + 1)
+        sign = -sign
+    # degrees 0..top need the nerve's simplices up to degree top + 1; above
+    # top its homology is the closure's, zero
+    simplices = frozenset(s for level in levels[: top + 2] for s, _ in level)
+    nerve = Hypergraph(frozenset(chain.from_iterable(simplices)), simplices)
+    labels, _, boundary = _edge_chains(nerve, field, None)
+    numbers = _betti_numbers(list(map(len, labels)), boundary, field)
+    return tuple(dims), (numbers + (0,) * top)[: top + 1]
+
+
+def _maximal_edges(h: Hypergraph) -> list[int]:
+    """The maximal edges of unordered h as vertex bit masks: visited by
+    decreasing size, an edge is kept unless it lies in one kept already."""
+    bit = {v: 1 << k for k, v in enumerate(sorted(h.vertices))}
+    kept: list[int] = []
+    for e in sorted(h.edges, key=len, reverse=True):
+        mask = sum(bit[v] for v in e)
+        if all(mask & ~k for k in kept):
+            kept.append(mask)
+    return kept
+
+
+def _nerve(maximal: list[int]) -> list[list[tuple[Edge, int]]] | None:
+    """The nerve of the maximal edges, per size, each simplex (a tuple of
+    positions in maximal) with the mask of its common vertices; None as soon
+    as it has more simplices than the closure can have."""
+    bound = sum(2 ** m.bit_count() - 1 for m in maximal)
+    level = [((j,), m) for j, m in enumerate(maximal)]
+    levels, count = [], len(level)
+    while level:
+        levels.append(level)
+        above = []
+        for simplex, meet in level:
+            for j in range(simplex[-1] + 1, len(maximal)):
+                if common := meet & maximal[j]:
+                    above.append((simplex + (j,), common))
+                    count += 1
+                    if count > bound:
+                        return None
+        level = above
+    return levels
+
+
 @dataclass(frozen=True)
 class EmbeddedComplex:
     """A subcomplex of the chains on some edge labels, with explicit embeddings.
@@ -237,7 +317,28 @@ class EmbeddedComplex:
 
     @cached_property
     def image_echelons(self) -> tuple[linalg.Echelon, ...]:
-        return tuple(linalg.Echelon(self.field, filter(None, m.columns())) for m in self.images)
+        """Per degree, the echelon of the images, built from the top degree
+        down with clearing.  Take the unit vectors e_i that lead the basis
+        (Sup's basis starts with the units of its span).  The image of such
+        an e_i is skipped when the echelon one degree up has a row keyed at i
+        supported on these units: that row is a cycle, so d e_i is a
+        combination of the images of the e_l, l < i, and skipping every such
+        image keeps the span."""
+        echelons, above = [], {}
+        for basis, images in zip(reversed(self.embeddings), reversed(self.images)):
+            leading = takewhile(lambda col: len(col) == 1, basis.columns())
+            units = {next(iter(col)): k for k, col in enumerate(leading)}
+            # units at positions 0..m-1 hold the support of every row keyed at one of them
+            prefix = len(units) > max(units, default=-1)
+            keyed = (i for i in above if i in units)
+            skip = {units[i] for i in keyed if prefix or units.keys() >= above[i].keys()}
+            echelon = linalg.Echelon(self.field)
+            for k, col in enumerate(images.columns()):
+                if col and k not in skip:
+                    echelon.add(col)
+            echelons.append(echelon)
+            above = echelon.rows
+        return tuple(reversed(echelons))
 
     @cached_property
     def complex(self) -> ChainComplex:
@@ -407,9 +508,13 @@ def sup_complex(
 
 
 def _inf_and_sup(h: Hypergraph, field, ambient) -> tuple[EmbeddedComplex, EmbeddedComplex]:
-    """``inf_complex`` and ``sup_complex`` of h from one ``_edge_chains``: each
+    """``inf_complex`` and ``sup_complex`` of h from one ``_edge_chains``."""
+    return _around_span(field, *_edge_chains(h, field, ambient))
+
+
+def _around_span(field, labels, span, boundary) -> tuple[EmbeddedComplex, EmbeddedComplex]:
+    """Inf and Sup around the span of ``_edge_chains`` output: each
     ``_outside_echelon`` is read by Inf and Sup one degree down, then dropped."""
-    labels, span, boundary = _edge_chains(h, field, ambient)
     dims, inf, sup = list(map(len, labels)), [], []
     for n in range(len(span) + 1):
         eliminated = _outside_echelon(field, span, boundary, n)

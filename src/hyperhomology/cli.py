@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bundles
-from .chains import ambient_complex, inf_complex, sup_complex
+from .chains import _closure_homology, ambient_complex, inf_complex, sup_complex
 from .errors import (
     InvariantViolation,
     ParseError,
@@ -23,7 +23,13 @@ from .errors import (
 from .fields import field_by_name
 from .filtration import build_filtration, persistent_betti
 from .groups import aut_group, aut_isom, isom_group
-from .homology import betti, four_term_sequence, quotient_pair_check, verify_quasi_iso_theta
+from .homology import (
+    HomologySummary,
+    betti,
+    four_term_sequence,
+    quotient_pair_check,
+    verify_quasi_iso_theta,
+)
 from .hypergraphs import (
     associated_independence,
     delta_closure,
@@ -209,6 +215,9 @@ def _run_homology(args) -> Report:
     field = field_by_name(args.field)
 
     def work():
+        if args.kind == "ambient" and not args.dump_matrices:  # no matrix is read
+            summary = HomologySummary(field.name, _closure_homology(h, field)[1])
+            return {"field": summary.field_name, "betti": summary.betti_dict()}
         if args.kind == "ambient":
             complex_ = ambient_complex(h, "closure", field=field)
         else:

@@ -28,10 +28,12 @@ from . import linalg
 from .chains import (
     ChainComplex,
     EmbeddedComplex,
+    _around_span,
+    _betti_numbers,
+    _closure_homology,
     _edge_chains,
     _embedded,
     _inf_and_sup,
-    ambient_complex,
     largest_inside,
 )
 from .errors import InvariantViolation, check_cap
@@ -70,10 +72,10 @@ def betti(complex_: ChainComplex | EmbeddedComplex, *, representatives: bool = F
     if isinstance(complex_, ChainComplex):
         complex_.validate()
         matrices = complex_.boundaries
-        ranks = [*map(len, linalg.pivots([m.columns() for m in matrices], field)), 0]
+        numbers = _betti_numbers(complex_.dims, [m.columns() for m in matrices], field)
     else:
         matrices, ranks = complex_.images, [e.dimension for e in complex_.image_echelons] + [0]
-    numbers = tuple(m.ncols - ranks[n] - ranks[n + 1] for n, m in enumerate(matrices))
+        numbers = tuple(m.ncols - ranks[n] - ranks[n + 1] for n, m in enumerate(matrices))
     reps = None
     if representatives:
         reps = tuple(
@@ -313,19 +315,23 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     These are the annihilators of Sup(V) and Inf(V); over a field C*/W^perp
     is W*, whose cohomology is dual to the homology of W.  So stages 2 and
     3 take the dims and Betti numbers of Sup and Inf.  The closure obeys
-    the simplex cap (``ambient_complex``); Sup, Inf and the last stage, the
-    span of the lower edges, are built inside it, so all four stages share
-    its labels.  The maps are surjections when Inf lies in Sup and the
-    lower edges lie in Inf, both checked with ``_inside``, and all
-    identities exactly when h is simplicial.
+    the simplex cap, and its dims and Betti numbers are read from the nerve
+    of the maximal edges (``_closure_homology``), so it is built only when
+    that falls back.  Sup, Inf and the last stage, the span of the lower
+    edges, are built from one ``_edge_chains`` of h on its own labels, which
+    hold the lower edges too.  The maps are surjections when Inf lies in
+    Sup and the lower edges lie in Inf, both checked with ``_inside``, and
+    all identities exactly when h is simplicial.
     """
-    ambient = ambient_complex(h, "closure", field=field)
-    inf, sup = _inf_and_sup(h, field, ambient)
-    labels, span, boundary = _edge_chains(lower_associated(h), field, ambient)
-    lower = _embedded(field, labels, span, *largest_inside(field, ambient.dims, span, boundary))
-    stages = (ambient, sup, inf, lower)
-    stage_dims = tuple(c.dims for c in stages)
-    stage_betti = tuple(betti(c).betti for c in stages)
+    closure_dims, closure_betti = _closure_homology(h, field)
+    labels, span, boundary = _edge_chains(h, field, None)
+    inf, sup = _around_span(field, labels, span, boundary)
+    kept = lower_associated(h).edges
+    lower_span = [[j for j in cols if labels[n][j] in kept] for n, cols in enumerate(span)]
+    built = largest_inside(field, list(map(len, labels)), lower_span, boundary)
+    lower = _embedded(field, labels, lower_span, *built)
+    stage_dims = (closure_dims, sup.dims, inf.dims, lower.dims)
+    stage_betti = (closure_betti, *(betti(c).betti for c in (sup, inf, lower)))
     surjective = (True, _inside(inf, sup), _inside(lower, inf))
     all_identity = len(set(stage_dims)) == 1 and all(surjective)
     if all_identity != is_simplicial(h):

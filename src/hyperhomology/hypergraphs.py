@@ -148,11 +148,14 @@ def delta_closure(h):
 def lower_associated(h):
     """Largest vertex-deletion-closed subset of h.
 
-    Keeps exactly the edges whose full closure lies inside h.
+    Keeps exactly the edges whose full closure lies inside h: visited by
+    increasing size, an edge is kept when it has one vertex or when each
+    face that drops one position was kept.
     """
-    kept = {
-        e for e in h.edges if all(s in h.edges for s in subedges(e))
-    }
+    kept: set[Edge] = set()
+    for e in sorted(h.edges, key=len):
+        if len(e) == 1 or all(e[:i] + e[i + 1 :] in kept for i in range(len(e))):
+            kept.add(e)
     return Hypergraph(h.vertices, frozenset(kept), h.directed)
 
 

@@ -11,7 +11,8 @@ C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
 ``closure_embedded`` builds the Inf or Sup complex the old way, inside the
 whole deletion-closure ambient, and ``smallest_containing`` is the package's
 former Sup builder: one ``Echelon.add`` per unit and per boundary column,
-with no elimination shared with Inf.  ``pairwise_persistence`` computes
+with no elimination shared with Inf; ``plain_image_echelons`` eliminates
+every image column of an embedded complex, with no clearing.  ``pairwise_persistence`` computes
 persistence the slow way, through the package's per-step embedded complexes
 and one ``induced_homology_rank`` problem per pair of steps, and
 ``homology_bars`` pairs a filtered basis by the homology reduction
@@ -19,7 +20,9 @@ and one ``induced_homology_rank`` problem per pair of steps, and
 ``dense_induced_rank`` is the independent check of those induced ranks: it
 reads only an embedded complex's stored embeddings and boundary images and
 eliminates densely.  ``four_term_by_cochain_quotients`` builds the
-four-stage sequence as quotients of the closure cochains, with no duality.
+four-stage sequence as quotients of the closure cochains, with no duality,
+and takes the largest deletion-closed part from
+``lower_associated_by_subsets``, which enumerates every subset of an edge.
 ``persistence_csv`` writes a persistence table's rows of Python values with
 ``csv.writer``, as the package did before it formatted its own CSV text.
 The group oracles work on permutations of range(n) as plain image tuples,
@@ -48,7 +51,7 @@ from hyperhomology.chains import (
 from hyperhomology.errors import InvariantViolation
 from hyperhomology.fields import QQ
 from hyperhomology.homology import betti, induced_homology_rank, quotient_complex
-from hyperhomology.hypergraphs import lower_associated
+from hyperhomology.hypergraphs import Hypergraph
 from hyperhomology.linalg import SparseMatrix
 from hyperhomology.metrics import PiValue, exact_sqrt
 
@@ -165,6 +168,17 @@ def subsequence_closure(edges):
         for mask in range(1, 2 ** len(e)):
             out.add(tuple(v for i, v in enumerate(e) if mask >> i & 1))
     return out
+
+
+def lower_associated_by_subsets(h):
+    """The largest deletion-closed part of h: the edges whose every nonempty
+    subset (subsequence, if directed) is an edge, by brute enumeration."""
+    kept = {
+        e
+        for e in h.edges
+        if all(s in h.edges for k in range(1, len(e) + 1) for s in combinations(e, k))
+    }
+    return Hypergraph(h.vertices, frozenset(kept), h.directed)
 
 
 def superset_closure(edges, ambient):
@@ -510,6 +524,12 @@ def smallest_containing(field, dims, span, boundary):
     return tuple(embeddings), tuple(images), tuple(echelons)
 
 
+def plain_image_echelons(embedded):
+    """Per degree, the echelon of every nonzero image column of an embedded
+    complex, left to right, with no clearing."""
+    return [linalg.Echelon(embedded.field, filter(None, m.columns())) for m in embedded.images]
+
+
 def _reversed_complex(c):
     """Reindex so the transposed boundaries form a chain complex again.
 
@@ -545,7 +565,7 @@ def four_term_by_cochain_quotients(h, field=QQ):
             "all_identity": True,
         }
     ambient = ambient_complex(h, "closure", field=field)
-    lower = lower_associated(h)
+    lower = lower_associated_by_subsets(h)
     top = ambient.top_degree
     cochains = _reversed_complex(ambient)
 

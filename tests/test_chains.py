@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -14,10 +15,17 @@ from hyperhomology.chains import (
 )
 from hyperhomology.errors import InvariantViolation, ResourceCapError
 from hyperhomology.fields import QQ, PrimeField
+from hyperhomology.homology import betti
 from hyperhomology.hypergraphs import delta_closure, hyperdigraph, hypergraph
 from hyperhomology.linalg import SparseMatrix
 
-from oracles import dense_rank, simplicial_boundary_dense, smallest_containing, sparse_to_dense
+from oracles import (
+    dense_rank,
+    plain_image_echelons,
+    simplicial_boundary_dense,
+    smallest_containing,
+    sparse_to_dense,
+)
 
 
 def test_boundary_signs_on_a_pair():
@@ -492,3 +500,92 @@ def test_inf_and_sup_add_each_edge_column_once(monkeypatch, field, mode):
         calls.clear()
         chains._sup_degree(field, dims, span, boundary, n - 1, eliminated)
         assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedded_cases(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+def test_image_echelons_with_clearing_keep_the_plain_keys(case, field):
+    # clearing skips image columns that depend on earlier ones, so each
+    # degree's echelon spans the same space and has the same keys
+    h, mode = case
+    ambient = ambient_complex(h, mode, field=field) if mode else None
+    for embedded in chains._inf_and_sup(h, field, ambient):
+        plain = plain_image_echelons(embedded)
+        assert [sorted(e.rows) for e in embedded.image_echelons] == [sorted(e.rows) for e in plain]
+
+
+def test_clearing_tests_the_support_of_a_row_inside_an_ambient():
+    # in the closure, degree 1 is (0, 1), (0, 2), (1, 2): the row of the
+    # image of the triangle is keyed at the edge (1, 2) but also meets the
+    # non-edges (0, 1) and (0, 2), so the image of (1, 2) is no combination
+    # of earlier images and must not be skipped
+    h = hypergraph([[1, 2], [0, 1, 2]])
+    ambient = ambient_complex(h, "closure")
+    sup = sup_complex(h, ambient=ambient)
+    assert sorted(sup.image_echelons[2].rows) == [2]
+    assert [e.dimension for e in sup.image_echelons] == [0, 1, 1]
+    assert betti(sup).betti == betti(sup_complex(h)).betti == (0, 0, 0)
+    # on local labels the edges come first, so the same row is keyed at a face
+    assert sorted(sup_complex(h).image_echelons[2].rows) == [2]
+    assert sup_complex(h).labels[1] == ((1, 2), (0, 2), (0, 1))
+
+
+@st.composite
+def closure_cases(draw):
+    """Unordered hypergraphs on up to 8 vertices, some isolated, with up to
+    12 edges: graphs, whose nerves often outgrow their closures, or edges
+    of up to 5 vertices."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.sampled_from([2, 5]))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, size), unique=True)
+    return hypergraph(draw(st.lists(edge, max_size=12)), vertices=range(n))
+
+
+CYCLE_12 = hypergraph([[k, (k + 1) % 12] for k in range(12)])
+K_8 = hypergraph(combinations(range(8), 2))
+
+
+def test_closure_homology_from_the_nerve_matches_the_closure(monkeypatch):
+    fallbacks, build = [], chains.ambient_complex
+
+    def counted(h, *args, **kwargs):
+        fallbacks.append(h.edges)
+        return build(h, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "ambient_complex", counted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_cases(), st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    @example(hypergraph([]), QQ)
+    @example(hypergraph([[0, 1], [1, 2], [2]], vertices=range(6)), PrimeField(2))  # isolated
+    @example(CYCLE_12, QQ)
+    @example(hypergraph(combinations(range(5), 2)), PrimeField(3))  # K_5
+    @example(K_8, QQ)
+    @example(hypergraph([range(16)]), QQ)
+    @example(hypergraph(combinations(range(4), 3)), PrimeField(2))  # a hollow tetrahedron
+    def check(h, field):
+        closure = build(h, "closure", field=field)
+        assert chains._closure_homology(h, field) == (closure.dims, betti(closure).betti)
+
+    check()
+    assert fallbacks
+
+
+def test_the_nerve_falls_back_only_when_it_outgrows_the_closure(monkeypatch):
+    calls, build = [], chains.ambient_complex
+
+    def counted(h, *args, **kwargs):
+        calls.append(h)
+        return build(h, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "ambient_complex", counted)
+    # C_12: 24 nerve simplices against a bound of 36; one 16-vertex edge: one
+    assert chains._closure_homology(CYCLE_12, QQ) == ((12, 12), (1, 1))
+    edge = chains._closure_homology(hypergraph([range(16)]), PrimeField(2))
+    assert edge == (tuple(math.comb(16, k + 1) for k in range(16)), (1,) + (0,) * 15)
+    assert calls == []
+    # K_8: 988 nerve simplices against a bound of 84; directed input always
+    assert chains._closure_homology(K_8, QQ) == ((8, 28), (1, 21))
+    directed = hyperdigraph([[0, 1], [1, 0], [2, 0, 1]])
+    assert chains._closure_homology(directed, QQ) == ((3, 4, 1), (1, 1, 0))
+    assert calls == [K_8, directed]

@@ -160,13 +160,15 @@ def test_quasi_iso_builds_no_closure(monkeypatch):
 
 
 def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
-    calls, build = [], chains._edge_chains
+    calls, built, build = [], [], chains._edge_chains
 
     def counted(h, field, ambient):
         calls.append(ambient is None)
+        built.append(h.edges)
         return build(h, field, ambient)
 
-    monkeypatch.setattr(chains, "_edge_chains", counted)
+    for module in (chains, homology):
+        monkeypatch.setattr(module, "_edge_chains", counted)
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
     assert main(["quasi-check", str(path)]) == 0
@@ -177,14 +179,16 @@ def test_inf_and_sup_share_one_edge_chain_build(monkeypatch, tmp_path, capsys):
     assert main(["quotient-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["betti_equal"]
     assert calls == [True]
-    # four-term: one build for the closure ambient, one for Inf and Sup on
-    # its labels; the last stage (empty here: MIXED has no vertex) is read
-    # off the closure
+    # four-term: one build for the nerve of the maximal edges (one vertex
+    # here), one for Inf, Sup and the last stage (empty here: MIXED has no
+    # vertex) on the labels of h, and no closure ambient
     calls.clear()
+    built.clear()
     assert main(["four-term", str(path)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["stage_dims"][3] == results["stage_betti"][3] == [0, 0, 0]
-    assert calls == [True, False]
+    assert calls == [True, True]
+    assert built == [frozenset({(0,)}), MIXED.edges]
 
 
 def test_complexes_inside_an_ambient_build_no_boundary_columns(monkeypatch, tmp_path, capsys):
@@ -196,21 +200,23 @@ def test_complexes_inside_an_ambient_build_no_boundary_columns(monkeypatch, tmp_
         calls.append(args[0])
         return build(*args)
 
-    def own_calls(h, mode):
+    def own_calls(build):
         calls.clear()
-        ambient = ambient_complex(h, mode)
+        built = build()
         count = len(calls)
         calls.clear()
-        return ambient, count
+        return built, count
 
     monkeypatch.setattr(chains, "_integer_columns", counted)
-    ambient, _ = own_calls(MIXED, "closure")
+    ambient, _ = own_calls(lambda: ambient_complex(MIXED, "closure"))
     inf_complex(MIXED, ambient=ambient)
     sup_complex(MIXED, ambient=ambient)
     assert calls == []
+    # four-term builds the columns of h on its own labels once, and those of
+    # the nerve (one vertex here: none)
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": sorted(MIXED.edges)}))
-    _, count = own_calls(MIXED, "closure")
+    _, count = own_calls(lambda: chains._edge_chains(MIXED, QQ, None))
     assert main(["four-term", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) == count > 0
@@ -219,7 +225,7 @@ def test_complexes_inside_an_ambient_build_no_boundary_columns(monkeypatch, tmp_
     second = hypergraph(sorted(first.edges) + [[0, 1], [1, 2], [0, 2], [2, 3]])
     steps = [FiltrationStep(1, 2, 1, first), FiltrationStep(0, 1, 0, second)]
     for kind in ("inf", "sup"):
-        _, count = own_calls(second, "closure")
+        _, count = own_calls(lambda: ambient_complex(second, "closure"))
         persistent_betti(steps, [0, 1], kind)
         assert len(calls) == count > 0
 
@@ -232,7 +238,7 @@ def test_quotient_pair_check_builds_no_ambient(monkeypatch, tmp_path, capsys):
         calls.append(args[1:])
         return build(*args, **kwargs)
 
-    for module in (chains, homology, cli):
+    for module in (chains, cli):  # homology builds ambients only through chains
         monkeypatch.setattr(module, "ambient_complex", counted)
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"vertices": [0, 1, 2, 3], "edges": sorted(MIXED.edges)}))

@@ -21,7 +21,12 @@ from hyperhomology.hypergraphs import (
     vertex_map_image,
 )
 
-from oracles import powerset_closure, subsequence_closure, superset_closure
+from oracles import (
+    lower_associated_by_subsets,
+    powerset_closure,
+    subsequence_closure,
+    superset_closure,
+)
 
 
 def edge_strategy():
@@ -220,6 +225,25 @@ def test_lower_associated_is_idempotent_intensive(h):
     assert low.edges <= h.edges
     assert lower_associated(low).edges == low.edges
     assert is_simplicial(low)
+
+
+@st.composite
+def punched_closure_strategy(draw):
+    """The deletion closure of a few edges, directed or not, less an
+    arbitrary subset of its edges, so that the lower part is rich."""
+    h = draw(st.one_of(hypergraph_strategy(), digraph_strategy()))
+    closed = delta_closure(h).sorted_edges()
+    keep = draw(st.lists(st.booleans(), min_size=len(closed), max_size=len(closed)))
+    build = hyperdigraph if h.directed else hypergraph
+    return build([e for e, k in zip(closed, keep) if k], vertices=h.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(punched_closure_strategy(), hypergraph_strategy(), digraph_strategy()))
+def test_lower_associated_matches_the_subset_oracle(h):
+    low = lower_associated(h)
+    assert (low.vertices, low.directed) == (h.vertices, h.directed)
+    assert low.edges == lower_associated_by_subsets(h).edges
 
 
 @settings(max_examples=50, deadline=None)

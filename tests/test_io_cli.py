@@ -237,6 +237,75 @@ def test_cli_dump_matrices_match_the_recorded_files(tmp_path, capsys, field):
     assert {f.name: f.read_text() for f in out.iterdir()} == expected
 
 
+TWO_TRIANGLES = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [2, 3], [0, 1, 2], [1, 2, 3]]
+
+
+def _count_ambients(monkeypatch):
+    from hyperhomology import chains
+
+    calls, build = [], chains.ambient_complex
+
+    def counted(h, *args, **kwargs):
+        calls.append(h.edges)
+        return build(h, *args, **kwargs)
+
+    for module in (chains, cli):
+        monkeypatch.setattr(module, "ambient_complex", counted)
+    return calls
+
+
+def test_cli_four_term_and_ambient_homology_build_no_closure(tmp_path, capsys, monkeypatch):
+    # the closure's dims and Betti numbers come from the nerve of the two
+    # triangles, an edge; only --dump-matrices reads the closure's matrices
+    calls = _count_ambients(monkeypatch)
+    path = write_fixture(tmp_path, "h.json", {"vertices": [0, 1, 2, 3], "edges": TWO_TRIANGLES})
+    for field in ("Q", "7"):
+        assert main(["four-term", path, "--field", field]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["stage_dims"][0] == [4, 5, 2] and results["stage_betti"][0] == [1, 0, 0]
+        assert main(["homology", "--kind", "ambient", path, "--field", field]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["betti"] == {"0": 1, "1": 0, "2": 0}
+    assert calls == []
+    out = tmp_path / "dump"
+    for field in ("Q", "7"):
+        argv = ["homology", path, "--kind", "ambient", "--field", field, "--dump-matrices", str(out)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["betti"] == {"0": 1, "1": 0, "2": 0}
+        expected = {f.name: f.read_text() for f in (GOLDEN_DUMPS / field).glob("boundary_ambient_*")}
+        assert {f.name: f.read_text() for f in out.iterdir()} == expected
+    assert len(calls) == 2
+
+
+def test_cli_directed_input_falls_back_to_the_closure(tmp_path, capsys, monkeypatch):
+    # (1, 0) lies in no other edge as a sequence, but in (2, 0, 1) as a set:
+    # a nerve of vertex sets would lose the circle that (0, 1) and (1, 0) make
+    calls = _count_ambients(monkeypatch)
+    edges = [[0, 1], [1, 0], [2, 0, 1], [3, 2]]
+    path = write_fixture(tmp_path, "d.json", {"vertices": [0, 1, 2, 3], "directed_edges": edges})
+    for field in ("Q", "2"):
+        assert main(["four-term", path, "--field", field]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == {
+            "all_identity": False,
+            "stage_betti": [[1, 1, 0], [0, 1, 0], [0, 1, 0], [0, 0, 0]],
+            "stage_dims": [[4, 5, 1], [2, 4, 1], [0, 1, 0], [0, 0, 0]],
+            "surjective": [True, True, True],
+        }
+        assert main(["homology", "--kind", "ambient", path, "--field", field]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["betti"] == {"0": 1, "1": 1, "2": 0}
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("argv", [["four-term"], ["homology", "--kind", "ambient"]])
+def test_cli_a_17_vertex_edge_still_hits_the_simplex_cap(tmp_path, capsys, monkeypatch, argv):
+    calls = _count_ambients(monkeypatch)
+    path = write_fixture(tmp_path, "edge.json", {"edges": [list(range(17))]})
+    assert main([*argv, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: closure of a 17-vertex edge exceeds the cap of 16\n"
+    assert calls == []
+
+
 GOLDEN = GOLDEN_DUMPS.parent
 
 
