@@ -313,7 +313,11 @@ class EmbeddedComplex:
 
     @cached_property
     def span_echelons(self) -> tuple[linalg.Echelon, ...]:
-        return tuple(linalg.Echelon(self.field, e.columns()) for e in self.embeddings)
+        """Sup's are kept when it is built.  Inf's embedding columns are its
+        canonical kernel vectors: each is 1 at its own free column, its
+        largest index on increasing span positions, and held otherwise on
+        earlier pivot columns, so they are an echelon's rows as they stand."""
+        return tuple(_keyed_echelon(self.field, e.columns()) for e in self.embeddings)
 
     @cached_property
     def image_echelons(self) -> tuple[linalg.Echelon, ...]:
@@ -352,6 +356,17 @@ class EmbeddedComplex:
         sub = ChainComplex(self.field, dims, tuple(boundaries))
         sub.validate()
         return sub
+
+
+def _keyed_echelon(field, columns: list[dict]) -> linalg.Echelon:
+    """The echelon of the columns, with no elimination when they are 1 at
+    distinct largest indices (Inf's, see ``span_echelons``)."""
+    echelon = linalg.Echelon(field)
+    echelon.rows = {max(col): col for col in columns if col}
+    if len(echelon.rows) < len(columns) or any(row[k] != 1 for k, row in echelon.rows.items()):
+        return linalg.Echelon(field, columns)
+    echelon._fractions = any(map(linalg._holds_fraction, map(dict.values, columns)))
+    return echelon
 
 
 def _not_inside(n: int) -> InvariantViolation:

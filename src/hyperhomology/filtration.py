@@ -7,24 +7,27 @@ edge from the step of its latest pair on: the filtration is the flag
 Betti numbers are the exact ranks of the homology maps induced by the
 chain-level inclusions of the embedded (Inf or Sup) complexes, which nest
 into one filtered chain complex.  ``persistent_betti`` builds a basis of it
-in which every vector has a birth step (the simplices, when every step is
-simplicial), pairs births with deaths by a reduction of the coboundaries
-in that basis, with clearing, and reads every Betti number, rank and bar
-off the bars: a bar is a class born at one step that dies at a later one,
-and the rank of H_n(step i) -> H_n(step j) counts the degree-n bars alive
-from i through j.
+in which every vector has a birth step, pairs births with deaths by a
+reduction of the coboundaries in that basis, with clearing, and reads every
+Betti number, rank and bar off the bars: a bar is a class born at one step
+that dies at a later one, and the rank of H_n(step i) -> H_n(step j) counts
+the degree-n bars alive from i through j.  When every step is simplicial
+the basis is the simplices, each an integer rank in the combinatorial
+number system, as in Ripser (Bauer 2021): faces' ranks are computed, not
+looked up, and no simplex tuple is made.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from itertools import combinations, count, islice
+from math import comb
 from typing import Sequence
 
-from .chains import ChainComplex, ambient_complex
-from .chains import _check_closure_cap, _check_square_zero, _edge_chains, _in_field
-from .chains import _integer_columns, largest_inside, smallest_containing
+from .chains import ChainComplex, ambient_complex, largest_inside, smallest_containing
+from .chains import _check_closure_cap, _check_square_zero, _edge_chains
 from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
@@ -40,18 +43,18 @@ class _PairSteps:
         self.ids, self.step, self.count = ids, step, count
         self.top = min(n_max, len(ids))  # the most vertices of an edge
 
-    def levels(self):
-        """Per degree, each edge mapped to its step, the latest among its
-        pairs; edges in sorted order."""
-        level, step = {(i,): 0 for i in self.ids}, self.step
-        for k in range(2, self.top + 1):
-            yield level
-            # the pairs of s: its long faces' and its end pair (no name keeps the level below)
-            level = {
-                s: max(level[s[:-1]], level[s[1:]], step[s[0]][s[-1]])
-                for s in combinations(self.ids, k)
-            }
-        yield level
+    def births(self) -> list[list[int]]:
+        """Per degree, each edge's step by rank (``_rank_basis``): tau + v, v
+        its largest position, is born with tau or tau's latest pair with v."""
+        ids, step, levels = self.ids, self.step, [[0] * len(self.ids)]
+        latest = pairs = [[step[ids[-1 - v]][ids[-1 - u]] for u in range(v)] for v in range(len(ids))]
+        for n in range(1, self.top):
+            levels.append([a if a > b else b for with_v in latest for a, b in zip(levels[-1], with_v)])
+            latest = [  # rho + w below v: rho's latest pair with v, or w's
+                [x if x > s else s for w, s in enumerate(p) for x in with_v[: comb(w, n)]]
+                for p, with_v in zip(pairs, latest)
+            ] if n + 1 < self.top else None
+        return levels
 
 
 class FiltrationStep:
@@ -73,8 +76,9 @@ class FiltrationStep:
     @property
     def hypergraph(self) -> Hypergraph:
         if self._hypergraph is None:
-            pairs, k = self._pairs
-            edges = (s for level in pairs.levels() for s, born in level.items() if born <= k)
+            pairs, k = self._pairs  # the simplices of a size in sorted order: descending rank
+            levels = enumerate(pairs.births(), 1)
+            edges = (s for m, b in levels for s, t in zip(combinations(pairs.ids, m), b[::-1]) if t <= k)
             self._hypergraph = Hypergraph(frozenset(pairs.ids), frozenset(edges))
         return self._hypergraph
 
@@ -169,54 +173,77 @@ class PersistentBettiTable:
         ]
 
 
-def _simplex_basis(levels, field) -> tuple[list, list] | None:
+class _Labels:
+    """A degree's simplices by basis position, decoded from their ranks for a certificate."""
+
+    def __init__(self, ids: list, order: list, size: int):
+        self.ids, self.order, self.size = ids, order, size
+
+    def __getitem__(self, j: int) -> tuple:
+        skip = comb(len(self.ids), self.size) - 1 - self.order[j]  # rank r: r places from the last
+        return next(islice(combinations(self.ids, self.size), skip, None))
+
+
+def _rank_basis(ids: list, levels: list, field) -> tuple[list, list] | None:
     """Filtered basis of simplices, when every step spans a subcomplex.
 
-    levels[n] maps each degree-n simplex to its birth step, in sorted order;
-    the basis is ordered by (birth, simplex).  Boundary columns are built over
-    Z, checked there to square to zero and to reach only faces born no later
-    (else None is returned), and returned as field coboundaries.  The span of
-    each step is closed under the boundary, hence is its Inf and its Sup.
+    Positions u_0 < ... < u_n (position u holds ids[-1 - u]) have rank
+    sum comb(u_i, i + 1), and levels[n] maps degree-n ranks to births (a
+    list over all ranks, or a dict); descending rank is ascending simplex.
+    sigma = tau + v, v its largest position, has boundary tau minus each
+    face of tau plus v, of rank the face's + comb(v, n), a vertex being the
+    empty simplex plus v.  Each column is checked over Z as it is built
+    (from degree 2 on) and must reach only faces present and born no later
+    (else None); its coboundary rows are written alongside, in the field.
     """
-    births, columns, labels = [], [], []
+    one, minus = field.from_int(1), field.from_int(-1)
+    births, coboundaries, deep, up, faces, lower = [[0]], [], None, [0], [0], [{}]  # from degree -1
     for n, level in enumerate(levels):
-        labels.append(sorted(level, key=level.__getitem__))  # stable: (birth, simplex)
-        born = sorted(level.values())
-        if n:
-            below = births[n - 1]  # labels[n - 1] gains any missing face, then is dropped
-            ints = _integer_columns(labels[n], labels[n - 1])
-            missing = len(labels[n - 1]) > len(below)
-            if missing or any(col and below[max(col)] > b for col, b in zip(ints, born)):
-                return None  # a face is missing or born later
-            if n >= 2:
-                _check_square_zero(n - 1, columns[-1], ints, labels)
-            columns.append(ints)
-            labels[n - 1] = None  # only labels[n] may name a failure
+        sparse = isinstance(level, dict)
+        ranks = sorted(level, reverse=True) if sparse else range(len(level))[::-1]
+        order = sorted(ranks, key=level.__getitem__)
+        born, below, rows = [level[r] for r in order], births[-1], [{} for _ in births[-1]]
+        largest, shift = [comb(v, n + 1) for v in range(len(ids) + 1)], [comb(v, n) for v in range(len(ids))]
+
+        def built():
+            for j, r in enumerate(order):
+                v = bisect_right(largest, r) - 1
+                tau, up = faces[r - largest[v]], shift[v]
+                col = {tau: 1}
+                rows[tau][j] = one
+                for k, s in lower[tau].items():
+                    col[f := faces[deep[k] + up]] = -s
+                    rows[f][j] = minus if s > 0 else one
+                if below[max(col)] > born[j]:
+                    raise KeyError(r)  # a face born later
+                yield col
+
+        try:  # the top degree's columns are checked as they are built, and not kept
+            columns = built() if n + 1 == len(levels) and n > 1 else list(built())
+            if n > 1:
+                _check_square_zero(n - 1, lower, columns, {n: _Labels(ids, order, n + 1)})
+        except KeyError:  # a face is missing or born later
+            return None
         births.append(born)
-    level = labels = None  # released before the columns are transposed
-    return births, [_in_field(field, _transposed(c, len(b))) for c, b in zip(columns, births)]
+        coboundaries.append(rows)
+        deep, up, lower = up, order, columns  # ranks by position, degrees n - 1 and n
+        if n + 1 < len(levels):  # positions by rank: of the ranks present, or the inverse permutation
+            faces = dict(zip(order, count())) if sparse else sorted(ranks, key=order.__getitem__)
+    return births[1:], coboundaries[1:]
 
 
-def _transposed(columns: list, nrows: int) -> list[dict]:
-    """The rows of the columns.  Each column is released once read; the row
-    keys are made first, lest they pin the memory of the released columns."""
-    rows: list[dict] = [{} for _ in range(nrows)]
-    for j in list(range(len(columns))):
-        col, columns[j] = columns[j], None
-        for i, v in col.items():
-            rows[i][j] = v
-    return rows
-
-
-def _hypergraph_levels(hypergraphs: Sequence) -> list[dict]:
-    """Per degree, each edge of the last hypergraph mapped to the first step
-    holding it, in sorted order."""
-    birth: dict = {}
+def _hypergraph_ranks(hypergraphs: Sequence) -> tuple[list, list] | None:
+    """The vertices of the last hypergraph and, per degree, the rank of each
+    of its edges (``_rank_basis``) mapped to the first step holding it; None
+    for a directed edge out of vertex order."""
+    ids = sorted(hypergraphs[-1].vertices)
+    at, levels = {x: len(ids) - 1 - k for k, x in enumerate(ids)}, [{} for _ in ids]
     for k in range(len(hypergraphs) - 1, -1, -1):  # the earliest step is written last
-        birth.update(dict.fromkeys(hypergraphs[k].edges, k))
-    last = hypergraphs[-1]
-    levels = last.levels()
-    return [{e: birth[e] for e in levels.get(n, ())} for n in range(1, last.max_cardinality() + 1)]
+        for e in hypergraphs[k].edges:
+            if list(e) != sorted(e):
+                return None
+            levels[len(e) - 1][sum(comb(at[x], i) for i, x in enumerate(reversed(e), 1))] = k
+    return ids, levels[: hypergraphs[-1].max_cardinality()]
 
 
 def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> tuple[list, list]:
@@ -228,11 +255,9 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
     in those rows and checked to stay inside the step of their column.
     """
     build = largest_inside if kind == "inf" else smallest_containing
-    field = ambient.field
-    top = ambient.top_degree
+    field, top = ambient.field, ambient.top_degree
     echelons = [Echelon(field) for _ in range(top + 1)]
-    keys: list[list[int]] = [[] for _ in range(top + 1)]
-    births: list[list[int]] = [[] for _ in range(top + 1)]
+    keys, births = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
     for k, h in enumerate(hypergraphs):
         _, span, boundary = _edge_chains(h, field, ambient)
         embeddings = build(field, ambient.dims, span, boundary)[0]
@@ -242,8 +267,7 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
                     keys[n].append(key)
                     births[n].append(k)
             if echelons[n].dimension != embedding.ncols:
-                message = f"embedded complexes are not nested at step {k}, degree {n}"
-                raise InvariantViolation(message)
+                raise InvariantViolation(f"embedded complexes are not nested at step {k}, degree {n}")
     columns = []  # of degrees 1 to top
     for n in range(1, top + 1):
         basis = [echelons[n].rows[key] for key in keys[n]]
@@ -255,13 +279,12 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
             residual = echelons[n - 1].reduce(image, coefficients)
             column = {position[i]: v for i, v in coefficients.items()}
             if residual or (column and births[n - 1][max(column)] > born):
-                message = f"boundary leaves the step-{born} subcomplex at degree {n}"
-                raise InvariantViolation(message)
+                raise InvariantViolation(f"boundary leaves the step-{born} subcomplex at degree {n}")
             level.append(column)
         columns.append(level)
     for n in range(1, top):
         _check_square_zero(n, columns[n - 1], columns[n], None, field.characteristic)
-    return births, [_transposed(c, len(b)) for c, b in zip(columns, births)]
+    return births, [SparseMatrix._of(field, len(b), c).transpose().columns() for c, b in zip(columns, births)]
 
 
 def _bars(births: list, coboundaries: list, field) -> list[tuple[int, int, int | None]]:
@@ -290,22 +313,21 @@ def _bars(births: list, coboundaries: list, field) -> list[tuple[int, int, int |
     return bars
 
 
-def _alive(bars: list, degree: int, count: int) -> list[list[int]]:
-    """table[i][j], for i <= j: the degree bars born at or before step i
-    that are still alive at step j."""
+def _alive(bars: list, degree: int, count: int, width: int) -> list[list[int]]:
+    """table[i][j - i], for i <= j < i + width: the degree bars born at or
+    before step i that are still alive at step j."""
     by_birth: list[list[int]] = [[] for _ in range(count)]
     for d, born, dies in bars:
         if d == degree:
             by_birth[born].append(count if dies is None else dies)
-    deaths = [0] * (count + 1)  # bars born so far, by the step they die at
-    table = [[0] * count for _ in range(count)]
+    deaths, alive, table = [0] * (count + 1), 0, []  # of the bars born so far: by death, alive at i
     for i in range(count):
         for dies in by_birth[i]:
             deaths[dies] += 1
-        alive = 0
-        for j in range(count - 1, i - 1, -1):
-            alive += deaths[j + 1]
-            table[i][j] = alive
+        alive += len(by_birth[i]) - deaths[i]
+        table.append(row := [alive])
+        for j in range(i + 1, min(i + width, count)):
+            row.append(row[-1] - deaths[j])
     return table
 
 
@@ -342,25 +364,24 @@ def persistent_betti(
     if not steps:
         raise ValueError("empty filtration")
     _check_closure_cap(flag.top if flag else steps[-1].hypergraph.max_cardinality())
-    levels = flag.levels() if flag else _hypergraph_levels([s.hypergraph for s in steps])
-    basis = _simplex_basis(levels, field)
+    ranked = (flag.ids, flag.births()) if flag else _hypergraph_ranks([s.hypergraph for s in steps])
+    basis = ranked and _rank_basis(*ranked, field)
     if basis is None:
         ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field)
         basis = _echelon_basis(ambient, [s.hypergraph for s in steps], kind)
     births, bars = basis[0], _bars(*basis, field)
 
     count = len(steps)
-    ranks = [_alive(bars, n, count) for n in range(max(len(births), max(degrees, default=-1) + 1))]
-    betti_by_step = tuple(tuple(r[i][i] for r in ranks[: len(births)]) for i in range(count))
-    pairs = [(i, j) for i in range(count) for j in range(i + 1, count) if all_pairs or j == i + 1]
+    width = count if all_pairs else 2  # only the cells read: the diagonal and the pairs
+    ranks = [_alive(bars, n, count, width) for n in range(max(len(births), max(degrees, default=-1) + 1))]
+    betti_by_step = tuple(tuple(r[i][0] for r in ranks[: len(births)]) for i in range(count))
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count if all_pairs else min(i + 2, count))]
     entries = []
     for d in degrees:
         for i, j in pairs:
-            r = ranks[d][i][j]
-            if r > min(ranks[d][i][i], ranks[d][j][j]):
-                raise InvariantViolation(
-                    f"induced rank {r} exceeds min Betti at degree {d}, steps {i}->{j}"
-                )
+            r = ranks[d][i][j - i]
+            if r > min(ranks[d][i][0], ranks[d][j][0]):
+                raise InvariantViolation(f"induced rank {r} exceeds min Betti at degree {d}, steps {i}->{j}")
             entries.append((d, i, j, r))
     radii = tuple(s.representative for s in steps)
     return PersistentBettiTable(kind, degrees, radii, betti_by_step, tuple(entries), tuple(bars))
@@ -386,5 +407,4 @@ def emptiness_threshold(sample: MetricPointSample, n: int):
         # no n-subsets at all: empty from radius 0 on
         return PiValue(0) if sample.metric.exact else 0.0
     steps = build_filtration(sample, n)
-    *_, level = steps[0]._pairs[0].levels()
-    return steps[min(level.values())].upper
+    return steps[min(steps[0]._pairs[0].births()[-1])].upper

@@ -17,6 +17,9 @@ persistence the slow way, through the package's per-step embedded complexes
 and one ``induced_homology_rank`` problem per pair of steps, and
 ``homology_bars`` pairs a filtered basis by the homology reduction
 (``linalg.pivots``) that the package's cohomology reduction replaced.
+``tuple_simplex_basis`` is the filtered simplex basis built the package's
+former way, from ``flag_levels`` or ``hypergraph_levels`` dicts keyed by
+simplex tuples, where the package now computes faces from integer ranks.
 ``dense_induced_rank`` is the independent check of those induced ranks: it
 reads only an embedded complex's stored embeddings and boundary images and
 eliminates densely.  ``four_term_by_cochain_quotients`` builds the
@@ -43,6 +46,9 @@ from hyperhomology import linalg
 from hyperhomology.chains import (
     ChainComplex,
     EmbeddedComplex,
+    _check_square_zero,
+    _in_field,
+    _integer_columns,
     ambient_complex,
     inf_complex,
     largest_inside,
@@ -396,6 +402,63 @@ def persistence_csv(table):
     buffer = io.StringIO()
     csv.writer(buffer).writerows(rows)
     return buffer.getvalue()
+
+
+def flag_levels(pairs):
+    """Per degree, each simplex of a ``build_filtration`` sample (its
+    ``_pairs`` object) mapped to its step, the latest among its pairs, in
+    sorted order: the package's former tuple route, one dict per degree."""
+    level, step = {(i,): 0 for i in pairs.ids}, pairs.step
+    levels = [level]
+    for k in range(2, pairs.top + 1):
+        level = {
+            s: max(level[s[:-1]], level[s[1:]], step[s[0]][s[-1]])
+            for s in combinations(pairs.ids, k)
+        }
+        levels.append(level)
+    return levels
+
+
+def hypergraph_levels(hypergraphs):
+    """Per degree, each edge of the last hypergraph mapped to the first step
+    holding it, in sorted order."""
+    birth = {}
+    for k in range(len(hypergraphs) - 1, -1, -1):
+        birth.update(dict.fromkeys(hypergraphs[k].edges, k))
+    last = hypergraphs[-1]
+    levels = last.levels()
+    return [{e: birth[e] for e in levels.get(n, ())} for n in range(1, last.max_cardinality() + 1)]
+
+
+def tuple_simplex_basis(levels, field):
+    """The package's former filtered basis of simplices, built from tuples:
+    labels sorted by (birth, simplex), integer boundary columns from face
+    tuples (``chains._integer_columns``), checked by
+    ``chains._check_square_zero`` and transposed into field coboundaries;
+    None when a face is missing or born later."""
+    births, columns, labels = [], [], []
+    for n, level in enumerate(levels):
+        labels.append(sorted(level, key=level.__getitem__))
+        born = sorted(level.values())
+        if n:
+            below = births[n - 1]
+            ints = _integer_columns(labels[n], labels[n - 1])
+            if len(labels[n - 1]) > len(below):
+                return None
+            if any(col and below[max(col)] > b for col, b in zip(ints, born)):
+                return None
+            if n >= 2:
+                _check_square_zero(n - 1, columns[-1], ints, labels)
+            columns.append(ints)
+        births.append(born)
+    coboundaries = []
+    for cols, born in zip(columns, births):
+        rows = [{} for _ in born]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        coboundaries.append(_in_field(field, rows))
+    return births, coboundaries
 
 
 def homology_bars(births, columns, field):

@@ -450,6 +450,30 @@ def test_one_elimination_gives_the_reference_inf_and_sup(case, field):
         _assert_reference(field, dims, span, boundary, (inf.embeddings, inf.images), sup_parts)
 
 
+@settings(max_examples=150, deadline=None)
+@given(embedded_cases(), st.sampled_from([QQ, PrimeField(7)]), st.randoms(use_true_random=False))
+def test_inf_span_echelons_are_its_kernel_rows_as_they_stand(case, field, rng):
+    # Inf's span echelons, taken from its embedding columns with no
+    # elimination, have the keys, rows and answers of an eliminated echelon
+    h, mode = case
+    ambient = ambient_complex(h, mode, field=field) if mode else None
+    inf, sup = chains._inf_and_sup(h, field, ambient)
+    for n, (embedding, echelon) in enumerate(zip(inf.embeddings, inf.span_echelons)):
+        eliminated = linalg.Echelon(field, embedding.columns())
+        assert echelon.rows.keys() == eliminated.rows.keys()
+        assert _typed(echelon.rows) == _typed(eliminated.rows)
+        assert echelon._fractions == eliminated._fractions
+        columns, rows = embedding.columns(), range(embedding.nrows)
+        units = [{i: field.one} for i in rows]
+        spread = [{i: field.from_int(rng.randint(1, 3)) for i in rng.sample(rows, k)} for k in rows]
+        combined = [
+            linalg._nonzero({i: a.get(i, 0) + 2 * b.get(i, 0) for i in a | b}, field.characteristic)
+            for a, b in zip(columns, columns[1:])
+        ]
+        probes = units + columns + sup.embeddings[n].columns() + spread + combined
+        assert [echelon.contains(v) for v in probes] == [eliminated.contains(v) for v in probes]
+
+
 @st.composite
 def column_families(draw):
     """(field, dims, span, boundary): integer columns with entries up to 3

@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperhomology import filtration, linalg
 from hyperhomology.chains import ambient_complex, inf_complex, sup_complex
@@ -19,7 +19,15 @@ from hyperhomology.filtration import (
     persistent_betti,
 )
 from hyperhomology.homology import induced_homology_rank
-from hyperhomology.hypergraphs import Hypergraph, is_sigma_invariant, is_simplicial, lift, project
+from hyperhomology.errors import InvariantViolation
+from hyperhomology.hypergraphs import (
+    Hypergraph,
+    delta_closure,
+    is_sigma_invariant,
+    is_simplicial,
+    lift,
+    project,
+)
 from hyperhomology.linalg import SparseMatrix
 from hyperhomology.metrics import (
     PiValue,
@@ -35,9 +43,13 @@ from hyperhomology.metrics import (
 from oracles import (
     dense_induced_rank,
     emptiness_threshold_by_subsets,
+    flag_levels,
     homology_bars,
+    hypergraph_levels,
     pairwise_persistence,
     persistence_csv,
+    sparse_to_dense,
+    tuple_simplex_basis,
 )
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -432,8 +444,8 @@ def test_cohomology_reduction_clears_the_pivots_of_the_degree_below(field):
     # a degree-n position whose boundary adds a row to the homology echelon
     # is a cohomology pivot one degree down: its coboundary is never read
     sample = euclidean_sample([tuple(Fraction(c) for c in row) for row in TWELVE[:9]])
-    levels = build_filtration(sample, 4)[0]._pairs[0].levels()
-    births, coboundaries = filtration._simplex_basis(levels, field)
+    flag = build_filtration(sample, 4)[0]._pairs[0]
+    births, coboundaries = filtration._rank_basis(flag.ids, flag.births(), field)
     counted = [_CountingList(up) for up in coboundaries]
     bars = filtration._bars(births, counted, field)
     columns = _boundaries(births, coboundaries, field)
@@ -450,8 +462,8 @@ def test_rescaled_basis_vectors_give_the_same_bars(field):
     # (i, j) by c[n + 1][j] / c[n][i]: the pivots are no longer +1 and -1,
     # and the pairs are those of the unscaled basis
     sample = euclidean_sample([tuple(Fraction(c) for c in row) for row in TWELVE[:8]])
-    levels = build_filtration(sample, 3)[0]._pairs[0].levels()
-    births, coboundaries = filtration._simplex_basis(levels, field)
+    flag = build_filtration(sample, 3)[0]._pairs[0]
+    births, coboundaries = filtration._rank_basis(flag.ids, flag.births(), field)
     units = [[k % 5 + 2 for k in range(len(b))] for b in births]
     scaled = [
         [
@@ -520,3 +532,83 @@ def test_csv_text_of_a_computed_table_matches_the_oracle():
     assert any(isinstance(r, SqrtValue) for r in table.step_radii)
     assert any(len(row) < 4 for row in table.betti_by_step)
     assert table.to_csv() == persistence_csv(table)
+
+
+@st.composite
+def flag_samples(draw):
+    """Points on a small integer grid, whose distances tie often, or
+    rational points, for a filtration of n_max 1 to 5."""
+    coords = st.integers(0, 3) if draw(st.booleans()) else st.fractions(-4, 4, max_denominator=3)
+    points = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=8, unique=True))
+    return euclidean_sample(points), draw(st.integers(1, 5))
+
+
+@st.composite
+def hand_built_steps(draw):
+    """Steps built by hand: as drawn, mostly not simplicial; each closed
+    under faces, so simplicial; or only the last closed, so that a face is
+    born after its simplex."""
+    steps = draw(nested_hypergraph_steps())
+    closed = draw(st.sampled_from([(), range(len(steps)), [len(steps) - 1]]))
+    return [
+        FiltrationStep(k, k + 1, k, delta_closure(s.hypergraph)) if k in closed else s
+        for k, s in enumerate(steps)
+    ]
+
+
+_TRIANGLE = Hypergraph(frozenset({0, 1, 2}), frozenset({(0, 1, 2), (0, 1), (0,), (1,), (2,)}))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(flag_samples(), hand_built_steps()), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+@example(  # two of the triangle's sides are born after it, the third is not
+    [FiltrationStep(0, 1, 0, _TRIANGLE), FiltrationStep(1, 2, 1, delta_closure(_TRIANGLE))], QQ
+)
+def test_rank_basis_equals_the_tuple_basis(case, field):
+    # births, coboundaries and bars as the tuple route builds them, on the
+    # flag path and on steps built by hand (None where a face is missing or later)
+    if isinstance(case, tuple):
+        flag = build_filtration(*case)[0]._pairs[0]
+        built = filtration._rank_basis(flag.ids, flag.births(), field)
+        expected = tuple_simplex_basis(flag_levels(flag), field)
+    else:
+        hypergraphs = [s.hypergraph for s in case]
+        built = filtration._rank_basis(*filtration._hypergraph_ranks(hypergraphs), field)
+        expected = tuple_simplex_basis(hypergraph_levels(hypergraphs), field)
+    assert built == expected
+    if expected is not None:
+        assert filtration._bars(*built, field) == filtration._bars(*expected, field)
+
+
+@pytest.mark.parametrize("column", [0, 7, 14])
+def test_a_corrupted_rank_basis_column_fails_with_the_least_nonzero_certificate(monkeypatch, column):
+    # one sign of a built degree-3 column flipped: the certificate is the
+    # least nonzero (row, column) of d_2 d_3, found densely, and names the
+    # column's simplex as the tuple route labels it
+    sample = euclidean_sample([tuple(Fraction(c) for c in row) for row in TWELVE[:7]])
+    steps = build_filtration(sample, 4)
+    check, seen = filtration._check_square_zero, []
+
+    def corrupted(n, lower, upper, labels, p=0):
+        upper = [dict(col) for col in upper]
+        if n == 2:
+            row = min(upper[column])
+            upper[column][row] = -upper[column][row]
+            seen.append((lower, upper))
+        return check(n, lower, upper, labels, p)
+
+    monkeypatch.setattr(filtration, "_check_square_zero", corrupted)
+    with pytest.raises(InvariantViolation) as failure:
+        persistent_betti(steps, [0, 1])
+    (lower, upper), = seen
+    left = sparse_to_dense(SparseMatrix.from_columns(QQ, len(steps[-1].hypergraph.level(2)), lower))
+    right = sparse_to_dense(SparseMatrix.from_columns(QQ, len(lower), upper))
+    i, j = min(
+        (i, j)
+        for i, row in enumerate(left)
+        for j in range(len(upper))
+        if sum(a * right[k][j] for k, a in enumerate(row))
+    )
+    level = flag_levels(steps[0]._pairs[0])[3]
+    label = sorted(level, key=level.__getitem__)[j]
+    assert failure.value.certificate == {"degree": 3, "chain": str(label), "row": i}

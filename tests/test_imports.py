@@ -244,11 +244,10 @@ def test_cycle_bases_are_built_only_for_representatives():
 
 
 def test_boundary_columns_are_built_from_faces_in_two_places():
-    """With no ambient (``chains._edge_chains``) and for a filtration of
-    simplices (``filtration._simplex_basis``); inside an ambient its columns
-    are read, so no path rebuilds them."""
-    outside = set(_calls_outside("_integer_columns", "chains.py", "_edge_chains"))
-    outside &= set(_calls_outside("_integer_columns", "filtration.py", "_simplex_basis"))
+    """With no ambient, from face tuples (``chains._edge_chains``), and for a
+    filtration of simplices, from integer ranks (``filtration._rank_basis``);
+    inside an ambient its columns are read, so no path rebuilds them."""
+    outside = _calls_outside("_integer_columns", "chains.py", "_edge_chains")
     assert not outside, f"_integer_columns called elsewhere: {sorted(outside)}"
 
 

@@ -650,8 +650,8 @@ def test_cli_persist_cap_exits_before_listing_simplices(
     def unreachable(*args, **kwargs):
         raise AssertionError("simplices listed above the cap")
 
-    monkeypatch.setattr(filtration._PairSteps, "levels", unreachable)
-    monkeypatch.setattr(filtration, "_simplex_basis", unreachable)
+    monkeypatch.setattr(filtration._PairSteps, "births", unreachable)
+    monkeypatch.setattr(filtration, "_rank_basis", unreachable)
     monkeypatch.setenv("HYPERHOMOLOGY_SIMPLEX_CAP", str(size - 1))
     pts = tmp_path / "points.csv"
     pts.write_text(points)
