@@ -365,7 +365,6 @@ def _keyed_echelon(field, columns: list[dict]) -> linalg.Echelon:
     echelon.rows = {max(col): col for col in columns if col}
     if len(echelon.rows) < len(columns) or any(row[k] != 1 for k, row in echelon.rows.items()):
         return linalg.Echelon(field, columns)
-    echelon._fractions = any(map(linalg._holds_fraction, map(dict.values, columns)))
     return echelon
 
 
@@ -438,8 +437,6 @@ def _sup_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
     echelon, units = linalg.Echelon(field), {j: {j: field.one} for j in span[n]}
     rows = ((k, row) for k, row in tagged.rows.items() if k >= 0)
     echelon.rows = units | {k: {c: v for c, v in row.items() if c >= 0} for k, row in rows}
-    fractions = map(linalg._holds_fraction, map(dict.values, echelon.rows.values()))
-    echelon._fractions = tagged._fractions and any(fractions)
     kept = [*units.values(), *(boundary[n + 1][span[n + 1][k]] for k in found)]
     images = [boundary[n][j] for j in span[n]] + [{}] * len(found)
     embedding = SparseMatrix._of(field, dims[n], kept)

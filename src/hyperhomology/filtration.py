@@ -150,8 +150,10 @@ class PersistentBettiTable:
     def to_csv(self) -> str:
         """The entries under a header, as ``csv.writer`` writes them (float radii, CRLF)."""
         radii = [repr(float(r)) for r in self.step_radii]
+        top = max(self.degrees, default=-1) + 1
+        betti = [(*row, *[0] * (top - len(row))) for row in self.betti_by_step]
         rows = [
-            f"{d},{radii[i]},{radii[j]},{self.rank(d, i, i)},{self.rank(d, j, j)},{r}\r\n"
+            f"{d},{radii[i]},{radii[j]},{betti[i][d]},{betti[j][d]},{r}\r\n"
             for d, i, j, r in self.entries
         ]
         return "degree,r_i,r_j,beta_i,beta_j,rank\r\n" + "".join(rows)

@@ -250,16 +250,19 @@ def quotient_pair_check(h: Hypergraph, field=QQ, *, max_degree: int | None = Non
     when a 0-chain of W has a nonzero coefficient sum, and 0 otherwise.
     The map C/Inf -> C/Sup, x + Inf to x + Sup, is defined exactly when Inf
     lies in Sup, and it is then onto: that is the surjectivity flag.
+    Before any other work it refuses, in this order, directed input, a
+    negative max_degree and one below the top edge's degree (ValueError),
+    and then N over the simplex cap.
     """
     if h.directed:
         raise ValueError("full simplex ambient applies to unordered hypergraphs")
     size, top = len(h.vertices), h.max_cardinality() - 1
-    check_cap(size, "simplex", f"full simplex on {size} vertices")
     degree = max_degree if max_degree is not None else max(top, 0)
     if degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {degree}")
     if degree < top:
         raise ValueError(f"max_degree {degree} is below the top edge's degree {top}")
+    check_cap(size, "simplex", f"full simplex on {size} vertices")
     inf, sup = _inf_and_sup(h, field, None)
     m = min(degree, size - 1)
     simplex = [(n == 0) + (n == m) * comb(size - 1, m + 1) for n in range(m + 1)]

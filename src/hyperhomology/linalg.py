@@ -153,17 +153,19 @@ def _check(field, nrows: int, columns: list[dict]) -> None:
 class Echelon:
     """Incremental echelon of sparse vectors keyed by their largest index.
 
-    Each stored row has coefficient 1 at its key and support only on smaller
-    indices.  ``reduce`` returns the normal form of a vector: it differs from
-    the vector by an element of the span and is zero at every key, so it is
-    zero exactly for members of the span.  The rows are a basis of the span,
-    and ``reduce`` can report a vector's coordinates in it.
+    Its only state is its rows: each stored row has coefficient 1 at its key
+    and support only on smaller indices.  ``reduce`` returns the normal form
+    of a vector: it differs from the vector by an element of the span and is
+    zero at every key, so it is zero exactly for members of the span.  The
+    rows are a basis of the span, and ``reduce`` can report a vector's
+    coordinates in it.  Over Q, ``reduce`` and ``add`` return and store
+    integral values as ints, whatever the types of the vector and the rows,
+    so rows set by hand need no other bookkeeping.
     """
 
     def __init__(self, field, vectors: Iterable[dict] = ()):
         self.field = field
         self.rows: dict[int, dict] = {}
-        self._fractions = False  # whether a stored row holds a Fraction
         _added(self, vectors)
 
     def reduce(self, vector: dict, coefficients: dict | None = None) -> dict:
@@ -178,8 +180,7 @@ class Echelon:
         if p:
             _reduce_mod_p(vec, self.rows, pending, coefficients, p)
         else:
-            fractions = self._fractions or _holds_fraction(vec.values())
-            _reduce_exact(vec, self.rows, pending, coefficients, fractions)
+            _reduce_exact(vec, self.rows, pending, coefficients)
         return vec
 
     def add(self, vector: dict) -> int | None:
@@ -193,10 +194,8 @@ class Echelon:
         if p:
             inv = pow(pivot, -1, p)
             residual = {c: v * inv % p for c, v in residual.items()}
-        else:
-            if pivot != 1:
-                residual = {c: _quotient(v, pivot) for c, v in residual.items()}
-            self._fractions = self._fractions or _holds_fraction(residual.values())
+        elif pivot != 1:
+            residual = {c: _quotient(v, pivot) for c, v in residual.items()}
         self.rows[key] = residual
         return key
 
@@ -206,7 +205,7 @@ class Echelon:
     def copy(self) -> "Echelon":
         """The same rows, to extend apart; ``add`` never changes a stored row."""
         other = Echelon(self.field)
-        other.rows, other._fractions = dict(self.rows), self._fractions
+        other.rows = dict(self.rows)
         return other
 
     @property
@@ -214,10 +213,8 @@ class Echelon:
         return len(self.rows)
 
 
-def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients, fractions: bool) -> None:
-    """Echelon.reduce over Q, in place on vec; integral values end as ints.
-    Without a Fraction in vec or in the rows (fractions false) every value
-    stays an int."""
+def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients) -> None:
+    """Echelon.reduce over Q, in place on vec; integral values end as ints."""
     while pending:
         key = -heapq.heappop(pending)
         factor = vec.get(key)
@@ -235,20 +232,10 @@ def _reduce_exact(vec: dict, rows: dict, pending: list, coefficients, fractions:
                 vec[c] = s
             else:
                 del vec[c]
-    if not fractions:
-        return
     for values in (vec, coefficients or {}):  # integral Fractions become ints
         for c, v in values.items():
             if v.__class__ is not int and v.denominator == 1:
                 values[c] = v.numerator
-
-
-def _holds_fraction(values) -> bool:
-    """Whether any of these Q scalars is a Fraction."""
-    for v in values:
-        if v.__class__ is not int:
-            return True
-    return False
 
 
 def _quotient(a, b):

@@ -28,6 +28,8 @@ and takes the largest deletion-closed part from
 ``lower_associated_by_subsets``, which enumerates every subset of an edge.
 ``persistence_csv`` writes a persistence table's rows of Python values with
 ``csv.writer``, as the package did before it formatted its own CSV text.
+``typed`` pairs each value of a vector or of echelon rows with its type, for
+comparisons that tell an int from an equal Fraction.
 The group oracles work on permutations of range(n) as plain image tuples,
 check every pair of elements, and walk all n! maps for vertex symmetries and
 isometries.  The point-sample oracles sum squared distances in Fraction
@@ -203,6 +205,12 @@ def sparse_to_dense(matrix):
     for (i, j), v in matrix.entries.items():
         dense[i][j] = Fraction(str(v)) if not isinstance(v, (int, Fraction)) else Fraction(v)
     return dense
+
+
+def typed(values: dict) -> dict:
+    """A vector, or echelon rows, with each value paired with its type, so an
+    int and an equal Fraction differ."""
+    return {k: typed(v) if isinstance(v, dict) else (v.__class__, v) for k, v in values.items()}
 
 
 def fixed_subspace_dimension(edge_list, generators):

@@ -2,6 +2,7 @@ import argparse
 import enum
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -25,6 +26,15 @@ from hyperhomology.jsonio import (
 )
 from hyperhomology.metrics import PiValue
 from hyperhomology.suites import SuiteResult, group_tables_suite, quasi_iso_suite
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so a
+    subprocess imports the package under test, installed or not."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, path] if path else [SRC])}
 
 
 def test_parse_hypergraph_canonicalizes():
@@ -502,6 +512,7 @@ def test_cli_one_30_vertex_edge(tmp_path):
             capture_output=True,
             text=True,
             timeout=10,
+            env=src_env(),
         )
         assert proc.returncode == code, (argv, proc.stderr)
         if code == 0:
@@ -580,6 +591,7 @@ def test_cli_report_determinism(tmp_path):
             capture_output=True,
             text=True,
             check=True,
+            env=src_env(),
         )
         payload = json.loads(proc.stdout)
         payload.pop("timing_seconds")
@@ -662,16 +674,22 @@ def test_cli_persist_cap_exits_before_listing_simplices(
     assert captured.err.strip() == expected
 
 
-@pytest.mark.parametrize("max_degree", ["0", "-1"])
+@pytest.mark.parametrize(
+    "max_degree, expected",
+    [
+        ("0", "max_degree 0 is below the top edge's degree 2"),
+        ("-1", "max_degree must be non-negative, got -1"),
+    ],
+    ids=["0", "-1"],
+)
 def test_cli_quotient_check_rejects_an_ambient_below_the_top_edge(
-    tmp_path, capsys, max_degree
+    tmp_path, capsys, max_degree, expected
 ):
     path = write_fixture(tmp_path, "h.json", {"edges": [[0, 1], [1, 2], [0, 1, 2], [2, 3]]})
     assert main(["quotient-check", path, "--max-degree", max_degree]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = f"error: --max-degree {max_degree} is below the top edge's degree 2"
-    assert captured.err.strip() == expected
+    assert captured.err.strip() == f"error: {expected}"
     assert main(["quotient-check", path, "--max-degree", "2"]) == 0
 
 
@@ -697,6 +715,13 @@ def test_cli_quotient_check_rejects_a_negative_max_degree(tmp_path, capsys):
     assert captured.err == "error: max_degree must be non-negative, got -1\n"
     assert main(["quotient-check", path, "--max-degree", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["betti_ambient_mod_inf"] == [3]
+    # the input checks come before the cap on the full simplex's vertices
+    path = write_fixture(tmp_path, "h.json", {"vertices": list(range(17)), "edges": []})
+    assert main(["quotient-check", path, "--max-degree", "-1"]) == 2
+    assert capsys.readouterr().err == "error: max_degree must be non-negative, got -1\n"
+    path = write_fixture(tmp_path, "d.json", {"vertices": list(range(17)), "directed_edges": [[1, 0]]})
+    assert main(["quotient-check", path]) == 2
+    assert capsys.readouterr().err == "error: full simplex ambient applies to unordered hypergraphs\n"
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
@@ -823,6 +848,11 @@ def test_importing_the_cli_builds_no_parser():
         "print(len(built))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=30
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=30,
+        env=src_env(),
     )
     assert proc.stdout.strip() == "0"

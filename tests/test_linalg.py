@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from hyperhomology.hypergraphs import hypergraph
 from hyperhomology import linalg
 from hyperhomology.linalg import SparseMatrix
 
-from oracles import dense_kernel, dense_rank, dense_solve, sparse_to_dense
+from oracles import dense_kernel, dense_rank, dense_solve, sparse_to_dense, typed
 
 
 def random_matrix(rng, nrows, ncols, field=QQ, density=0.4):
@@ -121,19 +122,67 @@ def test_echelon_with_fractions_in_the_vector_only_stores_ints():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool)), max_size=8))
 def test_int_echelon_never_stores_a_fraction_while_pivots_are_units(vectors):
-    # while every pivot met is 1 or -1, no Fraction is ever made: rows,
-    # residuals and coefficients are ints, and the echelon records none;
-    # once a row holds a Fraction, the echelon records it
-    reducer = linalg.Echelon(QQ)
+    # while no row holds a Fraction, residuals and coefficients are ints, and
+    # while every pivot met is 1 or -1, no row holds one; every stored value
+    # is a Q scalar in normal form
+    reducer, units, stored = linalg.Echelon(QQ), True, []
     for vector in vectors:
         coefficients = {}
         residual = reducer.reduce(vector, coefficients)
-        if not reducer._fractions:
+        if not any(type(v) is Fraction for v in stored):
             assert all(type(v) is int for v in [*residual.values(), *coefficients.values()])
         reducer.add(vector)
+        units = units and (not residual or residual[max(residual)] in (1, -1))
         stored = [v for row in reducer.rows.values() for v in row.values()]
         assert all(map(is_q_scalar, stored))
-        assert reducer._fractions == any(type(v) is Fraction for v in stored)
+        assert not units or all(type(v) is int for v in stored)
+
+
+def _fraction_typed(vector: dict) -> dict:
+    return {c: Fraction(v) for c, v in vector.items()}
+
+
+def _normal(value):
+    return value.numerator if value.denominator == 1 else value
+
+
+int_vectors = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4).filter(bool)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_vectors, int_vectors)
+@example([{0: 1, 1: 2}, {0: 3, 1: 1}], [{0: 1, 1: 4}, {1: 2}])  # rows of halves
+def test_echelon_outputs_are_in_normal_form_whatever_the_input_types(vectors, probes):
+    # int vectors and the equal Fraction-typed vectors give an echelon over Q
+    # the same keys and rows, and every echelon the same residuals and
+    # coefficients, with no integral Fraction anywhere.  So do rows set by
+    # hand, as Sup's are: one vector per largest index, divided by its value
+    # there, is the echelon that adds those vectors largest index first, as
+    # each then meets only keys above its support
+    ints, fractions = linalg.Echelon(QQ), linalg.Echelon(QQ)
+    assert [ints.add(v) for v in vectors] == [fractions.add(_fraction_typed(v)) for v in vectors]
+    tops = {}
+    for v in vectors:
+        if v:
+            tops.setdefault(max(v), v)
+    by_hand = linalg.Echelon(QQ)
+    by_hand.rows = {k: {c: _normal(Fraction(x, v[k])) for c, x in v.items()} for k, v in tops.items()}
+    descending = [tops[k] for k in sorted(tops, reverse=True)]
+    added = linalg.Echelon(QQ, map(_fraction_typed, descending))
+    assert typed(ints.rows) == typed(fractions.rows)
+    assert typed(by_hand.rows) == typed(added.rows) == typed(linalg.Echelon(QQ, descending).rows)
+    for echelons in ((ints, fractions), (by_hand, added)):
+        for probe in vectors + probes:
+            reduced = []
+            for echelon, vector in product(echelons, (probe, _fraction_typed(probe))):
+                coefficients = {}
+                residual = echelon.reduce(vector, coefficients)
+                reduced.append((typed(residual), typed(coefficients)))
+                values = [*residual.values(), *coefficients.values()]
+                assert all(map(is_q_scalar, values))
+            assert reduced == reduced[:1] * len(reduced)
+    stored = [v for e in (ints, fractions, by_hand) for row in e.rows.values() for v in row.values()]
+    assert all(map(is_q_scalar, stored))
 
 
 def test_mod_p_rank_matches_rational_rank_generically():
@@ -179,16 +228,15 @@ def test_image_rank_modulo():
 def test_echelon_copy_extends_without_changing_the_original(field):
     original = linalg.Echelon(field)
     assert original.add({0: 1, 1: 2}) == 1  # over Q the row holds 1/2
-    assert original._fractions == (field is QQ)
+    assert type(original.rows[1][0]) is (Fraction if field is QQ else int)
     rows = {key: dict(row) for key, row in original.rows.items()}
     copy = original.copy()
-    assert copy.rows == original.rows and copy._fractions == original._fractions
+    assert typed(copy.rows) == typed(original.rows)
     assert copy.add({1: 1, 2: 3}) == 2
     assert copy.add({0: 1}) == 0
     assert copy.add({1: 1}) is None
     assert copy.dimension == 3 and copy.contains({2: 1})
-    assert original.rows == rows and original.dimension == 1
-    assert original._fractions == (field is QQ)
+    assert typed(original.rows) == typed(rows) and original.dimension == 1
     assert not original.contains({2: 1}) and not original.contains({0: 1})
 
 
