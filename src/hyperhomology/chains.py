@@ -21,15 +21,15 @@ found around the edge span of any hypergraph from one elimination per
 degree, of the edges' boundary columns outside the edges one degree down:
 Inf's kernel in that degree, Sup's rows one degree down.  Homology reads
 them through their boundary images and one echelon of each subspace; the
-image echelons are built from the top degree down, and Sup's skip, by
-clearing, the images that depend on earlier ones.
+image echelons are built from the top degree down, skipping by clearing the
+images of basis vectors that lead at a key one degree up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, takewhile
+from itertools import chain, combinations
 from math import comb
 from typing import Sequence
 
@@ -297,9 +297,10 @@ class EmbeddedComplex:
     ``betti(representatives=True)``) canonical kernel, as the embeddings have
     independent columns.  Echelons of embeddings[n] (``span_echelons``; Sup
     keeps its unit rows and those of ``_outside_echelon``) and images[n]
-    (``image_echelons``) answer every question about those subspaces; they and
-    the internal chain complex ``complex`` (matrix dumps, the Hodge Laplacian,
-    structural checks) are built on first read, outside equality and repr.
+    (``image_echelons``, cleared at the ``leads``) answer every question about
+    those subspaces; they and the internal chain complex ``complex`` (matrix
+    dumps, the Hodge Laplacian, structural checks) are built on first read,
+    and kept, with the leads, outside equality and repr.
     """
 
     field: object
@@ -320,29 +321,38 @@ class EmbeddedComplex:
         return tuple(_keyed_echelon(self.field, e.columns()) for e in self.embeddings)
 
     @cached_property
+    def leads(self) -> tuple[dict[int, int], ...]:
+        """Per degree, {p: k} for basis vectors b_k each the only one of them
+        nonzero at position p, where it is 1.  ``_embedded`` keeps Sup's span
+        units and Inf's kernel vectors at their free columns; a complex built
+        otherwise has none."""
+        return tuple({} for _ in self.embeddings)
+
+    @cached_property
     def image_echelons(self) -> tuple[linalg.Echelon, ...]:
         """Per degree, the echelon of the images, built from the top degree
-        down with clearing.  Take the unit vectors e_i that lead the basis
-        (Sup's basis starts with the units of its span).  The image of such
-        an e_i is skipped when the echelon one degree up has a row keyed at i
-        supported on these units: that row is a cycle, so d e_i is a
-        combination of the images of the e_l, l < i, and skipping every such
-        image keeps the span."""
+        down with clearing: the images of ``_cleared`` are skipped."""
         echelons, above = [], {}
-        for basis, images in zip(reversed(self.embeddings), reversed(self.images)):
-            leading = takewhile(lambda col: len(col) == 1, basis.columns())
-            units = {next(iter(col)): k for k, col in enumerate(leading)}
-            # units at positions 0..m-1 hold the support of every row keyed at one of them
-            prefix = len(units) > max(units, default=-1)
-            keyed = (i for i in above if i in units)
-            skip = {units[i] for i in keyed if prefix or units.keys() >= above[i].keys()}
-            echelon = linalg.Echelon(self.field)
-            for k, col in enumerate(images.columns()):
+        for n in range(len(self.images) - 1, -1, -1):
+            skip, echelon = self._cleared(n, above), linalg.Echelon(self.field)
+            for k, col in enumerate(self.images[n].columns()):
                 if col and k not in skip:
                     echelon.add(col)
             echelons.append(echelon)
             above = echelon.rows
         return tuple(reversed(echelons))
+
+    def _cleared(self, n: int, above: dict) -> set[int]:
+        """The degree-n leads that clearing skips (Chen and Kerber 2011): b_k,
+        leading at p, when above, the image echelon one degree up, has a row
+        keyed at p in the span of the leads.  That always holds when the
+        leads are the whole basis (Inf's); for units (Sup's), when they hold
+        the row's support, as units at 0..m-1 do.  The row is a cycle whose
+        coefficients on the skipped b_k form a triangular matrix with unit
+        diagonal, so every skipped image is a combination of those kept."""
+        leads = self.leads[n]
+        spans = len(leads) in (self.embeddings[n].ncols, 1 + max(leads, default=-1))
+        return {leads[p] for p in above if p in leads and (spans or leads.keys() >= above[p].keys())}
 
     @cached_property
     def complex(self) -> ChainComplex:
@@ -482,8 +492,13 @@ def _embedded(field, labels, span, embeddings, images, echelons=None) -> Embedde
         if not all(i in inside for col in images[n].columns() for i in col):
             raise _not_inside(n)
     embedded = EmbeddedComplex(field, labels, embeddings, images)
+    leads = [dict(zip(cols, range(len(cols)))) for cols in span]  # Sup's basis starts with these units
     if echelons is not None:  # Sup's, stored where the cached_property keeps them
         vars(embedded)["span_echelons"] = echelons
+    else:  # Inf's vector k is 1 at its tag key in ``_inf_degree``, its last column in span order
+        for n, (cols, at) in enumerate(zip(span, leads)):
+            leads[n] = {cols[max(map(at.__getitem__, c))]: k for k, c in enumerate(embeddings[n].columns())}
+    vars(embedded)["leads"] = tuple(leads)
     return embedded
 
 

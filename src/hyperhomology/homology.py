@@ -89,11 +89,14 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
 
     Both complexes must be embedded in chains on the same labels, over one
     characteristic, and n must be >= 0 (ValueError otherwise); above the top
-    degree the rank is 0.  Degree n of the source must lie in the target
-    (``_inside``; InvariantViolation otherwise).  For subcomplexes A of B the
-    rank is dim(A_n + B_n(B)) - dim B_n(B) - rank d(A_n), as Z_n(A) + B_n(B)
-    is the kernel of d on A_n + B_n(B): the source basis vectors that extend
-    a copy of the target's degree-(n+1) image echelon, less its image rank.
+    degree the rank is 0.  Degrees n and n + 1 of the source must lie in the
+    target (``_inside``; InvariantViolation otherwise), so that B_n(source)
+    lies in B_n(target).  For subcomplexes A of B the rank is
+    dim(A_n + B_n(B)) - dim B_n(B) - rank d(A_n), as Z_n(A) + B_n(B) is the
+    kernel of d on A_n + B_n(B): the source basis vectors that extend a copy
+    of the target's degree-(n+1) image echelon, less its image rank.  The
+    vectors that the source's own clearing skips (``_cleared``) lie in the
+    span of the others and B_n(source), so they are not offered.
     """
     if source.labels is not target.labels and source.labels != target.labels:
         raise ValueError("complexes are not embedded in chains on the same labels")
@@ -101,12 +104,16 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
         raise ValueError("complexes are over fields of different characteristic")
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
-    if n >= len(source.embeddings):
+    top = len(source.embeddings) - 1
+    if n > top:
         return 0
-    if not _inside(source, target, n):
-        raise InvariantViolation(f"degree-{n} chains do not lie in the target subcomplex")
-    up = next(iter(target.image_echelons[n + 1 :]), linalg.Echelon(target.field)).copy()
-    added = sum(up.add(col) is not None for col in source.embeddings[n].columns())
+    for d in range(n, min(n + 1, top) + 1):
+        if not _inside(source, target, d):
+            raise InvariantViolation(f"degree-{d} chains do not lie in the target subcomplex")
+    up = target.image_echelons[n + 1].copy() if n < top else linalg.Echelon(target.field)
+    skip = source._cleared(n, source.image_echelons[n + 1].rows if n < top else {})
+    columns = source.embeddings[n].columns()
+    added = sum(up.add(col) is not None for k, col in enumerate(columns) if k not in skip)
     return added - source.image_echelons[n].dimension
 
 
@@ -280,9 +287,15 @@ def quotient_pair_check(h: Hypergraph, field=QQ, *, max_degree: int | None = Non
 
 
 def _inside(small: EmbeddedComplex, big: EmbeddedComplex, n: int | None = None) -> bool:
-    """Whether small lies in big in degree n, or every degree, both on the same labels."""
-    degrees = range(len(small.embeddings)) if n is None else (n,)
-    return all(all(map(big.span_echelons[d].contains, small.embeddings[d].columns())) for d in degrees)
+    """Whether small lies in big in degree n, or every degree, both on the
+    same labels.  A vector supported on unit rows of big's span echelon (as
+    Inf's vectors are on Sup's) is in it with no reduction."""
+    for d in range(len(small.embeddings)) if n is None else (n,):
+        echelon = big.span_echelons[d]
+        units = {i for i, row in echelon.rows.items() if len(row) == 1}
+        if not all(units.issuperset(col) or echelon.contains(col) for col in small.embeddings[d].columns()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

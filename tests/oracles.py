@@ -12,7 +12,9 @@ C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
 whole deletion-closure ambient, and ``smallest_containing`` is the package's
 former Sup builder: one ``Echelon.add`` per unit and per boundary column,
 with no elimination shared with Inf; ``plain_image_echelons`` eliminates
-every image column of an embedded complex, with no clearing.  ``pairwise_persistence`` computes
+every image column of an embedded complex, with no clearing, and
+``permuted_closure`` gives a closure ambient whose degree-1 labels are out
+of sorted order.  ``pairwise_persistence`` computes
 persistence the slow way, through the package's per-step embedded complexes
 and one ``induced_homology_rank`` problem per pair of steps, and
 ``homology_bars`` pairs a filtered basis by the homology reduction
@@ -593,6 +595,23 @@ def smallest_containing(field, dims, span, boundary):
         images.append(SparseMatrix.from_columns(field, below, [d for _, d in kept]))
         echelons.append(echelon)
     return tuple(embeddings), tuple(images), tuple(echelons)
+
+
+def permuted_closure(h, field=QQ):
+    """The closure ambient of h with its degree-1 labels reversed, and the
+    boundary columns of degree 1 and rows of degree 2 moved with them: a
+    chain complex on the same simplices whose degree-1 span positions
+    decrease."""
+    ambient = ambient_complex(h, "closure", field=field)
+    if ambient.top_degree < 1:
+        return ambient
+    labels, boundaries, last = list(ambient.labels), list(ambient.boundaries), ambient.dim(1) - 1
+    labels[1] = labels[1][::-1]
+    boundaries[1] = SparseMatrix.from_columns(field, ambient.dim(0), boundaries[1].columns()[::-1])
+    if ambient.top_degree > 1:
+        moved = [{last - i: v for i, v in col.items()} for col in boundaries[2].columns()]
+        boundaries[2] = SparseMatrix.from_columns(field, last + 1, moved)
+    return ChainComplex(field, ambient.dims, tuple(boundaries), labels=tuple(labels))
 
 
 def plain_image_echelons(embedded):

@@ -16,11 +16,12 @@ from hyperhomology.chains import (
 from hyperhomology.errors import InvariantViolation, ResourceCapError
 from hyperhomology.fields import QQ, PrimeField
 from hyperhomology.homology import betti
-from hyperhomology.hypergraphs import delta_closure, hyperdigraph, hypergraph
+from hyperhomology.hypergraphs import delta_closure, hyperdigraph, hypergraph, lower_associated
 from hyperhomology.linalg import SparseMatrix
 
 from oracles import (
     dense_rank,
+    permuted_closure,
     plain_image_echelons,
     simplicial_boundary_dense,
     smallest_containing,
@@ -520,16 +521,61 @@ def test_inf_and_sup_add_each_edge_column_once(monkeypatch, field, mode):
         assert calls == []
 
 
+def _lower_stage(h, field, labels, span, boundary):
+    """The four-term sequence's last stage: Inf of the span of the edges of
+    the largest deletion-closed part of h, on the labels of h."""
+    kept = lower_associated(h).edges
+    lower_span = [[j for j in cols if labels[n][j] in kept] for n, cols in enumerate(span)]
+    built = chains.largest_inside(field, list(map(len, labels)), lower_span, boundary)
+    return chains._embedded(field, labels, lower_span, *built)
+
+
 @settings(max_examples=200, deadline=None)
 @given(embedded_cases(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+# Inf's degree-1 vector (0, 3) - (0, 2) has its free column (0, 3) below the
+# pivot column (0, 2) once the degree-1 labels are reversed
+@example((hypergraph([[2], [3], [0, 2], [0, 3], [2, 3], [0, 2, 3]]), None), QQ)
 def test_image_echelons_with_clearing_keep_the_plain_keys(case, field):
     # clearing skips image columns that depend on earlier ones, so each
-    # degree's echelon spans the same space and has the same keys
+    # degree's echelon spans the same space and has the same keys, for Inf,
+    # Sup and the four-term lower stage; also in a closure whose degree-1
+    # labels are reversed, where an Inf vector's largest index can be a pivot
+    # column: each lead is 1 at its position, where no other lead is nonzero,
+    # and Inf's leads are its whole basis
     h, mode = case
-    ambient = ambient_complex(h, mode, field=field) if mode else None
-    for embedded in chains._inf_and_sup(h, field, ambient):
-        plain = plain_image_echelons(embedded)
-        assert [sorted(e.rows) for e in embedded.image_echelons] == [sorted(e.rows) for e in plain]
+    for ambient in (ambient_complex(h, mode, field=field) if mode else None, permuted_closure(h, field)):
+        labels, span, boundary = chains._edge_chains(h, field, ambient)
+        inf, sup = chains._around_span(field, labels, span, boundary)
+        lower = _lower_stage(h, field, labels, span, boundary)
+        for embedded in (inf, sup, lower):
+            plain = plain_image_echelons(embedded)
+            assert [sorted(e.rows) for e in embedded.image_echelons] == [sorted(e.rows) for e in plain]
+            for leads, basis in zip(embedded.leads, embedded.embeddings):
+                columns = basis.columns()
+                for p, k in leads.items():
+                    assert columns[k][p] == field.one
+                    assert [j for j in leads.values() if p in columns[j]] == [k]
+                assert embedded is sup or len(leads) == basis.ncols
+
+
+def test_inf_image_echelons_add_no_image_that_clearing_fixes(monkeypatch):
+    # degree n of Inf adds at most dim Inf_n - rank B_n(Inf) images: every row
+    # of B_n(Inf) is keyed at an Inf vector's free column, whose image is then
+    # skipped.  In a filled triangle without its vertex 0, Inf's degree-1
+    # basis starts with (0, 3) - (0, 2), not with a unit; the second input is
+    # a punched closure of two tetrahedra sharing an edge
+    closed = delta_closure(hypergraph([[0, 1, 2, 3], [2, 3, 4, 5]])).sorted_edges()
+    punched = [e for k, e in enumerate(closed) if k % 5 != 2]
+    for h in (hypergraph([[2], [3], [0, 2], [0, 3], [2, 3], [0, 2, 3]]), hypergraph(punched)):
+        inf = inf_complex(h)
+        add, calls = linalg.Echelon.add, []
+        monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(self) or add(self, v))
+        echelons = inf.image_echelons
+        monkeypatch.setattr(linalg.Echelon, "add", add)
+        ranks = [e.dimension for e in echelons[1:]] + [0]
+        adds = [sum(c is e for c in calls) for e in echelons]
+        bounds = [d - r for d, r in zip(inf.dims, ranks)]
+        assert all(a <= b for a, b in zip(adds, bounds)) and sum(ranks) > 0, (adds, bounds)
 
 
 def test_clearing_tests_the_support_of_a_row_inside_an_ambient():

@@ -47,6 +47,7 @@ from oracles import (
     homology_bars,
     hypergraph_levels,
     pairwise_persistence,
+    permuted_closure,
     persistence_csv,
     sparse_to_dense,
     tuple_simplex_basis,
@@ -324,16 +325,18 @@ def filtrations(draw):
 @given(nested_hypergraph_steps(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
 def test_induced_ranks_between_steps_match_dense_cycles(steps, field):
     """Inf(step i) -> Inf(step j) and Sup(step i) -> Sup(step j) in the last
-    step's closure, and Inf -> Sup in closure and full-simplex ambients, as
-    ``dense_induced_rank`` finds them from dense cycles."""
+    step's closure and in that closure with its degree-1 labels reversed, and
+    Inf -> Sup in closure and full-simplex ambients and the reversed closure,
+    as ``dense_induced_rank`` finds them from dense cycles."""
     p = field.characteristic or None
     last = steps[-1].hypergraph
-    closure = ambient_complex(last, "closure", field=field)
+    closure, permuted = ambient_complex(last, "closure", field=field), permuted_closure(last, field)
     pairs = []
     for build in (inf_complex, sup_complex):
-        built = [build(s.hypergraph, field=field, ambient=closure) for s in steps]
-        pairs += [(a, b) for i, a in enumerate(built) for b in built[i:]]
-    for ambient in (closure, ambient_complex(last, "full_simplex", field=field)):
+        for ambient in (closure, permuted):
+            built = [build(s.hypergraph, field=field, ambient=ambient) for s in steps]
+            pairs += [(a, b) for i, a in enumerate(built) for b in built[i:]]
+    for ambient in (closure, ambient_complex(last, "full_simplex", field=field), permuted):
         for h in (s.hypergraph for s in steps):
             pairs.append((inf_complex(h, field, ambient), sup_complex(h, field, ambient)))
     for source, target in pairs:

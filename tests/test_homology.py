@@ -360,6 +360,38 @@ def test_induced_homology_rank_refuses_a_source_outside_the_target():
     h = hypergraph([[0, 1], [1, 2], [0, 2], [0, 1, 2]])
     with pytest.raises(InvariantViolation, match="degree-1"):
         induced_homology_rank(sup_complex(h), inf_complex(h), 1)
+    # degree 0 of the segment lies in the two points, but its edge does not,
+    # so B_0 of the segment (rank 1) is not among the points' boundaries
+    # (none), and counting would report 2 for b_0 = 1
+    ambient = ambient_complex(hypergraph([[0], [1], [0, 1]]), "closure")
+    segment = inf_complex(hypergraph([[0], [1], [0, 1]]), ambient=ambient)
+    points = inf_complex(hypergraph([[0], [1]]), ambient=ambient)
+    assert betti(segment).betti == (1, 0) and induced_homology_rank(points, segment, 0) == 1
+    with pytest.raises(InvariantViolation, match="degree-1"):
+        induced_homology_rank(segment, points, 0)
+
+
+def test_inside_reads_unit_rows_and_reduces_the_rest(monkeypatch):
+    # a vector supported on unit rows of the big span echelon lies in it with
+    # no reduction; any other is reduced, which accepts or rejects it.  In a
+    # filled triangle without its vertex 0, Inf's degree-1 span holds the
+    # non-unit (0, 3) - (0, 2); Sup's starts with the units of its edges
+    h = hypergraph([[2], [3], [0, 2], [0, 3], [2, 3], [0, 2, 3]])
+    inf, sup = chains._inf_and_sup(h, QQ, None)
+    inside, pairs = homology._inside, []
+    monkeypatch.setattr(homology, "_inside", lambda small, big: pairs.append((small, big)) or inside(small, big))
+    assert four_term_sequence(h).surjective == (True, True, True)
+    (inf_in_sup, _), (lower_in_inf, lower_inf) = pairs
+    reduce, reduced = linalg.Echelon.reduce, []
+    monkeypatch.setattr(linalg.Echelon, "reduce", lambda self, v, c=None: reduced.append(v) or reduce(self, v, c))
+    for small, big in ((inf, sup), (inf_in_sup, sup), (lower_in_inf, lower_inf)):
+        big.span_echelons  # Inf's are built on first read, with no reduction here
+        reduced.clear()
+        assert inside(small, big) and reduced == []  # the lower stage's vectors are units too
+    reduced.clear()
+    assert inside(inf, inf) and {0, 1} in map(set, reduced)  # the non-unit, reduced to zero
+    reduced.clear()
+    assert not inside(sup, inf) and reduced
 
 
 def test_quasi_check_counts_ranks_without_a_cycle_basis(monkeypatch, tmp_path, capsys):
