@@ -19,10 +19,12 @@ come from the nerve of the maximal edges (``_closure_homology``), and the
 closure is built only when the nerve would be larger.  Inf and Sup are
 found around the edge span of any hypergraph from one elimination per
 degree, of the edges' boundary columns outside the edges one degree down:
-Inf's kernel in that degree, Sup's rows one degree down.  Homology reads
-them through their boundary images and one echelon of each subspace; the
-image echelons are built from the top degree down, skipping by clearing the
-images of basis vectors that lead at a key one degree up.
+Inf's kernel in that degree, Sup's rows one degree down; an edge with no
+face outside the edges is its own kernel vector, with its boundary column
+as its image.  Homology reads them through their boundary images and one
+echelon of each subspace; the image echelons are built from the top degree
+down, skipping by clearing the images of basis vectors that lead at a key
+one degree up.
 """
 
 from __future__ import annotations
@@ -431,13 +433,17 @@ def _outside_echelon(field, span, boundary, n: int) -> tuple[linalg.Echelon, lis
 
 
 def _inf_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
-    """Degree n of ``largest_inside``, read off ``_outside_echelon`` of degree n."""
+    """Degree n of ``largest_inside``, read off ``_outside_echelon`` of degree n.
+    A kernel vector with one entry, an edge with no face outside span[n-1], has
+    its boundary column as image; one product forms the other images."""
     tagged, cols = (eliminated or _outside_echelon(field, span, boundary, n))[0], span[n]
     kernel = linalg._kernel(tagged, len(cols))
     embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
     down = SparseMatrix._of(field, dims[n - 1] if n else 0, [boundary[n][j] for j in cols])
-    kernel_matrix = SparseMatrix._of(field, len(cols), kernel)
-    return SparseMatrix._of(field, dims[n], embedded), down @ kernel_matrix
+    mixed = SparseMatrix._of(field, len(cols), [vec for vec in kernel if len(vec) > 1])
+    products = iter((down @ mixed).columns())
+    images = [boundary[n][min(vec)] if len(vec) == 1 else next(products) for vec in embedded]
+    return SparseMatrix._of(field, dims[n], embedded), SparseMatrix._of(field, down.nrows, images)
 
 
 def _sup_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:

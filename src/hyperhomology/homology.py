@@ -110,6 +110,12 @@ def induced_homology_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: i
     for d in range(n, min(n + 1, top) + 1):
         if not _inside(source, target, d):
             raise InvariantViolation(f"degree-{d} chains do not lie in the target subcomplex")
+    return _induced_rank(source, target, n)
+
+
+def _induced_rank(source: EmbeddedComplex, target: EmbeddedComplex, n: int) -> int:
+    """``induced_homology_rank`` at a degree n <= top, once it has checked its input."""
+    top = len(source.embeddings) - 1
     up = target.image_echelons[n + 1].copy() if n < top else linalg.Echelon(target.field)
     skip = source._cleared(n, source.image_echelons[n + 1].rows if n < top else {})
     columns = source.embeddings[n].columns()
@@ -143,7 +149,9 @@ def verify_quasi_iso_theta(h: Hypergraph, field=QQ) -> QuasiIsoReport:
     inf, sup = _inf_and_sup(h, field, None)
     b_inf = betti(inf).betti
     b_sup = betti(sup).betti
-    ranks = tuple(induced_homology_rank(inf, sup, n) for n in range(len(inf.labels)))
+    if not _inside(inf, sup):  # each degree tested once, before any rank is read
+        raise InvariantViolation("Inf chains do not lie in the Sup subcomplex")
+    ranks = tuple(_induced_rank(inf, sup, n) for n in range(len(inf.labels)))
     is_iso = all(bi == bs == r for bi, bs, r in zip(b_inf, b_sup, ranks))
     return QuasiIsoReport(b_inf, b_sup, ranks, is_iso)
 

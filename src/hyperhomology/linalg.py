@@ -8,7 +8,8 @@ and span question is answered by one exact elimination: ``Echelon``, an
 incremental echelon of sparse vectors keyed by their largest index, fed the
 columns left to right.  Kernels and solves tag column j with -1 at index
 j - ncols, below every row index, so a row keyed by a tag records a column
-dependency and a right-hand side reduced to tags alone records its solution.
+dependency (a zero column's row is set, with no elimination) and a
+right-hand side reduced to tags alone records its solution.
 Every Betti number of a chain complex is read from one top-down
 reduction with clearing, ``pivots``, and ``filtration`` pairs bars
 by the dual reduction of coboundaries; an echelon kept for a subspace is
@@ -172,14 +173,15 @@ class Echelon:
         """Normal form of vector.  A dict passed as coefficients receives,
         per key, the multiple of that row that was subtracted, so the vector
         is its normal form plus those multiples of the rows."""
-        vec = dict(vector)
+        vec, p = dict(vector), self.field.characteristic
         # keys eliminated largest first; a row only adds smaller indices
         pending = [-i for i in vec if i in self.rows]
-        heapq.heapify(pending)
-        p = self.field.characteristic
         if p:
-            _reduce_mod_p(vec, self.rows, pending, coefficients, p)
-        else:
+            if pending:  # else the vector is its own normal form
+                heapq.heapify(pending)
+                _reduce_mod_p(vec, self.rows, pending, coefficients, p)
+        else:  # with the normal-form pass, as any vector may hold Fractions
+            heapq.heapify(pending)
             _reduce_exact(vec, self.rows, pending, coefficients)
         return vec
 
@@ -191,11 +193,14 @@ class Echelon:
             return None
         key = max(residual)
         pivot, p = residual[key], self.field.characteristic
-        if p:
-            inv = pow(pivot, -1, p)
-            residual = {c: v * inv % p for c, v in residual.items()}
-        elif pivot != 1:
-            residual = {c: _quotient(v, pivot) for c, v in residual.items()}
+        if pivot != 1:  # scaled to 1; -1 by negation, as p - v is -v over Q (p = 0)
+            if pivot == p - 1:
+                residual = {c: p - v for c, v in residual.items()}
+            elif p:
+                inv = pow(pivot, -1, p)
+                residual = {c: v * inv % p for c, v in residual.items()}
+            else:
+                residual = {c: _quotient(v, pivot) for c, v in residual.items()}
         self.rows[key] = residual
         return key
 
@@ -293,9 +298,15 @@ def _tagged_echelon(field, columns: Sequence[dict]) -> tuple[Echelon, list[int]]
     that adds a row keyed by a tag depends on the earlier columns: that row
     is the kernel vector with 1 at the column and support on the earlier
     columns that added rows keyed by real indices (the greedy pivot columns).
+    A zero column is its own kernel vector: its row, 1 at its tag, is set
+    as adding the column would store it, and no other row holds that tag.
     """
-    minus_one, shift, echelon = field.from_int(-1), len(columns), Echelon(field)
-    found = [j for j, col in enumerate(columns) if echelon.add({**col, j - shift: minus_one}) >= 0]
+    minus_one, shift, echelon, found = field.from_int(-1), len(columns), Echelon(field), []
+    for j, col in enumerate(columns):
+        if not col:
+            echelon.rows[j - shift] = {j - shift: field.one}
+        elif echelon.add({**col, j - shift: minus_one}) >= 0:
+            found.append(j)
     return echelon, found
 
 

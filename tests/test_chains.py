@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperhomology import chains, linalg
+from hyperhomology import chains, homology, linalg
 from hyperhomology.chains import (
     ChainComplex,
     ambient_complex,
@@ -499,26 +499,74 @@ def test_builders_match_the_references_on_any_columns(family):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
 @pytest.mark.parametrize("mode", [None, "closure"])
 def test_inf_and_sup_add_each_edge_column_once(monkeypatch, field, mode):
-    # one elimination per degree: one Echelon.add per degree-n edge column,
-    # read by Inf and by Sup one degree down; Sup copies its rows with none
+    # one elimination per degree: one Echelon.add per degree-n edge column
+    # with a face outside the degree-(n-1) edges, read by Inf and by Sup one
+    # degree down (a column with none is its own kernel vector, set with no
+    # add); Sup copies its rows with none
     h = hypergraph([[0], [1], [2], [3], [0, 1], [1, 2], [0, 2], [1, 3], [1, 2, 3], [0, 4], [0, 1, 2, 3]])
     ambient = ambient_complex(h, mode, field=field) if mode else None
     labels, span, boundary = chains._edge_chains(h, field, ambient)
     dims = [len(level) for level in labels]
+    outside = [0] + [
+        sum(not set(boundary[n][j]) <= set(span[n - 1]) for j in span[n]) for n in range(1, len(span))
+    ]
     add, calls = linalg.Echelon.add, []
     monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
     chains._inf_and_sup(h, field, ambient)
-    assert len(calls) == sum(map(len, span)) > 0
+    assert 0 < len(calls) == sum(outside) < sum(map(len, span))
     # apart, each builder runs the eliminations it reads and no other
-    for build, read in ((chains.largest_inside, span), (chains.smallest_containing, span[1:])):
+    for build, read in ((chains.largest_inside, outside), (chains.smallest_containing, outside[1:])):
         calls.clear()
         build(field, dims, span, boundary)
-        assert len(calls) == sum(map(len, read))
+        assert len(calls) == sum(read)
     for n in range(1, len(span)):
         eliminated = chains._outside_echelon(field, span, boundary, n)
         calls.clear()
         chains._sup_degree(field, dims, span, boundary, n - 1, eliminated)
         assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_inf_multiplies_only_kernel_vectors_with_more_than_one_entry(monkeypatch, field):
+    # a kernel vector with one entry is an edge with no face outside the edges
+    # one degree down, and its image is that edge's boundary column, so the
+    # product that forms Inf's images reads only the other kernel vectors.  In
+    # a filled triangle without its vertex 0, (0, 3) - (0, 2) is not a unit
+    h = hypergraph([[2], [3], [0, 2], [0, 3], [2, 3], [0, 2, 3]])
+    matmul, multiplied = SparseMatrix.__matmul__, []
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: multiplied.extend(b.columns()) or matmul(a, b))
+    inf = inf_complex(h, field)
+    kernel = [col for embedding in inf.embeddings for col in embedding.columns()]
+    assert all(len(col) > 1 for col in multiplied)
+    assert 0 < len(multiplied) == sum(len(col) > 1 for col in kernel) < len(kernel)
+    labels, _, boundary = chains._edge_chains(h, field, None)
+    for embedding, images, columns in zip(inf.embeddings, inf.images, boundary):
+        units = [(min(col), k) for k, col in enumerate(embedding.columns()) if len(col) == 1]
+        assert all(images.columns()[k] == columns[j] for j, k in units)
+
+
+def test_the_four_term_lower_stage_calls_no_echelon_add(monkeypatch):
+    # the lower stage is Inf of a deletion-closed set of edges, each with every
+    # face among them: each edge column is its own kernel vector, set with no
+    # elimination.  The second input is a punched closure of two tetrahedra
+    closed = delta_closure(hypergraph([[0, 1, 2, 3], [2, 3, 4, 5]])).sorted_edges()
+    punched = [e for k, e in enumerate(closed) if k % 5 != 2]
+    add, calls, built = linalg.Echelon.add, [], []
+    monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
+
+    def counted(field, dims, span, boundary):
+        before = len(calls)
+        built.append((largest_inside(field, dims, span, boundary), len(calls) - before))
+        return built[-1][0]
+
+    largest_inside = chains.largest_inside
+    monkeypatch.setattr(homology, "largest_inside", counted)
+    for h in (hypergraph([[0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2], [2, 3]]), hypergraph(punched)):
+        for field in (QQ, PrimeField(7)):
+            built.clear()
+            homology.four_term_sequence(h, field)
+            [((embeddings, _), adds)] = built
+            assert adds == 0 and sum(e.ncols for e in embeddings) == len(lower_associated(h).edges)
 
 
 def _lower_stage(h, field, labels, span, boundary):

@@ -394,6 +394,23 @@ def test_inside_reads_unit_rows_and_reduces_the_rest(monkeypatch):
     assert not inside(sup, inf) and reduced
 
 
+def test_quasi_check_tests_each_degree_of_inf_in_sup_once(monkeypatch):
+    # verify_quasi_iso_theta tests that Inf lies in Sup once per degree, then
+    # reads every rank as induced_homology_rank does
+    h = hypergraph([[1], [2], [3], [0, 2], [0, 3], [2, 3], [1, 3], [0, 2, 3]])
+    inside, tested = homology._inside, []
+
+    def counted(small, big, n=None):
+        tested.extend(range(len(small.embeddings)) if n is None else [n])
+        return inside(small, big, n)
+
+    monkeypatch.setattr(homology, "_inside", counted)
+    report = homology.verify_quasi_iso_theta(h)
+    assert sorted(tested) == [0, 1, 2]
+    inf, sup = chains._inf_and_sup(h, QQ, None)
+    assert report.induced_ranks == tuple(induced_homology_rank(inf, sup, n) for n in range(3))
+
+
 def test_quasi_check_counts_ranks_without_a_cycle_basis(monkeypatch, tmp_path, capsys):
     # the ten triangles of a six-vertex projective plane with only the five
     # sides at vertex 0, which has degree-2 homology over Z/2 alone, and a

@@ -142,47 +142,52 @@ def _fraction_typed(vector: dict) -> dict:
     return {c: Fraction(v) for c, v in vector.items()}
 
 
-def _normal(value):
-    return value.numerator if value.denominator == 1 else value
-
-
 int_vectors = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4).filter(bool)), max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_vectors, int_vectors)
-@example([{0: 1, 1: 2}, {0: 3, 1: 1}], [{0: 1, 1: 4}, {1: 2}])  # rows of halves
-def test_echelon_outputs_are_in_normal_form_whatever_the_input_types(vectors, probes):
+@given(int_vectors, int_vectors, st.sampled_from([QQ, PrimeField(7)]))
+@example([{0: 1, 1: 2}, {0: 3, 1: 1}], [{0: 1, 1: 4}, {1: 2}], QQ)  # rows of halves
+@example([{0: 2, 1: 3}, {0: 1, 1: 1, 2: -1}], [{0: 1, 2: 2}, {1: 3}], QQ)  # a pivot of -1 on thirds
+@example([{0: 3, 1: 1}, {0: 1, 2: -1}, {1: 2, 3: 3}], [{0: 1, 3: 4}], PrimeField(7))  # pivots 1, p - 1, 3
+def test_echelon_outputs_are_in_normal_form_whatever_the_input_types(vectors, probes, field):
     # int vectors and the equal Fraction-typed vectors give an echelon over Q
     # the same keys and rows, and every echelon the same residuals and
     # coefficients, with no integral Fraction anywhere.  So do rows set by
     # hand, as Sup's are: one vector per largest index, divided by its value
     # there, is the echelon that adds those vectors largest index first, as
-    # each then meets only keys above its support
-    ints, fractions = linalg.Echelon(QQ), linalg.Echelon(QQ)
-    assert [ints.add(v) for v in vectors] == [fractions.add(_fraction_typed(v)) for v in vectors]
+    # each then meets only keys above its support.  Over Z/p the inputs are
+    # residues, and every value stays a residue in (0, p)
+    p = field.characteristic
+    if p:  # no int in int_vectors is 0 mod 7
+        vectors, probes = ([{c: x % p for c, x in v.items()} for v in vs] for vs in (vectors, probes))
+    retyped = dict if p else _fraction_typed
+    in_normal_form = (lambda v: type(v) is int and 0 < v < p) if p else is_q_scalar
+    ints, fractions = linalg.Echelon(field), linalg.Echelon(field)
+    assert [ints.add(v) for v in vectors] == [fractions.add(retyped(v)) for v in vectors]
     tops = {}
     for v in vectors:
         if v:
             tops.setdefault(max(v), v)
-    by_hand = linalg.Echelon(QQ)
-    by_hand.rows = {k: {c: _normal(Fraction(x, v[k])) for c, x in v.items()} for k, v in tops.items()}
+    by_hand = linalg.Echelon(field)
+    divided = field.from_fraction
+    by_hand.rows = {k: {c: divided(Fraction(x, v[k])) for c, x in v.items()} for k, v in tops.items()}
     descending = [tops[k] for k in sorted(tops, reverse=True)]
-    added = linalg.Echelon(QQ, map(_fraction_typed, descending))
+    added = linalg.Echelon(field, map(retyped, descending))
     assert typed(ints.rows) == typed(fractions.rows)
-    assert typed(by_hand.rows) == typed(added.rows) == typed(linalg.Echelon(QQ, descending).rows)
+    assert typed(by_hand.rows) == typed(added.rows) == typed(linalg.Echelon(field, descending).rows)
     for echelons in ((ints, fractions), (by_hand, added)):
         for probe in vectors + probes:
             reduced = []
-            for echelon, vector in product(echelons, (probe, _fraction_typed(probe))):
+            for echelon, vector in product(echelons, (probe, retyped(probe))):
                 coefficients = {}
                 residual = echelon.reduce(vector, coefficients)
                 reduced.append((typed(residual), typed(coefficients)))
                 values = [*residual.values(), *coefficients.values()]
-                assert all(map(is_q_scalar, values))
+                assert all(map(in_normal_form, values))
             assert reduced == reduced[:1] * len(reduced)
     stored = [v for e in (ints, fractions, by_hand) for row in e.rows.values() for v in row.values()]
-    assert all(map(is_q_scalar, stored))
+    assert all(map(in_normal_form, stored))
 
 
 def test_mod_p_rank_matches_rational_rank_generically():
@@ -296,11 +301,30 @@ def matmul_dense(a, x, ncols):
     return [[sum(row[k] * x[k][j] for k in range(len(row))) for j in range(ncols)] for row in a]
 
 
+def _assert_tagged_as_added(field, columns):
+    # a zero column's row is set with no elimination: the tagged echelon has
+    # the found positions and the rows, in order and typed, that adding every
+    # tagged column gives
+    echelon, found = linalg._tagged_echelon(field, columns)
+    added, shift = linalg.Echelon(field), len(columns)
+    keys = [added.add({**col, j - shift: field.from_int(-1)}) for j, col in enumerate(columns)]
+    assert found == [j for j, key in enumerate(keys) if key >= 0]
+    assert list(typed(echelon.rows).items()) == list(typed(added.rows).items())
+
+
+# zero columns first, in between and last; over Z/7 the nonzero columns of
+# the last two are dependent too
+ZERO_COLUMNS = [([[0, 1, 2], [0, -1, 3]], 3), ([[2, 0, 1], [-3, 0, 2]], 3), ([[1, 2, 0], [2, -3, 0]], 3)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(int_matrices())
 @example(([], 3))  # 0 x 3: every column is free
 @example(([[], []], 0))  # 2 x 0: empty kernel
 @example(([[0, 1, 0], [0, 2, 0]], 3))  # zero columns
+@example(ZERO_COLUMNS[0])
+@example(ZERO_COLUMNS[1])
+@example(ZERO_COLUMNS[2])
 def test_kernel_basis_is_the_canonical_kernel(case):
     dense, ncols = case
     expected = [{j: v for j, v in enumerate(x) if v} for x in dense_kernel(dense, ncols)]
@@ -309,6 +333,7 @@ def test_kernel_basis_is_the_canonical_kernel(case):
     assert kernel == expected
     echelon, found = linalg._tagged_echelon(QQ, a.columns())
     assert found == linalg.independent_columns(a)
+    _assert_tagged_as_added(QQ, a.columns())
     stored = echelon.rows.values()
     assert all(is_q_scalar(v) for vec in [*kernel, *stored] for v in vec.values())
 
@@ -365,9 +390,13 @@ PRIMES = st.sampled_from([2, 3, 7, 32003])
 @given(int_matrices(), PRIMES)
 @example(([[2, 0], [0, -3]], 2), 2)  # 2 = 0 mod 2
 @example(([[2, 0], [0, -3]], 2), 3)  # -3 = 0 mod 3
+@example(ZERO_COLUMNS[0], 7)
+@example(ZERO_COLUMNS[1], 7)
+@example(ZERO_COLUMNS[2], 7)
 def test_mod_p_rank_and_kernel_equal_the_oracle(case, p):
     dense, ncols = case
     a = to_sparse(PrimeField(p), dense, ncols)
+    _assert_tagged_as_added(PrimeField(p), a.columns())
     assert linalg.rank(a) == dense_rank(dense, p)
     # reduction mod p can only lose pivots of the same integer matrix
     assert linalg.rank(a) <= linalg.rank(to_sparse(QQ, dense, ncols))
