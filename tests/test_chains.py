@@ -539,7 +539,7 @@ def test_inf_multiplies_only_kernel_vectors_with_more_than_one_entry(monkeypatch
     kernel = [col for embedding in inf.embeddings for col in embedding.columns()]
     assert all(len(col) > 1 for col in multiplied)
     assert 0 < len(multiplied) == sum(len(col) > 1 for col in kernel) < len(kernel)
-    labels, _, boundary = chains._edge_chains(h, field, None)
+    _, _, boundary = chains._edge_chains(h, field, None)
     for embedding, images, columns in zip(inf.embeddings, inf.images, boundary):
         units = [(min(col), k) for k, col in enumerate(embedding.columns()) if len(col) == 1]
         assert all(images.columns()[k] == columns[j] for j, k in units)
@@ -551,7 +551,7 @@ def test_the_four_term_lower_stage_calls_no_echelon_add(monkeypatch):
     # elimination.  The second input is a punched closure of two tetrahedra
     closed = delta_closure(hypergraph([[0, 1, 2, 3], [2, 3, 4, 5]])).sorted_edges()
     punched = [e for k, e in enumerate(closed) if k % 5 != 2]
-    add, calls, built = linalg.Echelon.add, [], []
+    add, calls, built, largest_inside = linalg.Echelon.add, [], [], chains.largest_inside
     monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
 
     def counted(field, dims, span, boundary):
@@ -559,7 +559,6 @@ def test_the_four_term_lower_stage_calls_no_echelon_add(monkeypatch):
         built.append((largest_inside(field, dims, span, boundary), len(calls) - before))
         return built[-1][0]
 
-    largest_inside = chains.largest_inside
     monkeypatch.setattr(homology, "largest_inside", counted)
     for h in (hypergraph([[0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2], [2, 3]]), hypergraph(punched)):
         for field in (QQ, PrimeField(7)):
