@@ -17,9 +17,10 @@ or full-simplex ambient is the edge-chain complex of a hypergraph closed
 under vertex deletion; where only its dims and Betti numbers are read, they
 come from the nerve of the maximal edges (``_closure_homology``), and the
 closure is built only when the nerve would be larger.  Inf and Sup are
-found around the edge span of any hypergraph from one elimination per
-degree, of the edges' boundary columns outside the edges one degree down:
-Inf's kernel in that degree, Sup's rows one degree down; an edge with no
+found around the edge span of any hypergraph from one loop of eliminations
+(``_eliminated``), one per degree, of the edges' boundary columns outside
+the edges one degree down: Inf's kernel in that degree, Sup's rows one
+degree down, each side assembled only where it is read; an edge with no
 face outside the edges is its own kernel vector, with its boundary column
 as its image.  Homology reads them through their boundary images and one
 echelon of each subspace; the image echelons are built from the top degree
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Sequence
 
@@ -297,7 +298,7 @@ class EmbeddedComplex:
     the coordinates labels[n], and images[n] their boundaries in labels[n-1]:
     embeddings[n-1] times the internal boundary, of the same rank and (for
     ``betti(representatives=True)``) canonical kernel, as the embeddings have
-    independent columns.  Echelons of embeddings[n] (``span_echelons``; Sup
+    independent columns.  Echelons of embeddings[n] (``span_echelons``; ``_sup``
     keeps its unit rows and those of ``_outside_echelon``) and images[n]
     (``image_echelons``, cleared at the ``leads``) answer every question about
     those subspaces; they and the internal chain complex ``complex`` (matrix
@@ -316,7 +317,7 @@ class EmbeddedComplex:
 
     @cached_property
     def span_echelons(self) -> tuple[linalg.Echelon, ...]:
-        """Sup's are kept when it is built.  Inf's embedding columns are its
+        """Sup's are kept by ``_sup``.  Inf's embedding columns are its
         canonical kernel vectors: each is 1 at its own free column, its
         largest index on increasing span positions, and held otherwise on
         earlier pivot columns, so they are an echelon's rows as they stand."""
@@ -325,9 +326,9 @@ class EmbeddedComplex:
     @cached_property
     def leads(self) -> tuple[dict[int, int], ...]:
         """Per degree, {p: k} for basis vectors b_k each the only one of them
-        nonzero at position p, where it is 1.  ``_embedded`` keeps Sup's span
-        units and Inf's kernel vectors at their free columns; a complex built
-        otherwise has none."""
+        nonzero at position p, where it is 1.  ``_sup`` keeps Sup's span
+        units and ``_inf`` Inf's kernel vectors at their free columns; a
+        complex built otherwise has none."""
         return tuple({} for _ in self.embeddings)
 
     @cached_property
@@ -422,90 +423,76 @@ def _edge_chains(h: Hypergraph, field, ambient: ChainComplex | None):
 
 def _outside_echelon(field, span, boundary, n: int) -> tuple[linalg.Echelon, list[int]]:
     """The tagged echelon of the boundary columns of span[n] (none above the
-    top degree) without their span[n-1] coordinates: Inf's kernel in degree
-    n is its tag-keyed rows, and Sup's rows in degree n - 1 are the unit rows
-    of span[n-1] and its real-keyed rows untagged, as a unit row clears only
-    its own coordinate and tags, below every real index, never change which
-    real key is eliminated."""
+    top degree) without their span[n-1] coordinates.  With the units of
+    span[n-1], its real-keyed rows untagged are an echelon of Sup's degree
+    n - 1, as a unit row clears only its own coordinate and tags, below
+    every real index, never change which real key is eliminated."""
     inside, cols = set(span[n - 1]) if n else (), span[n] if n < len(span) else ()
     columns = [{i: v for i, v in boundary[n][j].items() if i not in inside} for j in cols]
     return linalg._tagged_echelon(field, columns)
 
 
-def _inf_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
-    """Degree n of ``largest_inside``, read off ``_outside_echelon`` of degree n.
-    A kernel vector with one entry, an edge with no face outside span[n-1], has
-    its boundary column as image; one product forms the other images."""
-    tagged, cols = (eliminated or _outside_echelon(field, span, boundary, n))[0], span[n]
-    kernel = linalg._kernel(tagged, len(cols))
-    embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
-    down = SparseMatrix._of(field, dims[n - 1] if n else 0, [boundary[n][j] for j in cols])
-    mixed = SparseMatrix._of(field, len(cols), [vec for vec in kernel if len(vec) > 1])
-    products = iter((down @ mixed).columns())
-    images = [boundary[n][min(vec)] if len(vec) == 1 else next(products) for vec in embedded]
-    return SparseMatrix._of(field, dims[n], embedded), SparseMatrix._of(field, down.nrows, images)
+def _eliminated(field, span, boundary):
+    """The one Inf/Sup elimination loop: ``_outside_echelon`` of each degree
+    from 0 to one above the top, read by ``_inf`` in the same degree and by
+    ``_sup`` one degree down."""
+    return (_outside_echelon(field, span, boundary, n) for n in range(len(span) + 1))
 
 
-def _sup_degree(field, dims, span, boundary, n: int, eliminated=None) -> tuple:
-    """Degree n of ``smallest_containing``, read off ``_outside_echelon`` of
-    degree n + 1 with no elimination of its own."""
-    tagged, found = eliminated or _outside_echelon(field, span, boundary, n + 1)
-    echelon, units = linalg.Echelon(field), {j: {j: field.one} for j in span[n]}
-    rows = ((k, row) for k, row in tagged.rows.items() if k >= 0)
-    echelon.rows = units | {k: {c: v for c, v in row.items() if c >= 0} for k, row in rows}
-    kept = [*units.values(), *(boundary[n + 1][span[n + 1][k]] for k in found)]
-    images = [boundary[n][j] for j in span[n]] + [{}] * len(found)
-    embedding = SparseMatrix._of(field, dims[n], kept)
-    return embedding, SparseMatrix._of(field, dims[n - 1] if n else 0, images), echelon
-
-
-def largest_inside(field, dims, span, boundary) -> tuple[tuple[SparseMatrix, ...], ...]:
+def _inf(field, labels, span, boundary, eliminated) -> EmbeddedComplex:
     """Largest subcomplex inside the span of the given basis vectors.
 
-    dims[n] is the dimension of degree n, span[n] lists degree-n basis
-    positions and boundary[n][j] is the boundary column of position j.
-    Degree n of the result is the kernel of the part of the boundary of
-    span[n] outside span[n-1].  Returns per degree the embedding matrix of
-    that kernel's canonical basis, and the matrix of their boundaries.
+    span[n] lists degree-n positions among labels[n], boundary[n][j] is the
+    boundary column of position j, and eliminated is ``_eliminated`` of
+    them.  Degree n is the kernel of the part of the boundary of span[n]
+    outside span[n-1], on its canonical basis (the tag-keyed rows), each
+    vector leading at its free column, its last in span order.  A one-entry
+    vector's image is its boundary column, and one product forms the rest;
+    an image on span[n-1], checked here, is inside Inf, as d d = 0 holds on
+    the columns (``_edge_chains``).
     """
-    inf = [_inf_degree(field, dims, span, boundary, n) for n in range(len(span))]
-    return tuple(zip(*inf)) or ((), ())
+    dims, embeddings, images, leads = list(map(len, labels)), [], [], []
+    for n, (cols, (tagged, _)) in enumerate(zip(span, eliminated)):
+        kernel = linalg._kernel(tagged, len(cols))
+        down = SparseMatrix._of(field, dims[n - 1] if n else 0, [boundary[n][j] for j in cols])
+        mixed = SparseMatrix._of(field, len(cols), [vec for vec in kernel if len(vec) > 1])
+        products = iter((down @ mixed).columns())
+        image = [boundary[n][cols[min(vec)]] if len(vec) == 1 else next(products) for vec in kernel]
+        inside = set(span[n - 1]) if n else ()
+        if not all(i in inside for col in image for i in col):
+            raise _not_inside(n)
+        embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
+        embeddings.append(SparseMatrix._of(field, dims[n], embedded))
+        images.append(SparseMatrix._of(field, down.nrows, image))
+        leads.append({cols[max(vec)]: k for k, vec in enumerate(kernel)})
+    inf = EmbeddedComplex(field, labels, tuple(embeddings), tuple(images))
+    vars(inf)["leads"] = tuple(leads)
+    return inf
 
 
-def smallest_containing(field, dims, span, boundary) -> tuple[tuple, ...]:
+def _sup(field, labels, span, boundary, eliminated) -> EmbeddedComplex:
     """Smallest subcomplex containing the span of the given basis vectors.
 
-    Arguments as for ``largest_inside``.  Degree n of the result is spanned
-    by span[n] and the boundaries of span[n+1]; of these columns, in that
-    order, each one that adds a row to the degree's echelon is kept.
-    Returns per degree the embedding matrix, the matrix of the boundaries of
-    its columns, each zero (a kept boundary; the caller ensures d d = 0) or
-    offered as a degree-(n-1) generator, so inside the result by
-    construction, and the echelon of its columns.
+    Arguments as for ``_inf``.  Degree n is spanned by span[n] and the
+    boundaries of span[n+1]; of these columns, in that order, each one that
+    adds a row to the degree's echelon, read off degree n + 1 of the loop,
+    is kept.  The images, a unit's boundary column or zero for a kept
+    boundary, are inside Sup by construction; the units lead.
     """
-    sup = [_sup_degree(field, dims, span, boundary, n) for n in range(len(span))]
-    return tuple(zip(*sup)) or ((), (), ())
-
-
-def _embedded(field, labels, span, embeddings, images, echelons=None) -> EmbeddedComplex:
-    """The subcomplex that ``largest_inside`` or, with echelons,
-    ``smallest_containing`` found around an edge span.  Its images stay
-    inside it: d d = 0 holds on the columns (``_edge_chains``), so an Inf
-    image does once it is supported on the edges, checked here, and a Sup
-    image always does."""
-    for n in range(1, len(images)) if echelons is None else ():
-        inside = set(span[n - 1])
-        if not all(i in inside for col in images[n].columns() for i in col):
-            raise _not_inside(n)
-    embedded = EmbeddedComplex(field, labels, embeddings, images)
-    leads = [dict(zip(cols, range(len(cols)))) for cols in span]  # Sup's basis starts with these units
-    if echelons is not None:  # Sup's, stored where the cached_property keeps them
-        vars(embedded)["span_echelons"] = echelons
-    else:  # Inf's vector k is 1 at its tag key in ``_inf_degree``, its last column in span order
-        for n, (cols, at) in enumerate(zip(span, leads)):
-            leads[n] = {cols[max(map(at.__getitem__, c))]: k for k, c in enumerate(embeddings[n].columns())}
-    vars(embedded)["leads"] = tuple(leads)
-    return embedded
+    dims, embeddings, images, echelons = list(map(len, labels)), [], [], []
+    for n, (cols, (tagged, found)) in enumerate(zip(span, islice(eliminated, 1, None))):
+        echelon, units = linalg.Echelon(field), {j: {j: field.one} for j in cols}
+        rows = ((k, row) for k, row in tagged.rows.items() if k >= 0)
+        echelon.rows = units | {k: {c: v for c, v in row.items() if c >= 0} for k, row in rows}
+        kept = [*units.values(), *(boundary[n + 1][span[n + 1][k]] for k in found)]
+        image = [boundary[n][j] for j in cols] + [{}] * len(found)
+        embeddings.append(SparseMatrix._of(field, dims[n], kept))
+        images.append(SparseMatrix._of(field, dims[n - 1] if n else 0, image))
+        echelons.append(echelon)
+    sup = EmbeddedComplex(field, labels, tuple(embeddings), tuple(images))
+    leads = tuple(dict(zip(cols, range(len(cols)))) for cols in span)
+    vars(sup).update(span_echelons=tuple(echelons), leads=leads)
+    return sup
 
 
 def inf_complex(
@@ -521,8 +508,7 @@ def inf_complex(
     ``ambient_complex`` the edges' own, so the complex does not depend on it).
     """
     labels, span, boundary = _edge_chains(h, field, ambient)
-    built = largest_inside(field, list(map(len, labels)), span, boundary)
-    return _embedded(field, labels, span, *built)
+    return _inf(field, labels, span, boundary, _eliminated(field, span, boundary))
 
 
 def sup_complex(
@@ -536,8 +522,7 @@ def sup_complex(
     degree-(n+1) edges, over a reduced column basis.
     """
     labels, span, boundary = _edge_chains(h, field, ambient)
-    built = smallest_containing(field, list(map(len, labels)), span, boundary)
-    return _embedded(field, labels, span, *built)
+    return _sup(field, labels, span, boundary, _eliminated(field, span, boundary))
 
 
 def _inf_and_sup(h: Hypergraph, field, ambient) -> tuple[EmbeddedComplex, EmbeddedComplex]:
@@ -546,15 +531,10 @@ def _inf_and_sup(h: Hypergraph, field, ambient) -> tuple[EmbeddedComplex, Embedd
 
 
 def _around_span(field, labels, span, boundary) -> tuple[EmbeddedComplex, EmbeddedComplex]:
-    """Inf and Sup around the span of ``_edge_chains`` output: each
-    ``_outside_echelon`` is read by Inf and Sup one degree down, then dropped."""
-    dims, inf, sup = list(map(len, labels)), [], []
-    for n in range(len(span) + 1):
-        eliminated = _outside_echelon(field, span, boundary, n)
-        inf += [_inf_degree(field, dims, span, boundary, n, eliminated)] if n < len(span) else []
-        sup += [_sup_degree(field, dims, span, boundary, n - 1, eliminated)] if n else []
-    inf, sup = tuple(zip(*inf)) or ((), ()), tuple(zip(*sup)) or ((), (), ())
-    return _embedded(field, labels, span, *inf), _embedded(field, labels, span, *sup)
+    """Inf and Sup around the span of ``_edge_chains`` output, both read
+    from one run of ``_eliminated``."""
+    eliminated = list(_eliminated(field, span, boundary))
+    return _inf(field, labels, span, boundary, eliminated), _sup(field, labels, span, boundary, eliminated)
 
 
 def face_table(closed: Hypergraph) -> dict[Edge, tuple[Edge, ...]]:

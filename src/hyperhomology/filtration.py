@@ -26,8 +26,8 @@ from itertools import combinations, count, islice
 from math import comb
 from typing import Sequence
 
-from .chains import ChainComplex, ambient_complex, largest_inside, smallest_containing
-from .chains import _check_closure_cap, _check_square_zero, _edge_chains
+from .chains import ChainComplex, ambient_complex
+from .chains import _check_closure_cap, _check_square_zero, _edge_chains, _eliminated, _inf, _sup
 from .errors import InvariantViolation
 from .fields import QQ
 from .hypergraphs import Hypergraph
@@ -252,18 +252,19 @@ def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> t
     """Filtered basis of the nested Inf (or Sup) complexes of the steps.
 
     One echelon per degree is extended by the embedded complex of each step
-    in turn; a row is born at the step that added it, so the rows born up to
-    step k span that step's complex.  Boundaries are written as coordinates
-    in those rows and checked to stay inside the step of their column.
+    in turn, on kind's side alone; a row is born at the step that added it,
+    so the rows born up to step k span that step's complex.  A row's
+    boundary, the ambient's times the row (a normal form, not a step's
+    column), is written in those rows and checked to stay inside its step.
     """
-    build = largest_inside if kind == "inf" else smallest_containing
+    assemble = _inf if kind == "inf" else _sup
     field, top = ambient.field, ambient.top_degree
     echelons = [Echelon(field) for _ in range(top + 1)]
     keys, births = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
     for k, h in enumerate(hypergraphs):
-        _, span, boundary = _edge_chains(h, field, ambient)
-        embeddings = build(field, ambient.dims, span, boundary)[0]
-        for n, embedding in enumerate(embeddings):
+        labels, span, boundary = _edge_chains(h, field, ambient)
+        embedded = assemble(field, labels, span, boundary, _eliminated(field, span, boundary))
+        for n, embedding in enumerate(embedded.embeddings):
             for col in embedding.columns():
                 if (key := echelons[n].add(col)) is not None:
                     keys[n].append(key)

@@ -32,9 +32,9 @@ from .chains import (
     _betti_numbers,
     _closure_homology,
     _edge_chains,
-    _embedded,
+    _eliminated,
+    _inf,
     _inf_and_sup,
-    largest_inside,
 )
 from .errors import InvariantViolation, check_cap
 from .fields import QQ, RationalField
@@ -341,19 +341,18 @@ def four_term_sequence(h: Hypergraph, field=QQ) -> FourTermReport:
     3 take the dims and Betti numbers of Sup and Inf.  The closure obeys
     the simplex cap, and its dims and Betti numbers are read from the nerve
     of the maximal edges (``_closure_homology``), so it is built only when
-    that falls back.  Sup, Inf and the last stage, the span of the lower
-    edges, are built from one ``_edge_chains`` of h on its own labels, which
-    hold the lower edges too.  The maps are surjections when Inf lies in
-    Sup and the lower edges lie in Inf, both checked with ``_inside``, and
-    all identities exactly when h is simplicial.
+    that falls back.  Sup, Inf and the last stage, Inf of the lower edges'
+    span (their faces are among them: no elimination), are built from one
+    ``_edge_chains`` of h on its own labels.  The maps are surjections when
+    Inf lies in Sup and the lower edges lie in Inf, both checked with
+    ``_inside``, and all identities exactly when h is simplicial.
     """
     closure_dims, closure_betti = _closure_homology(h, field)
     labels, span, boundary = _edge_chains(h, field, None)
     inf, sup = _around_span(field, labels, span, boundary)
     kept = lower_associated(h).edges
     lower_span = [[j for j in cols if labels[n][j] in kept] for n, cols in enumerate(span)]
-    built = largest_inside(field, list(map(len, labels)), lower_span, boundary)
-    lower = _embedded(field, labels, lower_span, *built)
+    lower = _inf(field, labels, lower_span, boundary, _eliminated(field, lower_span, boundary))
     stage_dims = (closure_dims, sup.dims, inf.dims, lower.dims)
     stage_betti = (closure_betti, *(betti(c).betti for c in (sup, inf, lower)))
     surjective = (True, _inside(inf, sup), _inside(lower, inf))

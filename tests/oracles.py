@@ -9,13 +9,15 @@ rather than an elimination, and ``homology_bars``, which checks one
 reduction against another.  ``quotient_map_surjective`` ranks the map
 C/Inf -> C/Sup on the coset bases of two ``quotient_complex`` results.
 ``closure_embedded`` builds the Inf or Sup complex the old way, inside the
-whole deletion-closure ambient, and ``smallest_containing`` is the package's
-former Sup builder: one ``Echelon.add`` per unit and per boundary column,
-with no elimination shared with Inf; ``plain_image_echelons`` eliminates
-every image column of an embedded complex, with no clearing, and
-``permuted_closure`` gives a closure ambient whose degree-1 labels are out
-of sorted order.  ``pairwise_persistence`` computes
-persistence the slow way, through the package's per-step embedded complexes
+whole deletion-closure ambient.  ``largest_inside`` and
+``smallest_containing`` build Inf and Sup around any span with none of the
+package's shared elimination: Inf from the canonical kernel of
+``linalg.kernel_basis`` and one image product, Sup with one
+``Echelon.add`` per unit and per boundary column.  ``plain_image_echelons``
+eliminates every image column of an embedded complex, with no clearing,
+and ``permuted_closure`` gives a closure ambient whose degree-1 labels are
+out of sorted order.  ``pairwise_persistence`` computes persistence the
+slow way, through the package's per-step embedded complexes
 and one ``induced_homology_rank`` problem per pair of steps, and
 ``homology_bars`` pairs a filtered basis by the homology reduction
 (``linalg.pivots``) that the package's cohomology reduction replaced.
@@ -55,7 +57,6 @@ from hyperhomology.chains import (
     _integer_columns,
     ambient_complex,
     inf_complex,
-    largest_inside,
     sup_complex,
 )
 from hyperhomology.errors import InvariantViolation
@@ -572,9 +573,33 @@ def closure_embedded(h, kind="inf", field=QQ):
     )
 
 
+def largest_inside(field, dims, span, boundary):
+    """Largest subcomplex inside the span of the given basis vectors, the
+    package's Inf found independently of its elimination loop.
+
+    dims[n] is the dimension of degree n, span[n] lists degree-n basis
+    positions and boundary[n][j] is the boundary column of position j.
+    Degree n is the canonical kernel (``linalg.kernel_basis``) of the
+    columns of span[n] with their span[n-1] coordinates dropped, and its
+    images are one product of the span[n] boundary columns with it.
+    Returns the embedding matrices and the image matrices, per degree.
+    """
+    embeddings, images = [], []
+    for n, cols in enumerate(span):
+        below, inside = (dims[n - 1], set(span[n - 1])) if n else (0, set())
+        outside = [{i: v for i, v in boundary[n][j].items() if i not in inside} for j in cols]
+        kernel = linalg.kernel_basis(SparseMatrix.from_columns(field, below, outside))
+        embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
+        embeddings.append(SparseMatrix.from_columns(field, dims[n], embedded))
+        down = SparseMatrix.from_columns(field, below, [boundary[n][j] for j in cols])
+        images.append(down @ SparseMatrix.from_columns(field, len(cols), kernel))
+    return tuple(embeddings), tuple(images)
+
+
 def smallest_containing(field, dims, span, boundary):
     """Smallest subcomplex containing the span of the given basis vectors, as
-    ``chains.smallest_containing`` returns it, with its own echelon per degree.
+    the package's Sup builder ``chains._sup`` finds it, with its own
+    echelon per degree.
 
     Degree n is fed the units of span[n], then the nonzero boundary columns
     of span[n+1], each through one ``Echelon.add``; the columns that add a

@@ -21,6 +21,7 @@ from hyperhomology.linalg import SparseMatrix
 
 from oracles import (
     dense_rank,
+    largest_inside,
     permuted_closure,
     plain_image_echelons,
     simplicial_boundary_dense,
@@ -392,25 +393,10 @@ def test_inf_inside_span_inside_sup():
 FIELDS = [QQ, PrimeField(2), PrimeField(7)]
 
 
-def _expected_inf(field, dims, span, boundary):
-    """Inf per degree from ``kernel_basis`` of the columns of span[n] with
-    their span[n-1] coordinates dropped: the embedding and the image."""
-    expected = []
-    for n, cols in enumerate(span):
-        below, inside = (dims[n - 1], set(span[n - 1])) if n else (0, set())
-        outside = [{i: v for i, v in boundary[n][j].items() if i not in inside} for j in cols]
-        kernel = linalg.kernel_basis(SparseMatrix.from_columns(field, below, outside))
-        embedded = [{cols[k]: v for k, v in vec.items()} for vec in kernel]
-        down = SparseMatrix.from_columns(field, below, [boundary[n][j] for j in cols])
-        image = down @ SparseMatrix.from_columns(field, len(cols), kernel)
-        expected.append((SparseMatrix.from_columns(field, dims[n], embedded), image))
-    return expected
-
-
 def _assert_reference(field, dims, span, boundary, inf, sup):
-    """inf and sup (embeddings, images[, echelons]) equal the references:
-    ``kernel_basis`` for Inf, the per-column echelon of ``oracles`` for Sup."""
-    assert list(zip(*inf)) == _expected_inf(field, dims, span, boundary)
+    """inf and sup (embeddings, images[, echelons]) equal the references of
+    ``oracles``: ``kernel_basis`` for Inf, the per-column echelon for Sup."""
+    assert inf == largest_inside(field, dims, span, boundary)
     embeddings, images, echelons = smallest_containing(field, dims, span, boundary)
     assert sup[0] == embeddings and sup[1] == images
     assert [typed(e.rows) for e in sup[2]] == [typed(e.rows) for e in echelons]
@@ -490,10 +476,19 @@ def column_families(draw):
 @given(column_families())
 @example((QQ, [2, 2], [[], [0, 1]], [[{}, {}], [{0: 1, 1: 2}, {0: 3, 1: 1}]]))  # rows of halves
 def test_builders_match_the_references_on_any_columns(family):
+    # the assemblers on columns with no d d = 0: the reference Inf images
+    # still stay on span[n-1], as the kernel kills the part outside it, so
+    # Inf's inside check passes and both sides equal the references
     field, dims, span, boundary = family
-    inf = chains.largest_inside(field, dims, span, boundary)
-    sup = chains.smallest_containing(field, dims, span, boundary)
-    _assert_reference(field, dims, span, boundary, inf, sup)
+    _, images = largest_inside(field, dims, span, boundary)
+    for n in range(1, len(span)):
+        assert all(set(col) <= set(span[n - 1]) for col in images[n].columns())
+    labels = tuple(tuple((k,) for k in range(d)) for d in dims)
+    eliminated = list(chains._eliminated(field, span, boundary))
+    inf = chains._inf(field, labels, span, boundary, eliminated)
+    sup = chains._sup(field, labels, span, boundary, eliminated)
+    sup_parts = sup.embeddings, sup.images, sup.span_echelons
+    _assert_reference(field, dims, span, boundary, (inf.embeddings, inf.images), sup_parts)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
@@ -506,7 +501,6 @@ def test_inf_and_sup_add_each_edge_column_once(monkeypatch, field, mode):
     h = hypergraph([[0], [1], [2], [3], [0, 1], [1, 2], [0, 2], [1, 3], [1, 2, 3], [0, 4], [0, 1, 2, 3]])
     ambient = ambient_complex(h, mode, field=field) if mode else None
     labels, span, boundary = chains._edge_chains(h, field, ambient)
-    dims = [len(level) for level in labels]
     outside = [0] + [
         sum(not set(boundary[n][j]) <= set(span[n - 1]) for j in span[n]) for n in range(1, len(span))
     ]
@@ -515,15 +509,33 @@ def test_inf_and_sup_add_each_edge_column_once(monkeypatch, field, mode):
     chains._inf_and_sup(h, field, ambient)
     assert 0 < len(calls) == sum(outside) < sum(map(len, span))
     # apart, each builder runs the eliminations it reads and no other
-    for build, read in ((chains.largest_inside, outside), (chains.smallest_containing, outside[1:])):
+    for build, read in ((inf_complex, outside), (sup_complex, outside[1:])):
         calls.clear()
-        build(field, dims, span, boundary)
+        build(h, field, ambient)
         assert len(calls) == sum(read)
-    for n in range(1, len(span)):
-        eliminated = chains._outside_echelon(field, span, boundary, n)
-        calls.clear()
-        chains._sup_degree(field, dims, span, boundary, n - 1, eliminated)
-        assert calls == []
+    eliminated = list(chains._eliminated(field, span, boundary))
+    calls.clear()
+    chains._sup(field, labels, span, boundary, eliminated)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("mode", [None, "closure"])
+def test_a_one_sided_builder_assembles_no_other_side(monkeypatch, field, mode):
+    # the loop makes one echelon per degree it is read to, Sup's up to one
+    # above the top; Sup adds one span echelon per degree and forms no image
+    # product, and Inf builds no echelon but the loop's.  (0, 3) - (0, 2) is
+    # an Inf vector with an image product
+    h = hypergraph([[2], [3], [0, 2], [0, 3], [2, 3], [0, 2, 3], [1, 3], [1, 2, 3]])
+    ambient = ambient_complex(h, mode, field=field) if mode else None
+    matmul, init, products, echelons = SparseMatrix.__matmul__, linalg.Echelon.__init__, [], []
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: products.append(b) or matmul(a, b))
+    monkeypatch.setattr(linalg.Echelon, "__init__", lambda self, *a: echelons.append(self) or init(self, *a))
+    sup = sup_complex(h, field, ambient)
+    assert products == [] and len(echelons) == 2 * len(sup.labels) + 1
+    echelons.clear()
+    inf = inf_complex(h, field, ambient)
+    assert products and len(echelons) == len(inf.labels)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
@@ -551,21 +563,27 @@ def test_the_four_term_lower_stage_calls_no_echelon_add(monkeypatch):
     # elimination.  The second input is a punched closure of two tetrahedra
     closed = delta_closure(hypergraph([[0, 1, 2, 3], [2, 3, 4, 5]])).sorted_edges()
     punched = [e for k, e in enumerate(closed) if k % 5 != 2]
-    add, calls, built, largest_inside = linalg.Echelon.add, [], [], chains.largest_inside
+    add, calls, built, marks = linalg.Echelon.add, [], [], []
     monkeypatch.setattr(linalg.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
 
-    def counted(field, dims, span, boundary):
-        before = len(calls)
-        built.append((largest_inside(field, dims, span, boundary), len(calls) - before))
-        return built[-1][0]
+    def eliminated(*args):  # the lower stage's own loop, from its call to the end of _inf
+        marks.append(len(calls))
+        return chains._eliminated(*args)
 
-    monkeypatch.setattr(homology, "largest_inside", counted)
+    def inf(*args):
+        built.append(chains._inf(*args))
+        marks.append(len(calls))
+        return built[-1]
+
+    monkeypatch.setattr(homology, "_eliminated", eliminated)
+    monkeypatch.setattr(homology, "_inf", inf)
     for h in (hypergraph([[0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2], [2, 3]]), hypergraph(punched)):
         for field in (QQ, PrimeField(7)):
             built.clear()
+            marks.clear()
             homology.four_term_sequence(h, field)
-            [((embeddings, _), adds)] = built
-            assert adds == 0 and sum(e.ncols for e in embeddings) == len(lower_associated(h).edges)
+            [lower], [before, after] = built, marks
+            assert after == before and sum(lower.dims) == len(lower_associated(h).edges)
 
 
 def _lower_stage(h, field, labels, span, boundary):
@@ -573,8 +591,8 @@ def _lower_stage(h, field, labels, span, boundary):
     the largest deletion-closed part of h, on the labels of h."""
     kept = lower_associated(h).edges
     lower_span = [[j for j in cols if labels[n][j] in kept] for n, cols in enumerate(span)]
-    built = chains.largest_inside(field, list(map(len, labels)), lower_span, boundary)
-    return chains._embedded(field, labels, lower_span, *built)
+    eliminated = chains._eliminated(field, lower_span, boundary)
+    return chains._inf(field, labels, lower_span, boundary, eliminated)
 
 
 @settings(max_examples=200, deadline=None)

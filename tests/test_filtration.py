@@ -362,15 +362,22 @@ def test_persistence_matches_pairwise_oracle(steps, kind, all_pairs, field):
     assert [(b["degree"], b["born_step"], b["dies_step"]) for b in table.barcode()] == bars
 
 
-def test_non_simplicial_steps_use_the_embedded_complexes():
+def test_non_simplicial_steps_use_the_embedded_complexes(monkeypatch):
     # step 0 holds a triangle without its sides: its Inf drops the triangle,
-    # its Sup adds the triangle's boundary, and both have three components
+    # its Sup adds the triangle's boundary, and both have three components;
+    # each kind's steps are assembled on that side alone
     vertices = frozenset({0, 1, 2})
     first = Hypergraph(vertices, frozenset({(0, 1, 2), (0,), (1,), (2,)}))
     second = Hypergraph(vertices, first.edges | {(0, 1), (1, 2), (0, 2)})
     assert not is_simplicial(first)
     steps = [FiltrationStep(1, 2, 1, first), FiltrationStep(0, 1, 0, second)]
-    for kind in ("inf", "sup"):
+
+    def refuse(*args):
+        raise AssertionError("the other side was assembled")
+
+    for kind, other in (("inf", "_sup"), ("sup", "_inf")):
+        monkeypatch.undo()
+        monkeypatch.setattr(filtration, other, refuse)
         table = persistent_betti(steps, [0, 1], kind, all_pairs=True)
         assert table.betti_by_step == ((3, 0, 0), (1, 0, 0))
         assert table.rank(0, 0, 1) == 1

@@ -677,7 +677,7 @@ def test_cli_quotient_check_builds_no_quotient(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["Q", "7"])
 def test_cli_embedded_checks_eliminate_each_subspace_once(monkeypatch, tmp_path, capsys, field):
-    # Sup's span echelon comes from smallest_containing, every image echelon
+    # Sup's span echelon comes from its builder, every image echelon
     # from betti, and the inclusion flags and induced ranks read them: no
     # command re-eliminates a subspace through these three routines
     path = tmp_path / "h.json"
@@ -752,25 +752,27 @@ def test_cli_inf_sup_reports_solve_no_restriction(monkeypatch, tmp_path, capsys)
 
 
 def test_an_inf_image_outside_the_edges_fails_the_check(monkeypatch, tmp_path, capsys):
-    # a triangle of sides plus an edge (3, 4) without its vertices: Inf has
-    # the triangle's cycle in degree 1, with image zero; the mutation moves
-    # that image onto a vertex of (3, 4), which is not an edge
-    build = chains._inf_degree
+    # a filled triangle without its vertex 0: Inf's one vector with more
+    # than one entry, (0, 3) - (0, 2) in degree 1, has the image (3) - (2),
+    # formed by Inf's image product; the mutation adds the vertex (0), which
+    # is not an edge, to every column of that product
+    edges = [[2], [3], [0, 2], [0, 3], [2, 3], [0, 2, 3]]
+    labels, span, _ = chains._edge_chains(hypergraph(edges), QQ, None)
+    [outside] = set(range(len(labels[0]))) - set(span[0])
+    matmul, mutated = SparseMatrix.__matmul__, []
 
-    def leaky(field, dims, span, boundary, n, eliminated=None):
-        embedding, image = build(field, dims, span, boundary, n, eliminated)
-        if n == 1:
-            outside = min(set(range(dims[0])) - set(span[0]))
-            columns = [{**col, outside: field.one} for col in image.columns()]
-            image = SparseMatrix.from_columns(field, dims[0], columns)
-        return embedding, image
+    def leaky(a, b):
+        product = matmul(a, b)
+        columns = [{**col, outside: product.field.one} for col in product.columns()]
+        mutated.extend(columns)
+        return SparseMatrix.from_columns(product.field, product.nrows, columns)
 
-    monkeypatch.setattr(chains, "_inf_degree", leaky)
+    monkeypatch.setattr(SparseMatrix, "__matmul__", leaky)
     path = tmp_path / "h.json"
-    edges = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [3, 4]]
-    path.write_text(json.dumps({"vertices": [0, 1, 2, 3, 4], "edges": edges}))
+    path.write_text(json.dumps({"vertices": [0, 2, 3], "edges": edges}))
     assert main(["quasi-check", str(path)]) == 4
     assert "boundary does not stay inside the subcomplex at degree 1" in capsys.readouterr().err
+    assert len(mutated) == 1
 
 
 def test_hodge_laplacian_examples():

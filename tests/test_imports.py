@@ -271,3 +271,38 @@ def test_reports_have_one_emit_path():
     }
     assert emitters.keys() == {"to_json", "emit_hypergraph"}
     assert all("_encode" in calls for calls in emitters.values()), emitters
+
+
+def _defaulted(args: ast.arguments) -> list[ast.arg]:
+    """The parameters that have a default value."""
+    positional = args.posonlyargs + args.args
+    keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional[len(positional) - len(args.defaults) :] + keyword
+
+
+def test_inf_and_sup_come_from_one_elimination_loop():
+    """``_outside_echelon`` is called at one site, the loop that both
+    assemblers read, and the per-kind builders are gone: no function of
+    the package is named for them, and no ``eliminated`` parameter has a
+    default under which a builder would eliminate again."""
+    nodes = [(path.name, node) for path, tree in _trees() for node in ast.walk(tree)]
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, node in nodes
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_outside_echelon"
+    ]
+    assert len(calls) == 1, calls
+    builders = ("largest_inside", "smallest_containing", "_embedded")
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, node in nodes
+        if isinstance(node, DEFINITIONS) and node.name in builders
+    ]
+    assert not defined, defined
+    defaulted = [
+        f"{name}:{node.lineno}"
+        for name, node in nodes
+        if isinstance(node, FUNCTIONS) and "eliminated" in (a.arg for a in _defaulted(node.args))
+    ]
+    assert not defaulted, defaulted
