@@ -11,10 +11,10 @@ in which every vector has a birth step, pairs births with deaths by a
 reduction of the coboundaries in that basis, with clearing, and reads every
 Betti number, rank and bar off the bars: a bar is a class born at one step
 that dies at a later one, and the rank of H_n(step i) -> H_n(step j) counts
-the degree-n bars alive from i through j.  When every step is simplicial
-the basis is the simplices, each an integer rank in the combinatorial
-number system, as in Ripser (Bauer 2021): faces' ranks are computed, not
-looked up, and no simplex tuple is made.
+the degree-n bars alive from i through j.  The basis of one whole
+``build_filtration`` is its simplices, each an integer rank in the
+combinatorial number system, as in Ripser (Bauer 2021), with no simplex
+tuple made; any other nested steps take their Inf (or Sup) complexes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, count, islice
+from itertools import combinations, islice
 from math import comb
 from typing import Sequence
 
@@ -186,24 +186,22 @@ class _Labels:
         return next(islice(combinations(self.ids, self.size), skip, None))
 
 
-def _rank_basis(ids: list, levels: list, field) -> tuple[list, list] | None:
-    """Filtered basis of simplices, when every step spans a subcomplex.
+def _rank_basis(ids: list, levels: list, field) -> tuple[list, list]:
+    """Filtered basis of the simplices of a flag filtration.
 
     Positions u_0 < ... < u_n (position u holds ids[-1 - u]) have rank
-    sum comb(u_i, i + 1), and levels[n] maps degree-n ranks to births (a
-    list over all ranks, or a dict); descending rank is ascending simplex.
+    sum comb(u_i, i + 1), and levels[n][r] is the birth of degree-n rank r
+    (``_PairSteps.births``); descending rank is ascending simplex.
     sigma = tau + v, v its largest position, has boundary tau minus each
     face of tau plus v, of rank the face's + comb(v, n), a vertex being the
     empty simplex plus v.  Each column is checked over Z as it is built
-    (from degree 2 on) and must reach only faces present and born no later
-    (else None); its coboundary rows are written alongside, in the field.
+    (from degree 2 on) and must reach only faces born no later; its
+    coboundary rows are written alongside, in the field.
     """
     one, minus = field.from_int(1), field.from_int(-1)
     births, coboundaries, deep, up, faces, lower = [[0]], [], None, [0], [0], [{}]  # from degree -1
     for n, level in enumerate(levels):
-        sparse = isinstance(level, dict)
-        ranks = sorted(level, reverse=True) if sparse else range(len(level))[::-1]
-        order = sorted(ranks, key=level.__getitem__)
+        order = sorted(range(len(level))[::-1], key=level.__getitem__)
         born, below, rows = [level[r] for r in order], births[-1], [{} for _ in births[-1]]
         largest, shift = [comb(v, n + 1) for v in range(len(ids) + 1)], [comb(v, n) for v in range(len(ids))]
 
@@ -217,35 +215,20 @@ def _rank_basis(ids: list, levels: list, field) -> tuple[list, list] | None:
                     col[f := faces[deep[k] + up]] = -s
                     rows[f][j] = minus if s > 0 else one
                 if below[max(col)] > born[j]:
-                    raise KeyError(r)  # a face born later
+                    label = str(_Labels(ids, order, n + 1)[j])  # a face born later
+                    raise InvariantViolation(f"{label} is born before a face", {"degree": n, "chain": label})
                 yield col
 
-        try:  # the top degree's columns are checked as they are built, and not kept
-            columns = built() if n + 1 == len(levels) and n > 1 else list(built())
-            if n > 1:
-                _check_square_zero(n - 1, lower, columns, {n: _Labels(ids, order, n + 1)})
-        except KeyError:  # a face is missing or born later
-            return None
+        # the top degree's columns are checked as they are built, and not kept
+        columns = built() if n + 1 == len(levels) and n > 1 else list(built())
+        if n > 1:
+            _check_square_zero(n - 1, lower, columns, {n: _Labels(ids, order, n + 1)})
         births.append(born)
         coboundaries.append(rows)
         deep, up, lower = up, order, columns  # ranks by position, degrees n - 1 and n
-        if n + 1 < len(levels):  # positions by rank: of the ranks present, or the inverse permutation
-            faces = dict(zip(order, count())) if sparse else sorted(ranks, key=order.__getitem__)
+        if n + 1 < len(levels):  # positions by rank: the inverse permutation
+            faces = sorted(range(len(level)), key=order.__getitem__)
     return births[1:], coboundaries[1:]
-
-
-def _hypergraph_ranks(hypergraphs: Sequence) -> tuple[list, list] | None:
-    """The vertices of the last hypergraph and, per degree, the rank of each
-    of its edges (``_rank_basis``) mapped to the first step holding it; None
-    for a directed edge out of vertex order."""
-    ids = sorted(hypergraphs[-1].vertices)
-    at, levels = {x: len(ids) - 1 - k for k, x in enumerate(ids)}, [{} for _ in ids]
-    for k in range(len(hypergraphs) - 1, -1, -1):  # the earliest step is written last
-        for e in hypergraphs[k].edges:
-            if list(e) != sorted(e):
-                return None
-            levels[len(e) - 1][sum(comb(at[x], i) for i, x in enumerate(reversed(e), 1))] = k
-    return ids, levels[: hypergraphs[-1].max_cardinality()]
 
 
 def _echelon_basis(ambient: ChainComplex, hypergraphs: Sequence, kind: str) -> tuple[list, list]:
@@ -347,9 +330,10 @@ def persistent_betti(
     kind selects the Inf or the Sup complex of each step; both nest along
     the filtration, and the maps are induced by chain inclusion.  The
     largest edge of the final step obeys the simplex cap of a closure (see
-    ``ambient_complex``), checked before any simplex is listed.  When every
-    step's edges already span a subcomplex, both kinds are that span, and
-    no closure ambient is built.
+    ``ambient_complex``), checked before any simplex is listed.  For the
+    steps of one whole ``build_filtration`` both kinds are its simplices,
+    and no closure ambient is built; any other steps, simplicial or not,
+    take their Inf (or Sup) complexes inside the last step's closure.
     """
     if kind not in ("inf", "sup"):
         raise ValueError("kind must be 'inf' or 'sup'")
@@ -357,19 +341,19 @@ def persistent_betti(
     if any(d < 0 for d in degrees):
         raise ValueError(f"degrees must be non-negative, got {list(degrees)}")
     steps = list(steps)
+    if not steps:
+        raise ValueError("empty filtration")
     # all the steps of one build_filtration, in order, are nested by construction
-    flag = steps[0]._pairs[0] if steps and steps[0]._pairs else None
+    flag = steps[0]._pairs[0] if steps[0]._pairs else None
     if flag is None or [s._pairs for s in steps] != [(flag, k) for k in range(flag.count)]:
         flag = None
         for earlier, later in zip(steps, steps[1:]):
             if not earlier.hypergraph.edges <= later.hypergraph.edges:
                 raise ValueError("steps must be nested increasingly")
-    if not steps:
-        raise ValueError("empty filtration")
     _check_closure_cap(flag.top if flag else steps[-1].hypergraph.max_cardinality())
-    ranked = (flag.ids, flag.births()) if flag else _hypergraph_ranks([s.hypergraph for s in steps])
-    basis = ranked and _rank_basis(*ranked, field)
-    if basis is None:
+    if flag:
+        basis = _rank_basis(flag.ids, flag.births(), field)
+    else:
         ambient = ambient_complex(steps[-1].hypergraph, "closure", field=field)
         basis = _echelon_basis(ambient, [s.hypergraph for s in steps], kind)
     births, bars = basis[0], _bars(*basis, field)

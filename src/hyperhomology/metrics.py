@@ -391,12 +391,9 @@ def euclidean_sample(points, ids: Sequence[int] | None = None) -> MetricPointSam
 
 
 def distance_matrix_sample(matrix, ids: Sequence[int] | None = None) -> MetricPointSample:
-    """Sample from an explicit symmetric dissimilarity matrix."""
-    if ids is None:
-        ids = tuple(range(len(matrix)))
-    else:
-        ids = tuple(_check_vertex(i) for i in ids)
-    return MetricPointSample(ids, DistanceMatrixMetric(ids, matrix))
+    """Sample from an explicit symmetric dissimilarity matrix, a row per point."""
+    ids, rows = _ids_and_values(list(matrix), ids)
+    return MetricPointSample(ids, DistanceMatrixMetric(ids, rows))
 
 
 def circle_sample(

@@ -22,8 +22,8 @@ and one ``induced_homology_rank`` problem per pair of steps, and
 ``homology_bars`` pairs a filtered basis by the homology reduction
 (``linalg.pivots``) that the package's cohomology reduction replaced.
 ``tuple_simplex_basis`` is the filtered simplex basis built the package's
-former way, from ``flag_levels`` or ``hypergraph_levels`` dicts keyed by
-simplex tuples, where the package now computes faces from integer ranks.
+former way, from ``flag_levels`` dicts keyed by simplex tuples, where the
+package now computes faces from integer ranks.
 ``dense_induced_rank`` is the independent check of those induced ranks: it
 reads only an embedded complex's stored embeddings and boundary images and
 eliminates densely.  ``four_term_by_cochain_quotients`` builds the
@@ -430,34 +430,17 @@ def flag_levels(pairs):
     return levels
 
 
-def hypergraph_levels(hypergraphs):
-    """Per degree, each edge of the last hypergraph mapped to the first step
-    holding it, in sorted order."""
-    birth = {}
-    for k in range(len(hypergraphs) - 1, -1, -1):
-        birth.update(dict.fromkeys(hypergraphs[k].edges, k))
-    last = hypergraphs[-1]
-    levels = last.levels()
-    return [{e: birth[e] for e in levels.get(n, ())} for n in range(1, last.max_cardinality() + 1)]
-
-
 def tuple_simplex_basis(levels, field):
     """The package's former filtered basis of simplices, built from tuples:
     labels sorted by (birth, simplex), integer boundary columns from face
     tuples (``chains._integer_columns``), checked by
-    ``chains._check_square_zero`` and transposed into field coboundaries;
-    None when a face is missing or born later."""
+    ``chains._check_square_zero`` and transposed into field coboundaries."""
     births, columns, labels = [], [], []
     for n, level in enumerate(levels):
         labels.append(sorted(level, key=level.__getitem__))
         born = sorted(level.values())
         if n:
-            below = births[n - 1]
             ints = _integer_columns(labels[n], labels[n - 1])
-            if len(labels[n - 1]) > len(below):
-                return None
-            if any(col and below[max(col)] > b for col, b in zip(ints, born)):
-                return None
             if n >= 2:
                 _check_square_zero(n - 1, columns[-1], ints, labels)
             columns.append(ints)

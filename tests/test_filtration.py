@@ -45,7 +45,6 @@ from oracles import (
     emptiness_threshold_by_subsets,
     flag_levels,
     homology_bars,
-    hypergraph_levels,
     pairwise_persistence,
     permuted_closure,
     persistence_csv,
@@ -278,9 +277,9 @@ def test_lazy_step_hypergraphs_are_the_hard_sphere_hypergraphs(sample, n_max, rn
     st.sampled_from([QQ, PrimeField(7)]),
 )
 def test_pair_steps_and_explicit_steps_give_one_table(sample, n_max, kind, all_pairs, field):
-    # build_filtration's steps take the births from the pair steps; the same
-    # steps built by hand, or a part of build_filtration's steps, take them
-    # from the step hypergraphs
+    # a whole build_filtration takes the simplex basis of its pair steps; the
+    # same steps built by hand, or a part of build_filtration's steps, take
+    # the echelon basis of their Inf (or Sup) complexes
     steps = build_filtration(sample, n_max)
     explicit = []
     for s in steps:
@@ -314,13 +313,6 @@ def nested_hypergraph_steps(draw):
     return steps
 
 
-@st.composite
-def filtrations(draw):
-    if draw(st.booleans()):
-        return build_filtration(draw(exact_samples()), draw(st.integers(1, 3)))
-    return draw(nested_hypergraph_steps())
-
-
 @settings(max_examples=60, deadline=None)
 @given(nested_hypergraph_steps(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
 def test_induced_ranks_between_steps_match_dense_cycles(steps, field):
@@ -344,14 +336,44 @@ def test_induced_ranks_between_steps_match_dense_cycles(steps, field):
             assert induced_homology_rank(source, target, n) == dense_induced_rank(source, target, n, p)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def hand_built_steps(draw):
+    """Steps built by hand: as drawn, mostly not simplicial; each closed
+    under faces, so simplicial; or only the last closed, so that a face is
+    born after its simplex."""
+    steps = draw(nested_hypergraph_steps())
+    closed = draw(st.sampled_from([(), range(len(steps)), [len(steps) - 1]]))
+    return [
+        FiltrationStep(k, k + 1, k, delta_closure(s.hypergraph)) if k in closed else s
+        for k, s in enumerate(steps)
+    ]
+
+
+_TRIANGLE = Hypergraph(frozenset({0, 1, 2}), frozenset({(0, 1, 2), (0, 1), (0,), (1,), (2,)}))
+
+
+@st.composite
+def filtrations(draw):
+    """A whole build_filtration, a part of one, or steps built by hand."""
+    if draw(st.booleans()):
+        steps = build_filtration(draw(exact_samples()), draw(st.integers(1, 3)))
+        return steps if draw(st.booleans()) else steps[: draw(st.integers(1, len(steps)))]
+    return draw(hand_built_steps())
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     filtrations(),
     st.sampled_from(["inf", "sup"]),
     st.booleans(),
     st.sampled_from([QQ, PrimeField(7)]),
 )
+@example(  # two of the triangle's sides are born after it, the third is not
+    [FiltrationStep(0, 1, 0, _TRIANGLE), FiltrationStep(1, 2, 1, delta_closure(_TRIANGLE))], "inf", True, QQ
+)
 def test_persistence_matches_pairwise_oracle(steps, kind, all_pairs, field):
+    # whole build_filtrations take the simplex basis; steps built by hand,
+    # simplicial or not, and parts of build_filtrations take the echelon basis
     degrees = [0, 1, 2]
     table = persistent_betti(steps, degrees, kind, all_pairs=all_pairs, field=field)
     betti_by_step, entries, bars = pairwise_persistence(
@@ -553,41 +575,38 @@ def flag_samples(draw):
     return euclidean_sample(points), draw(st.integers(1, 5))
 
 
-@st.composite
-def hand_built_steps(draw):
-    """Steps built by hand: as drawn, mostly not simplicial; each closed
-    under faces, so simplicial; or only the last closed, so that a face is
-    born after its simplex."""
-    steps = draw(nested_hypergraph_steps())
-    closed = draw(st.sampled_from([(), range(len(steps)), [len(steps) - 1]]))
-    return [
-        FiltrationStep(k, k + 1, k, delta_closure(s.hypergraph)) if k in closed else s
-        for k, s in enumerate(steps)
-    ]
-
-
-_TRIANGLE = Hypergraph(frozenset({0, 1, 2}), frozenset({(0, 1, 2), (0, 1), (0,), (1,), (2,)}))
-
-
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(flag_samples(), hand_built_steps()), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
-@example(  # two of the triangle's sides are born after it, the third is not
-    [FiltrationStep(0, 1, 0, _TRIANGLE), FiltrationStep(1, 2, 1, delta_closure(_TRIANGLE))], QQ
-)
+@given(flag_samples(), st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
 def test_rank_basis_equals_the_tuple_basis(case, field):
-    # births, coboundaries and bars as the tuple route builds them, on the
-    # flag path and on steps built by hand (None where a face is missing or later)
-    if isinstance(case, tuple):
-        flag = build_filtration(*case)[0]._pairs[0]
-        built = filtration._rank_basis(flag.ids, flag.births(), field)
-        expected = tuple_simplex_basis(flag_levels(flag), field)
-    else:
-        hypergraphs = [s.hypergraph for s in case]
-        built = filtration._rank_basis(*filtration._hypergraph_ranks(hypergraphs), field)
-        expected = tuple_simplex_basis(hypergraph_levels(hypergraphs), field)
+    # births, coboundaries and bars of a flag filtration as the tuple route builds them
+    flag = build_filtration(*case)[0]._pairs[0]
+    built = filtration._rank_basis(flag.ids, flag.births(), field)
+    expected = tuple_simplex_basis(flag_levels(flag), field)
     assert built == expected
-    if expected is not None:
-        assert filtration._bars(*built, field) == filtration._bars(*expected, field)
+    assert filtration._bars(*built, field) == filtration._bars(*expected, field)
+
+
+@pytest.mark.parametrize(
+    "degree, birth, certificate",
+    [(0, 3, {"degree": 1, "chain": "(1, 2)"}), (2, 1, {"degree": 2, "chain": "(0, 1, 2)"})],
+    ids=["vertex", "triangle"],
+)
+def test_a_face_born_after_its_simplex_is_certified(monkeypatch, degree, birth, certificate):
+    # edges {1, 2}, {0, 2} and {0, 1} enter at steps 1, 2 and 3, the triangle
+    # at 3; moving vertex 2 to step 3, or the triangle to step 1, gives a
+    # simplex a later face, and the first such simplex by birth is named
+    births = filtration._PairSteps.births
+
+    def moved(self):
+        levels = births(self)
+        levels[degree][0] = birth  # rank 0: vertex 2, or the triangle
+        return levels
+
+    monkeypatch.setattr(filtration._PairSteps, "births", moved)
+    steps = build_filtration(euclidean_sample([(0, 0), (1, 0), (0, 3)]), 3)
+    with pytest.raises(InvariantViolation) as failure:
+        persistent_betti(steps, [0, 1])
+    assert failure.value.certificate == certificate
 
 
 @pytest.mark.parametrize("column", [0, 7, 14])

@@ -306,3 +306,23 @@ def test_inf_and_sup_come_from_one_elimination_loop():
         if isinstance(node, FUNCTIONS) and "eliminated" in (a.arg for a in _defaulted(node.args))
     ]
     assert not defaulted, defaulted
+
+
+def test_persistent_betti_picks_one_of_two_filtered_bases():
+    """One whole ``build_filtration`` takes the simplex basis of its pair
+    steps, and any other nested steps the echelon basis of their Inf (or Sup)
+    complexes; ``persistent_betti`` alone picks, and no route maps the edges
+    of hand-built steps to simplex ranks."""
+    outside = [
+        site
+        for name in ("_rank_basis", "_echelon_basis")
+        for site in _calls_outside(name, "filtration.py", "persistent_betti")
+    ]
+    assert not outside, f"a filtered basis built outside filtration.persistent_betti: {outside}"
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS) and node.name == "_hypergraph_ranks"
+    ]
+    assert not defined, defined

@@ -949,3 +949,97 @@ def test_cli_reports_do_not_depend_on_vertex_names_or_edge_order(tmp_path_factor
         assert outcomes[0][0] == 0
 
     check()
+
+
+@pytest.mark.parametrize("command", ["persist", "isom"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"distance_matrix": [[0, 1], [1, 0]], "ids": [1, 1]},
+        {"distance_matrix": [[0, 1], [1, 0]], "ids": [4]},
+        {"circle_angles_over_pi": [0, 1], "ids": [3, 3]},
+    ],
+    ids=["matrix-repeated", "matrix-short", "circle-repeated"],
+)
+def test_cli_point_ids_must_be_distinct(tmp_path, capsys, command, data):
+    # a repeated distance-matrix id once gave persist a zero distance and
+    # isom an "identity missing" failure
+    path = write_fixture(tmp_path, "ids.json", data)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ids must be distinct and match the number of points" in captured.err
+
+
+@st.composite
+def relabelled_points(draw):
+    """Two CSV texts of one sample of at most 7 planar points, on a small
+    grid (many tied distances) or with rational coordinates: with ids 0..n-1
+    in row order, and with non-contiguous ids in scrambled order and the
+    rows shuffled."""
+    coords = st.integers(0, 3) if draw(st.booleans()) else st.fractions(-2, 2, max_denominator=4)
+    points = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=7, unique=True))
+    gap = draw(st.integers(2, 9))
+    ids = [gap * k + 1 for k in draw(st.permutations(range(len(points))))]
+    shuffled = draw(st.permutations([(ids[k], p) for k, p in enumerate(points)]))
+    return tuple(
+        "id,x,y\n" + "".join(f"{i},{x},{y}\n" for i, (x, y) in rows)
+        for rows in (list(enumerate(points)), shuffled)
+    )
+
+
+def test_cli_persist_does_not_depend_on_point_ids_or_row_order(tmp_path_factory):
+    # a metamorphic check: permuted ids and shuffled rows give the same
+    # report, results, CSV text and barcode included
+    path = tmp_path_factory.mktemp("order") / "points.csv"
+
+    @settings(max_examples=25, deadline=None)
+    @given(relabelled_points(), st.integers(1, 4), st.sampled_from(["Q", "2", "7"]))
+    def check(texts, n_max, field):
+        outcomes = []
+        for text in texts:
+            path.write_text(text)
+            argv = ["persist", str(path), "--n-max", str(n_max), "--degrees", "0,1,2"]
+            outcomes.append(_cli_outcome(argv + ["--field", field, "--format", "json", "--barcode"]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+
+    check()
+
+
+def test_cli_isom_does_not_depend_on_point_ids_or_row_order(tmp_path_factory):
+    path = tmp_path_factory.mktemp("order") / "points.csv"
+
+    @settings(max_examples=25, deadline=None)
+    @given(relabelled_points())
+    def check(texts):
+        outcomes = []
+        for text in texts:
+            path.write_text(text)
+            outcomes.append(_cli_outcome(["isom", str(path)]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+
+    check()
+
+
+def test_cli_aut_orders_do_not_depend_on_vertex_names_or_edge_order(tmp_path_factory):
+    # the greedy aut_generators depend on the labels by design: only the
+    # three orders are compared
+    path = tmp_path_factory.mktemp("order") / "h.json"
+    orders = ("homeo_order", "stab_order", "aut_order")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.booleans().flatmap(relabelled_inputs))
+    @example(RELABELLED_GRAPH)
+    @example(RELABELLED_TRIANGLE)
+    def check(texts):
+        outcomes = []
+        for text in texts:
+            path.write_text(text)
+            code, report, err = _cli_outcome(["aut", str(path)])
+            outcomes.append((code, report and [report["results"][k] for k in orders], err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+
+    check()
